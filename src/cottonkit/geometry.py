@@ -21,6 +21,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -211,18 +212,21 @@ def coordinate_seeds(
     return seeds
 
 
+def _expr_jet(expr: ExprAst, seeds) -> Jet:
+    """Jet of an expression over coordinate seeds; a constant becomes a
+    constant jet broadcast to the seeds' grid shape."""
+    ref = next(v for v in seeds.values() if isinstance(v, Jet))
+    val = eval_jet_bindings(expr, seeds)
+    if isinstance(val, Jet):
+        return val
+    return jet_constant(np.broadcast_to(val, np.shape(ref.value)), ref.num_vars, ref.order)
+
+
 def _metric_jets(m: MetricSpec, seeds) -> list[list[Jet]]:
-    order = next(v for v in seeds.values() if isinstance(v, Jet)).order
-    nv = m.dim
-    shape_ref = next(v for v in seeds.values() if isinstance(v, Jet)).coeffs[0]
     g: list[list[Optional[Jet]]] = [[None] * m.dim for _ in range(m.dim)]
     for i in range(m.dim):
         for j in range(i, m.dim):
-            val = eval_jet_bindings(m.components[i][j], seeds)
-            if not isinstance(val, Jet):
-                val = jet_constant(np.broadcast_to(val, np.shape(shape_ref)).copy()
-                                   if np.ndim(shape_ref) else val, nv, order)
-            g[i][j] = g[j][i] = val
+            g[i][j] = g[j][i] = _expr_jet(m.components[i][j], seeds)
     return g  # type: ignore[return-value]
 
 
@@ -331,43 +335,62 @@ def _vals(jets_nested):
     return np.array([_vals(x) for x in jets_nested])
 
 
+def _component(T, idx):
+    for k in idx:
+        T = T[k]
+    return T
+
+
+def _nested(fn, dim: int, rank: int, idx=()):
+    """Nested lists of fn(idx) over every index tuple of the given rank.  A
+    module-level function, so no closure cycle keeps fn's tensors alive."""
+    if len(idx) == rank:
+        return fn(idx)
+    return [_nested(fn, dim, rank, idx + (k,)) for k in range(dim)]
+
+
 class _Pipeline:
-    """Shared curvature computation at a chosen jet order."""
+    """The jet curvature engine at a chosen jet order.  Every quantity is
+    built on first use and kept, so each is computed once per instance."""
 
     def __init__(self, m: MetricSpec, point, order: int):
         self.m = m
         self.dim = m.dim
         self.point = point
-        seeds = coordinate_seeds(m.coords, point, m.env, order)
-        self.g = _metric_jets(m, seeds)
-        self.det = _det_jet(self.g, m.dim)
-        _check_det(self.det.coeffs[0], point, m.dim)
-        self.ginv = _inverse_jets(self.g, m.dim, self.det)
-        self._gamma = None
-        self._riem = None
-        self._ric = None
+        self.seeds = coordinate_seeds(m.coords, point, m.env, order)
+        self.g = _metric_jets(m, self.seeds)
+        self._sqrt_abs_det = None
 
-    @property
+    @cached_property
+    def det(self) -> Jet:
+        det = _det_jet(self.g, self.dim)
+        _check_det(det.coeffs[0], self.point, self.dim)
+        return det
+
+    @cached_property
+    def ginv(self):
+        return _inverse_jets(self.g, self.dim, self.det)
+
+    @cached_property
     def gamma(self):
-        if self._gamma is None:
-            self._gamma = _christoffel_jets(self.g, self.ginv, self.dim)
-        return self._gamma
+        return _christoffel_jets(self.g, self.ginv, self.dim)
 
-    @property
+    @cached_property
     def riemann(self):
-        if self._riem is None:
-            self._riem = _riemann_jets(self.gamma, self.dim)
-        return self._riem
+        return _riemann_jets(self.gamma, self.dim)
 
-    @property
+    @cached_property
     def ricci_lower(self):
-        if self._ric is None:
-            self._ric = _ricci_lower_jets(self.riemann, self.dim)
-        return self._ric
+        return _ricci_lower_jets(self.riemann, self.dim)
 
-    @property
+    @cached_property
     def ricci_mixed(self):
         return _mixed(self.ginv, self.ricci_lower, self.dim)
+
+    @cached_property
+    def ricci_mixed_deriv(self):
+        """R^i_{j;a}, indexed [i][j][a]."""
+        return self.cov_deriv(self.ricci_mixed, 1, 1)
 
     def scalar(self):
         dim = self.dim
@@ -380,29 +403,51 @@ class _Pipeline:
         return total
 
     def sqrt_abs_det(self) -> Jet:
-        sign = np.sign(np.asarray(self.det.coeffs[0]))
-        return jet_apply("sqrt", self.det * sign)
+        if self._sqrt_abs_det is None:
+            sign = np.sign(np.asarray(self.det.coeffs[0]))
+            self._sqrt_abs_det = jet_apply("sqrt", self.det * sign)
+        return self._sqrt_abs_det
 
-    def cov_deriv_mixed(self, T: list[list[Jet]]) -> list[list[list[Jet]]]:
-        """D_a T^i_j for a (1,1) tensor of jets; order drops by one."""
-        dim = self.dim
-        gam = self.gamma
-        out = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
+    def cov_deriv(self, T, ups: int, downs: int):
+        """T^{i...}_{j...;a} for a jet tensor with ``ups`` leading upper and
+        ``downs`` trailing lower indices, as nested lists with the
+        derivative index last; the jet order drops by one."""
+        dim, gam = self.dim, self.gamma
+
+        def deriv_at(idx):
+            out = []
+            for a in range(dim):
+                term = _component(T, idx).derivative(a)
+                for l in range(dim):
+                    for pos, i in enumerate(idx):
+                        rep = _component(T, idx[:pos] + (l,) + idx[pos + 1:])
+                        if pos < ups:
+                            term = term + gam[i][a][l] * rep
+                        else:
+                            term = term - gam[l][a][i] * rep
+                out.append(term)
+            return out
+
+        return _nested(deriv_at, dim, ups + downs)
+
+    def hessian(self, s: Jet) -> tuple[np.ndarray, np.ndarray]:
+        """Values of (D_a D_b s, g^{ab} D_a D_b s) for a scalar jet s."""
+        dim, gam = self.dim, self.gamma
+        ds = [s.derivative(a) for a in range(dim)]
+        hess = np.empty((dim, dim) + np.shape(s.value))
         for a in range(dim):
-            for i in range(dim):
-                for j in range(dim):
-                    term = T[i][j].derivative(a)
-                    for l in range(dim):
-                        term = term + gam[i][a][l] * T[l][j]
-                        term = term - gam[l][a][j] * T[i][l]
-                    out[a][i][j] = term
-        return out
+            for b in range(a, dim):
+                term = ds[a].derivative(b)
+                for l in range(dim):
+                    term = term - gam[l][a][b] * ds[l]
+                hess[a, b] = hess[b, a] = term.value
+        return hess, np.einsum("ab...,ab...->...", _vals(self.ginv), hess)
 
     def cotton(self) -> list[list[Jet]]:
         if self.dim != 3:
             raise GeometryError("Cotton tensor requires dim = 3")
         eps = _eps3(self.m.orientation)
-        dr = self.cov_deriv_mixed(self.ricci_mixed)
+        dr = self.ricci_mixed_deriv
         # The overall sign makes the tensor the metric variation of the
         # connection functional, delta W = -(1/4 pi^2) int sqrt|g| C^{mn}
         # delta g_{mn}; the lattice variation check pins it.  That is the
@@ -414,10 +459,10 @@ class _Pipeline:
             for j in range(i, 3):
                 total = None
                 for (a, b), s in eps[i]:
-                    term = dr[a][j][b] * s
+                    term = dr[j][b][a] * s
                     total = term if total is None else total + term
                 for (a, b), s in eps[j]:
-                    total = total + dr[a][i][b] * s
+                    total = total + dr[i][b][a] * s
                 cot[i][j] = cot[j][i] = total * half_inv_sqrt
         return cot
 
@@ -567,12 +612,8 @@ def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
 def _cotton_term_scale(pipe: _Pipeline) -> np.ndarray:
     """Magnitude of the individual terms entering the Cotton assembly; the
     meaningful scale for a residual that is a cancellation of those terms."""
-    dr = pipe.cov_deriv_mixed(pipe.ricci_mixed)
     inv_sqrt = np.asarray((0.5 / pipe.sqrt_abs_det()).coeffs[0])
-    mag = np.max(
-        np.abs(np.array([[[np.asarray(dr[a][i][b].coeffs[0]) for b in range(3)] for i in range(3)] for a in range(3)])),
-        axis=(0, 1, 2),
-    )
+    mag = np.max(np.abs(_vals(pipe.ricci_mixed_deriv)), axis=(0, 1, 2))
     return np.abs(inv_sqrt) * mag
 
 
@@ -613,32 +654,9 @@ def covariant_hessian_at(
     m: MetricSpec, s: ExprAst, p: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """(D_a D_b s, g^{ab} D_a D_b s) for a scalar field expression."""
-    point = tuple(float(v) for v in p)
-    pipe = _Pipeline(m, point, order=2)
-    seeds = coordinate_seeds(m.coords, point, m.env, 2)
-    sj = eval_jet_bindings(s, seeds)
-    if not isinstance(sj, Jet):
-        hess = np.zeros((m.dim, m.dim))
-        return hess, 0.0
-    return _hessian_from_jets(pipe, sj)
-
-
-def _hessian_from_jets(pipe: _Pipeline, sj: Jet) -> tuple[np.ndarray, float]:
-    dim = pipe.dim
-    ds = [sj.derivative(a) for a in range(dim)]
-    gam = pipe.gamma
-    hess = np.empty((dim, dim) + np.shape(np.asarray(sj.coeffs[0])))
-    for a in range(dim):
-        for b in range(a, dim):
-            term = ds[a].derivative(b)
-            for l in range(dim):
-                term = term - gam[l][a][b] * ds[l]
-            hess[a][b] = hess[b][a] = np.asarray(term.coeffs[0])
-    ginv = _vals(pipe.ginv)
-    box = np.einsum("ab...,ab...->...", ginv, hess)
-    if hess.ndim == 2:
-        return hess, float(box)
-    return hess, box
+    pipe = _Pipeline(m, tuple(float(v) for v in p), order=2)
+    hess, box = pipe.hessian(_expr_jet(s, pipe.seeds))
+    return hess, float(box)
 
 
 def pullback_metric_at(
@@ -655,12 +673,7 @@ def pullback_metric_at(
     env = dict(env or {})
     nsrc = len(source_coords)
     seeds = coordinate_seeds(source_coords, [float(v) for v in p], env, order=1)
-    images = []
-    for comp in map_components:
-        val = eval_jet_bindings(comp, seeds)
-        if not isinstance(val, Jet):
-            val = jet_constant(val, nsrc, 1)
-        images.append(val)
+    images = [_expr_jet(comp, seeds) for comp in map_components]
     jac = np.array(
         [[float(np.asarray(images[mu].derivative(a).coeffs[0])) for a in range(nsrc)] for mu in range(target.dim)]
     )

@@ -29,7 +29,6 @@ __all__ = [
     "jet_apply",
     "jet_extract",
     "jet_pow",
-    "jet_derivative",
     "FUNCTION_NAMES",
     "MAX_ORDER",
     "MAX_VARS",
@@ -314,10 +313,6 @@ def jet_extract(j: Jet, alpha: Sequence[int]) -> Scalar:
         raise ValueError(f"|alpha|={sum(alpha)} exceeds jet order {j.order}")
     k = j.space.index[alpha]
     return j.coeffs[k] * j.space._factorials[k]
-
-
-def jet_derivative(j: Jet, var: int) -> Jet:
-    return j.derivative(var)
 
 
 # -- elementary functions -----------------------------------------------------

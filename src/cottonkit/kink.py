@@ -34,7 +34,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .exprlang import ExprAst, eval_real, parse_expr, substitute
-from .geometry import MetricSpec, coordinate_seeds, curvature_grid, _metric_jets, _det_jet, _inverse_jets, _christoffel_jets, _check_det
+from .geometry import MetricSpec, _expr_jet, _Pipeline, _vals, curvature_grid
 from .jets import Jet, jet_extract, jet_var
 from .report import CheckReport, make_report
 
@@ -485,30 +485,10 @@ def lift_flat_kink(
 
 
 def _lift_field_data(lift: LiftedKink, xs: np.ndarray):
-    m2 = lift.metric
-    pts = np.column_stack([np.zeros_like(xs), xs])
-    seeds = coordinate_seeds(m2.coords, (pts[:, 0], pts[:, 1]), m2.env, 2)
-    g = _metric_jets(m2, seeds)
-    det = _det_jet(g, 2)
-    _check_det(det.coeffs[0], (pts[:, 0], pts[:, 1]), 2)
-    ginv = _inverse_jets(g, 2, det)
-    gamma = _christoffel_jets(g, ginv, 2)
-    from .exprlang import eval_jet_bindings
-
-    fj = eval_jet_bindings(lift.f, seeds)
-    ds = [fj.derivative(a) for a in range(2)]
-    hess = np.empty((2, 2, len(xs)))
-    for a in range(2):
-        for b in range(a, 2):
-            term = ds[a].derivative(b)
-            for l in range(2):
-                term = term - gamma[l][a][b] * ds[l]
-            hess[a][b] = hess[b][a] = np.asarray(term.coeffs[0])
-    ginv_v = np.array([[np.asarray(ginv[i][j].coeffs[0]) for j in range(2)] for i in range(2)])
-    g_v = np.array([[np.asarray(g[i][j].coeffs[0]) for j in range(2)] for i in range(2)])
-    box = np.einsum("ab...,ab...->...", ginv_v, hess)
-    fv = np.asarray(fj.coeffs[0])
-    return fv, g_v, hess, box
+    pipe = _Pipeline(lift.metric, (np.zeros_like(xs), xs), order=2)
+    fj = _expr_jet(lift.f, pipe.seeds)
+    hess, box = pipe.hessian(fj)
+    return np.asarray(fj.value), _vals(pipe.g), hess, box
 
 
 def _potential_derivs_at(p: PotentialSpec, fv: np.ndarray, order: int):

@@ -22,7 +22,6 @@ from .geometry import MetricSpec
 
 __all__ = [
     "fd_partial",
-    "fd_gradient",
     "random_safe_expr",
     "random_smooth_metric",
 ]
@@ -54,13 +53,6 @@ def fd_partial(
     coarse = _nested_central(f, tuple(point), alpha, h)
     fine = _nested_central(f, tuple(point), alpha, h / 2.0)
     return (4.0 * fine - coarse) / 3.0
-
-
-def fd_gradient(f, point, step: float = 1e-3) -> np.ndarray:
-    n = len(point)
-    return np.array(
-        [fd_partial(f, point, tuple(1 if k == i else 0 for k in range(n)), step) for i in range(n)]
-    )
 
 
 def fd_partial_telescoped(expr, coords, point, alpha, step: float = 1e-3) -> float:

@@ -22,6 +22,7 @@ the spacing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -36,7 +37,6 @@ from .exprlang import (
     Num,
     binop,
     eval_array,
-    eval_jet_bindings,
     free_symbols,
     parse_expr,
     to_text,
@@ -44,19 +44,17 @@ from .exprlang import (
 from .geometry import (
     GeometryError,
     MetricSpec,
-    _check_det,
-    _christoffel_jets,
     _det_jet,
-    _inverse_jets,
-    _metric_jets,
-    _ricci_lower_jets,
-    _riemann_jets,
-    coordinate_seeds,
+    _expr_jet,
+    _perm_sign,
+    _Pipeline,
+    _vals,
+    cotton_grid,
     curvature_grid,
     metric_from_dict,
     metric_to_dict,
 )
-from .jets import Jet, jet_apply, jet_constant
+from .jets import Jet
 from .report import CheckReport, make_report
 
 __all__ = [
@@ -224,73 +222,14 @@ def _neg(e: ExprAst) -> ExprAst:
 
 
 class _ReducedJets:
-    """Jets of g, r, f and friends at a (possibly batched) point; the
-    curvature pieces are built on demand so low-order uses stay cheap."""
+    """The 2D metric's curvature pipeline plus jets of the gauge covector a
+    and the dual field strength f at a (possibly batched) point."""
 
     def __init__(self, rd: ReducedData, point, order: int = 4):
-        self.rd = rd
-        self.order = order
-        seeds = coordinate_seeds(rd.coords, point, rd.env, order)
-        self.seeds = seeds
-        self.g = _metric_jets(rd.g2, seeds)
-        self.det = _det_jet(self.g, 2)
-        _check_det(self.det.coeffs[0], point, 2)
-        self.ginv = _inverse_jets(self.g, 2, self.det)
-        sign = np.sign(np.asarray(self.det.coeffs[0]))
-        self.sqrt_abs_det = jet_apply("sqrt", self.det * sign)
-        a_jets = []
-        for comp in rd.a:
-            v = eval_jet_bindings(comp, seeds)
-            if not isinstance(v, Jet):
-                v = jet_constant(
-                    np.broadcast_to(v, np.shape(np.asarray(self.det.coeffs[0]))).copy()
-                    if np.ndim(self.det.coeffs[0])
-                    else v,
-                    2,
-                    order,
-                )
-            a_jets.append(v)
-        self.a = a_jets
-        curl = a_jets[1].derivative(0) - a_jets[0].derivative(1)
-        self.f = curl / self.sqrt_abs_det.truncated(curl.order) * rd.g2.orientation
-        self._gamma = None
-        self._r = None
-
-    @property
-    def gamma(self):
-        if self._gamma is None:
-            self._gamma = _christoffel_jets(self.g, self.ginv, 2)
-        return self._gamma
-
-    @property
-    def r(self) -> Jet:
-        """Scalar curvature as a jet (order - 2 valid derivatives)."""
-        if self._r is None:
-            riem = _riemann_jets(self.gamma, 2)
-            ric = _ricci_lower_jets(riem, 2)
-            r = None
-            for s in range(2):
-                for m_ in range(2):
-                    term = self.ginv[s][m_] * ric[s][m_]
-                    r = term if r is None else r + term
-            self._r = r
-        return self._r
-
-    def hessian_of(self, s: Jet):
-        ds = [s.derivative(a) for a in range(2)]
-        hess = [[None] * 2 for _ in range(2)]
-        for a in range(2):
-            for b in range(a, 2):
-                term = ds[a].derivative(b)
-                for l in range(2):
-                    term = term - self.gamma[l][a][b] * ds[l]
-                hess[a][b] = hess[b][a] = term
-        box = None
-        for a in range(2):
-            for b in range(2):
-                term = self.ginv[a][b] * hess[a][b]
-                box = term if box is None else box + term
-        return hess, box
+        self.pipe = _Pipeline(rd.g2, point, order)
+        self.a = [_expr_jet(comp, self.pipe.seeds) for comp in rd.a]
+        curl = self.a[1].derivative(0) - self.a[0].derivative(1)
+        self.f = curl / self.pipe.sqrt_abs_det().truncated(curl.order) * rd.g2.orientation
 
 
 def _v(j):
@@ -305,9 +244,9 @@ def field_strength_f(rd: ReducedData, p: Sequence[float]) -> float:
 
 def reduced_action_density(rd: ReducedData, p: Sequence[float]) -> ActionDensity:
     jets = _ReducedJets(rd, tuple(float(v) for v in p), order=2)
-    f = jets.f
-    dens = ACTION_COUPLING * _v(jets.sqrt_abs_det) * (_v(f) * _v(jets.r) + _v(f) ** 3)
-    theta = _v(jets.r) + _v(f) ** 2
+    f, r = _v(jets.f), _v(jets.pipe.scalar())
+    dens = ACTION_COUPLING * _v(jets.pipe.sqrt_abs_det()) * (f * r + f ** 3)
+    theta = r + f ** 2
     return ActionDensity(float(dens), float(theta))
 
 
@@ -333,18 +272,17 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
     """
     pts = np.asarray(pts, dtype=float)
     jets = _ReducedJets(rd, tuple(pts[:, i] for i in range(2)), order=4)
-    f, r = jets.f, jets.r
+    pipe, f = jets.pipe, jets.f
+    r = pipe.scalar()
     phi_j = r + 3.0 * (f * f)
     dphi = np.array([_v(phi_j.derivative(0)), _v(phi_j.derivative(1))])
     eq11 = np.max(np.abs(dphi), axis=0)
 
-    hess, box = jets.hessian_of(f)
+    hessv, boxv = pipe.hessian(f)
     fv = _v(f)
     rv = _v(r)
-    boxv = _v(box)
-    hessv = np.array([[_v(hess[a][b]) for b in range(2)] for a in range(2)])
-    gv = np.array([[_v(jets.g[a][b]) for b in range(2)] for a in range(2)])
-    ginvv = np.array([[_v(jets.ginv[a][b]) for b in range(2)] for a in range(2)])
+    gv = _vals(pipe.g)
+    ginvv = _vals(pipe.ginv)
 
     core12 = boxv - fv ** 3 - 0.5 * rv * fv
     eq12 = gv * core12 - hessv
@@ -365,7 +303,7 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
         "r": np.atleast_1d(rv),
         "g": gv,
         "g_inv": ginvv,
-        "sqrt_abs_det": np.atleast_1d(_v(jets.sqrt_abs_det)),
+        "sqrt_abs_det": np.atleast_1d(_v(pipe.sqrt_abs_det())),
         "box_f": np.atleast_1d(boxv),
     }
 
@@ -507,11 +445,7 @@ def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
     for c in comps:
         i, j = pos[c]
         g[i, j] = g[j, i] = fields["g" + c]
-    det = (
-        g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
-        - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
-        + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
-    )
+    det = _det_jet(g, 3)
     inv = np.empty_like(g)
     for i in range(3):
         for j in range(3):
@@ -536,16 +470,9 @@ def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
             dgam[key] = _roll_d(gam[s, gpair[0], gpair[1]], b, h)
         return dgam[key]
 
-    import itertools as _it
-
     dens = 0.0
-    for perm in _it.permutations(range(3)):
-        sign = 1
-        pl = list(perm)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if pl[i] > pl[j]:
-                    sign = -sign
+    for perm in itertools.permutations(range(3)):
+        sign = _perm_sign(perm)
         al, be, ga_ = perm
         for rho in range(3):
             for sig in range(3):
@@ -707,12 +634,8 @@ def lattice_cotton_variation_check_3d(
         rng = range(0, lattice.n, stride)
         sites = [(a, b, c) for a in rng for b in rng for c in rng][:27]
     pts = np.array([[axes[0][a], axes[1][b], axes[2][c]] for a, b, c in sites])
-    from .geometry import cotton_grid
-
     data = cotton_grid(m, pts, order=3)
-    sqrtg = np.sqrt(np.abs(
-        np.einsum("...->...", _det3(data["g"]))
-    ))
+    sqrtg = np.sqrt(np.abs(_det_jet(data["g"], 3)))
     cot = data["cotton"]
     worst = 0.0
     worst_site = sites[0]
@@ -742,10 +665,3 @@ def lattice_cotton_variation_check_3d(
         details={"h": h, "scale": scale, "per_component": per_comp},
     )
 
-
-def _det3(g: np.ndarray) -> np.ndarray:
-    return (
-        g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
-        - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
-        + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
-    )

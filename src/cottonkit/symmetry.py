@@ -18,16 +18,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exprlang import ExprAst, eval_jet_bindings, free_symbols, parse_expr, to_text
+from .exprlang import ExprAst, free_symbols, parse_expr, to_text
 from .geometry import (
     GeometryError,
     MetricSpec,
+    _expr_jet,
     _Pipeline,
-    _metric_jets,
     _vals,
     coordinate_seeds,
 )
-from .jets import Jet, jet_constant
 from .report import CheckReport, make_report
 
 __all__ = [
@@ -55,21 +54,6 @@ class VectorFieldSpec:
 
     def texts(self) -> list[str]:
         return [to_text(c) for c in self.components]
-
-
-def _field_jets(xi: VectorFieldSpec, seeds, dim: int, order: int) -> list[Jet]:
-    shape_ref = next(v for v in seeds.values() if isinstance(v, Jet)).coeffs[0]
-    out = []
-    for comp in xi.components:
-        v = eval_jet_bindings(comp, seeds)
-        if not isinstance(v, Jet):
-            v = jet_constant(
-                np.broadcast_to(v, np.shape(shape_ref)).copy() if np.ndim(shape_ref) else v,
-                dim,
-                order,
-            )
-        out.append(v)
-    return out
 
 
 def killing_residual(
@@ -102,9 +86,9 @@ def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray
     if len(xi.components) != m.dim:
         raise GeometryError("vector field dimension does not match the metric")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    seeds = coordinate_seeds(m.coords, tuple(grid[:, i] for i in range(m.dim)), m.env, 1)
-    g = _metric_jets(m, seeds)
-    xij = _field_jets(xi, seeds, m.dim, 1)
+    pipe = _Pipeline(m, tuple(grid[:, i] for i in range(m.dim)), order=1)
+    g = pipe.g
+    xij = [_expr_jet(c, pipe.seeds) for c in xi.components]
     dim = m.dim
     npts = grid.shape[0]
     lie = np.zeros((dim, dim, npts))
@@ -148,8 +132,8 @@ def lie_bracket_at(
 def _bracket_values(xi, eta, p, dim, coords: Optional[Sequence[str]] = None, env=None):
     coords = coords or _infer_coords(xi, eta, dim, env)
     seeds = coordinate_seeds(coords, p, env or {}, 1)
-    xij = _field_jets(xi, seeds, dim, 1)
-    etj = _field_jets(eta, seeds, dim, 1)
+    xij = [_expr_jet(c, seeds) for c in xi.components]
+    etj = [_expr_jet(c, seeds) for c in eta.components]
     out = np.zeros((dim,) + np.shape(np.asarray(xij[0].coeffs[0])))
     for mu in range(dim):
         tot = 0.0
@@ -178,7 +162,7 @@ def independence_rank(m: MetricSpec, fields: Sequence[VectorFieldSpec], p: Seque
     seeds = coordinate_seeds(m.coords, tuple(float(v) for v in p), m.env, 1)
     rows = []
     for xi in fields:
-        jets = _field_jets(xi, seeds, m.dim, 1)
+        jets = [_expr_jet(c, seeds) for c in xi.components]
         row = [float(np.asarray(j.coeffs[0])) for j in jets]
         for j in jets:
             for l in range(m.dim):
@@ -202,9 +186,7 @@ def closure_residual(
         cols = []
         for p in pts:
             seeds = coordinate_seeds(coords[:dim], p, env or {}, 1)
-            vals = [float(np.asarray(v.coeffs[0])) if isinstance(v, Jet) else float(v)
-                    for v in (eval_jet_bindings(c, seeds) for c in xi.components)]
-            cols.extend(vals)
+            cols.extend(float(_expr_jet(c, seeds).value) for c in xi.components)
         basis.append(cols)
     A = np.array(basis).T  # (dim*npts, nfields)
     worst = 0.0
@@ -222,49 +204,6 @@ def closure_residual(
 # -- dimension estimator --------------------------------------------------------
 
 
-def _cov_deriv_general(T, ups: int, downs: int, gamma, dim):
-    """D_a T^{i...}_{j...} for a jet tensor with `ups` leading upper indices
-    and `downs` trailing lower indices; the new index is the first lower one
-    after the upper block.  Returns nested lists indexed [a][uppers][lowers]."""
-
-    def walk(indices_up, indices_down):
-        if len(indices_up) < ups:
-            return [walk(indices_up + (k,), indices_down) for k in range(dim)]
-        if len(indices_down) < downs:
-            return [walk(indices_up, indices_down + (k,)) for k in range(dim)]
-        return (indices_up, indices_down)
-
-    def get(tensor, idx):
-        cur = tensor
-        for k in idx:
-            cur = cur[k]
-        return cur
-
-    out = []
-    for a in range(dim):
-        def deriv_at(idx_up, idx_down):
-            term = get(T, idx_up + idx_down).derivative(a)
-            for pos, i in enumerate(idx_up):
-                for l in range(dim):
-                    rep = idx_up[:pos] + (l,) + idx_up[pos + 1:]
-                    term = term + gamma[i][a][l] * get(T, rep + idx_down)
-            for pos, jx in enumerate(idx_down):
-                for l in range(dim):
-                    rep = idx_down[:pos] + (l,) + idx_down[pos + 1:]
-                    term = term - gamma[l][a][jx] * get(T, idx_up + rep)
-            return term
-
-        def build(idx_up=(), idx_down=()):
-            if len(idx_up) < ups:
-                return [build(idx_up + (k,), idx_down) for k in range(dim)]
-            if len(idx_down) < downs:
-                return [build(idx_up, idx_down + (k,)) for k in range(dim)]
-            return deriv_at(idx_up, idx_down)
-
-        out.append(build())
-    return out
-
-
 def killing_dimension_estimate(m: MetricSpec, p: Sequence[float], depth: int = 2) -> int:
     """Dimension of the linear space of Killing initial data (xi, L) at p
     compatible with L_xi Riemann = 0 (depth 1) and additionally
@@ -276,21 +215,14 @@ def killing_dimension_estimate(m: MetricSpec, p: Sequence[float], depth: int = 2
     pipe = _Pipeline(m, point, order=order)
     dim = m.dim
     ginv = _vals(pipe.ginv)
-    gamma = pipe.gamma
     riem = pipe.riemann
 
-    tensors = []
-    dR = _cov_deriv_general(riem, 1, 3, gamma, dim)
-    # reorder so the derivative index is a trailing lower slot: T^r_{s m n; a}
-    dR_t = [[[[[dR[a][r][s][mu][nu] for a in range(dim)] for nu in range(dim)] for mu in range(dim)] for s in range(dim)] for r in range(dim)]
-    tensors.append((riem, 3, _tensor_vals(riem, 4), _tensor_vals(dR_t, 5)))
+    # covariant derivatives carry the derivative index last: T^r_{s m n; a}
+    dR = pipe.cov_deriv(riem, 1, 3)
+    dRv = _vals(dR)
+    tensors = [(3, _vals(riem), dRv)]
     if depth == 2:
-        d2R = _cov_deriv_general(dR_t, 1, 4, gamma, dim)
-        d2R_t = [
-            [[[[[d2R[a][r][s][mu][nu][b] for a in range(dim)] for b in range(dim)] for nu in range(dim)] for mu in range(dim)] for s in range(dim)]
-            for r in range(dim)
-        ]
-        tensors.append((dR_t, 4, _tensor_vals(dR_t, 5), _tensor_vals(d2R_t, 6)))
+        tensors.append((4, dRv, _vals(pipe.cov_deriv(dR, 1, 4))))
 
     pairs = [(c, d) for c in range(dim) for d in range(c + 1, dim)]
     n_unknowns = dim + len(pairs)
@@ -298,10 +230,10 @@ def killing_dimension_estimate(m: MetricSpec, p: Sequence[float], depth: int = 2
     # rank cutoff is relative to the curvature magnitude, not only to the
     # largest singular value of the (possibly all-noise) matrix
     scale = 1.0
-    for _, _, Tv, DTv in tensors:
+    for _, Tv, DTv in tensors:
         scale = max(scale, float(np.max(np.abs(Tv))), float(np.max(np.abs(DTv))))
     rows = []
-    for _, ndown, Tv, DTv in tensors:
+    for ndown, Tv, DTv in tensors:
         # component loop: one constraint row per tensor component
         for comp in np.ndindex(*Tv.shape):
             rho, lower = comp[0], comp[1:]
@@ -328,15 +260,6 @@ def killing_dimension_estimate(m: MetricSpec, p: Sequence[float], depth: int = 2
             rows.append(row)
     M = np.array(rows)
     return n_unknowns - _rank(M, scale)
-
-
-def _tensor_vals(T, rank: int) -> np.ndarray:
-    def walk(node, depth):
-        if depth == 0:
-            return float(np.asarray(node.coeffs[0]))
-        return [walk(child, depth - 1) for child in node]
-
-    return np.array(walk(T, rank))
 
 
 def _rank(M: np.ndarray, scale: float = 0.0) -> int:

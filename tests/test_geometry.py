@@ -216,7 +216,7 @@ def test_cotton_einstein_form_equivalence():
     dim = 3
     einstein = [[ric[i][j] - (0.5 * scal if i == j else 0.0) for j in range(dim)] for i in range(dim)]
     # covariant derivative of the mixed Einstein tensor, same assembly
-    dr = pipe.cov_deriv_mixed(einstein)
+    dr = pipe.cov_deriv(einstein, 1, 1)
     half = -0.5 / pipe.sqrt_abs_det()
     eps = _eps3(m.orientation)
     cot_e = np.empty((3, 3))
@@ -224,13 +224,44 @@ def test_cotton_einstein_form_equivalence():
         for j in range(3):
             tot = None
             for (a, b), s in eps[i]:
-                term = dr[a][j][b] * s
+                term = dr[j][b][a] * s
                 tot = term if tot is None else tot + term
             for (a, b), s in eps[j]:
-                tot = tot + dr[a][i][b] * s
+                tot = tot + dr[i][b][a] * s
             cot_e[i, j] = float(np.asarray((tot * half).coeffs[0]))
     cot_r = cotton_at(m, p).c
     np.testing.assert_allclose(cot_e, cot_r, atol=1e-12 * (1 + np.max(np.abs(cot_r))))
+
+
+@pytest.mark.parametrize("ups, downs", [(0, 2), (2, 0)])
+def test_metric_and_inverse_are_covariantly_constant(ups, downs):
+    from cottonkit.geometry import _Pipeline, _vals
+
+    m = random_smooth_metric(np.random.default_rng(8))
+    pts = np.random.default_rng(9).uniform(-1.0, 1.0, (20, 3))
+    pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=2)
+    T = pipe.g if downs else pipe.ginv
+    d = _vals(pipe.cov_deriv(T, ups, downs))
+    assert d.shape == (3, 3, 3, 20)
+    # the covariant derivative is a cancellation of partials and Gamma terms
+    scale = 1.0 + np.max(np.abs(_vals([[[t.derivative(a) for a in range(3)] for t in row] for row in T])))
+    assert np.max(np.abs(d)) < 1e-14 * scale
+
+
+def test_cotton_grid_computes_ricci_derivative_once(monkeypatch):
+    from cottonkit import geometry
+
+    calls = []
+    original = geometry._Pipeline.cov_deriv
+
+    def counting(self, T, ups, downs):
+        calls.append((ups, downs))
+        return original(self, T, ups, downs)
+
+    monkeypatch.setattr(geometry._Pipeline, "cov_deriv", counting)
+    m = random_smooth_metric(np.random.default_rng(10))
+    cotton_grid(m, np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]]))
+    assert calls == [(1, 1)]
 
 
 # -- scalar-field machinery --------------------------------------------------------
