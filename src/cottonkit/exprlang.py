@@ -46,10 +46,7 @@ __all__ = [
     "validate_symbols",
     "substitute",
     "num",
-    "sym",
-    "neg",
     "binop",
-    "call",
 ]
 
 Span = tuple[int, int]  # 1-based [start, end) character positions
@@ -109,20 +106,8 @@ def num(v: float) -> Num:
     return Num(float(v))
 
 
-def sym(name: str) -> Sym:
-    return Sym(name)
-
-
-def neg(e: ExprAst) -> Neg:
-    return Neg(e)
-
-
 def binop(op: str, left: ExprAst, right: ExprAst) -> BinOp:
     return BinOp(op, left, right)
-
-
-def call(func: str, arg: ExprAst) -> Call:
-    return Call(func, arg)
 
 
 # -- tokenizer / parser -------------------------------------------------------

@@ -13,6 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["CheckReport", "make_report", "reports_to_json", "report_from_dict"]
 
 SCHEMA = "cottonkit/1"
@@ -45,6 +47,14 @@ class CheckReport:
             f"{verdict}  {self.check_id}{case}: max residual {self.max_residual:.3e}"
             f" (tol {self.tolerance:.1e})"
         )
+
+
+def _argworst(values) -> tuple[float, int]:
+    """Largest value and the first index holding it; a NaN anywhere is the
+    worst value, so a garbage residual can never hide behind a finite one."""
+    vals = np.asarray(values, dtype=float)
+    k = int(np.argmax(vals))
+    return float(vals[k]), k
 
 
 def make_report(

@@ -53,7 +53,7 @@ from .reduction import (
     lattice_cotton_variation_check_3d,
     lattice_variation_check_2d,
 )
-from .report import CheckReport, make_report
+from .report import CheckReport, _argworst, make_report
 from .symmetry import (
     VectorFieldSpec,
     closure_residual,
@@ -96,14 +96,6 @@ TOL = {
 
 def _case(tag: str, C: float) -> SolutionCase:
     return SolutionCase(tag, -abs(C) if tag == "b" else abs(C))
-
-
-def _argworst(values) -> tuple[float, int]:
-    """Largest value and the first index holding it; a NaN anywhere is the
-    worst value, so a garbage residual can never hide behind a finite one."""
-    vals = np.asarray(values, dtype=float)
-    k = int(np.argmax(vals))
-    return float(vals[k]), k
 
 
 def _shortfall(required: float, observed: float) -> float:

@@ -27,7 +27,7 @@ from .geometry import (
     _vals,
     coordinate_seeds,
 )
-from .report import CheckReport, make_report
+from .report import CheckReport, _argworst, make_report
 
 __all__ = [
     "VectorFieldSpec",
@@ -189,16 +189,15 @@ def closure_residual(
             cols.extend(float(_expr_jet(c, seeds).value) for c in xi.components)
         basis.append(cols)
     A = np.array(basis).T  # (dim*npts, nfields)
-    worst = 0.0
+    resids = [0.0]
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             b = np.concatenate([
                 _bracket_values(fields[i], fields[j], p, dim, coords[:dim], env=env) for p in pts
             ])
             sol = np.linalg.lstsq(A, b, rcond=None)[0]
-            resid = np.linalg.norm(A @ sol - b) / (1.0 + np.linalg.norm(b))
-            worst = max(worst, float(resid))
-    return worst
+            resids.append(np.linalg.norm(A @ sol - b) / (1.0 + np.linalg.norm(b)))
+    return _argworst(resids)[0]
 
 
 # -- dimension estimator --------------------------------------------------------

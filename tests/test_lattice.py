@@ -119,7 +119,7 @@ def test_3d_linearity_in_perturbation_scale():
             ).astype(float).copy()
         grads.append(
             np.array([
-                _patch_gradient(fields, "g" + c, idx, h, _cs_density_3d) / h ** 3
+                _patch_gradient(fields, "g" + c, [idx], h, _cs_density_3d)[0] / h ** 3
                 for c in pos
             ])
         )
@@ -130,6 +130,53 @@ def test_3d_linearity_in_perturbation_scale():
     c0, c1 = cots[0].ravel(), cots[1].ravel()
     ratio_cot = float(c0 @ c1 / (c0 @ c0))
     assert ratio_grad == pytest.approx(ratio_cot, rel=0.02)
+
+
+def _smooth_fields(names, n, dim, seed):
+    """Periodic low-mode fields near the flat metric diag(1, -1, ...)."""
+    rng = np.random.default_rng(seed)
+    axes = np.meshgrid(*[2 * np.pi * np.arange(n) / n] * dim, indexing="ij")
+    fields = {}
+    for name in names:
+        phase = rng.uniform(0, 2 * np.pi, dim)
+        wave = np.prod([np.sin(a + p) for a, p in zip(axes, phase)], axis=0)
+        diag = name[1:] in ("tt", "xx", "yy")
+        fields[name] = (1.0 if name == "gtt" else -1.0 if diag else 0.0) + 0.05 * wave
+    return fields
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_patch_gradient_same_bits_alone_or_batched(dim):
+    from cottonkit.reduction import _action_density_2d, _cs_density_3d, _patch_gradient
+
+    if dim == 2:
+        n, names, density = 10, ("gtt", "gtx", "gxx", "at", "ax"), _action_density_2d
+        sites = [(a, b) for a in range(n) for b in range(0, n, 3)]
+    else:
+        n, names, density = 8, ("gtt", "gtx", "gty", "gxx", "gxy", "gyy"), _cs_density_3d
+        sites = [(a, b, c) for a in (0, 3, 7) for b in (1, 6) for c in (0, 2, 5)]
+    fields = _smooth_fields(names, n, dim, seed=dim)
+    h = 2 * math.pi / n
+    for name in names:
+        batched = _patch_gradient(fields, name, sites[::-1], h, density)[::-1]
+        alone = [_patch_gradient(fields, name, [idx], h, density)[0] for idx in sites]
+        np.testing.assert_array_equal(batched, alone)
+
+
+def test_padded_lattice_density_matches_patch_density():
+    from cottonkit.reduction import _action_density_2d
+
+    n = 8
+    fields = _smooth_fields(("gtt", "gtx", "gxx", "at", "ax"), n, 2, seed=5)
+    h = 2 * math.pi / n
+    whole = _action_density_2d({k: np.pad(v, 2, mode="wrap") for k, v in fields.items()}, h)
+    assert whole.shape == (n, n)
+    for a in range(n):
+        for b in range(n):
+            rows, cols = np.arange(a - 4, a + 5) % n, np.arange(b - 4, b + 5) % n
+            patch = {k: v[np.ix_(rows, cols)] for k, v in fields.items()}
+            # the 9-wide patch leaves a 5-wide core centred on the site
+            assert _action_density_2d(patch, h)[2, 2] == whole[a, b]
 
 
 def test_suite_ladders():

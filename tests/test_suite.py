@@ -1,10 +1,14 @@
 """Checks fail closed: a NaN residual is a FAIL, never a skipped value."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cottonkit import suite
-from cottonkit.catalog import SolutionCase
+from cottonkit import reduction, suite, symmetry
+from cottonkit.catalog import SolutionCase, killing_fields
+from cottonkit.exprlang import parse_expr
+from cottonkit.geometry import MetricSpec, flat_metric
 
 
 def _nan_cotton_grid(m, pts, order=3):
@@ -57,3 +61,32 @@ def test_argworst_prefers_nan_and_first_maximum():
     assert suite._argworst([0.1, 0.3, 0.3]) == (0.3, 1)
     value, k = suite._argworst([0.1, np.nan, 5.0])
     assert np.isnan(value) and k == 1
+
+
+def _nan_patch_gradient(fields, name, sites, h, density_fn, eps_scale=1e-6):
+    return np.full(len(sites), np.nan)
+
+
+def test_nan_site_gradient_fails_lattice_checks(monkeypatch):
+    monkeypatch.setattr(reduction, "_patch_gradient", _nan_patch_gradient)
+    rd = reduction.ReducedData(
+        g2=MetricSpec.from_components(
+            ("t", "x"), {"t,t": "1+0.1*sin(t)*cos(x)", "t,x": "0", "x,x": "-1"}, env={"C": 1.0}
+        ),
+        a=(parse_expr("0.1*sin(x)"), parse_expr("0")),
+    )
+    rep2 = reduction.lattice_variation_check_2d(rd, reduction.Lattice2D(0.0, 0.0, 12, 12), 2 * math.pi / 12)
+    rep3 = reduction.lattice_cotton_variation_check_3d(flat_metric(), reduction.Lattice3D(8), 2 * math.pi / 8)
+    for rep, per in ((rep2, "per_field"), (rep3, "per_component")):
+        assert not rep.passed, rep.line()
+        assert np.isnan(rep.max_residual)
+        assert all(np.isnan(v) for v in rep.details[per].values())
+
+
+def test_nan_bracket_fails_killing_closure(monkeypatch):
+    monkeypatch.setattr(symmetry, "_bracket_values", lambda xi, eta, p, dim, *a, **k: np.full(dim, np.nan))
+    case = SolutionCase("a", 1.0)
+    pts = [(0.7, 1.2, 0.4), (1.5, 0.7, -0.8)]
+    assert np.isnan(symmetry.closure_residual(killing_fields(case), pts, env=dict(case.env)))
+    reports = [r for r in suite.check_killing_fields(case) if r.check_id == "killing-closure"]
+    assert reports and not any(r.passed for r in reports)
