@@ -14,18 +14,29 @@ is ``-(x^2)``.  Implicit multiplication is a syntax error.  Function names
 are the jet-supported set (tanh, cosh, sinh, exp, ln, sqrt, sin, cos,
 arctan).  Parsed trees are immutable; evaluation is generic over jet
 arithmetic, so feeding jets as coordinate values composes maps for free.
+
+There are two evaluators: ``eval_array`` for values (floats or numpy
+arrays) and ``eval_jet``/``eval_jet_bindings`` for jets.  Both follow the
+domain rules of ``jets.py``, so an expression is real-valued and means the
+same thing in either, or raises ExprEvalError with the span of the
+offending sub-expression:
+
+* ``ln`` and ``sqrt`` need an argument > 0;
+* a divisor must be nonzero;
+* ``a^b`` needs ``a`` > 0 unless ``b`` is an integer of magnitude at most
+  512 (for jets, ``b`` must also not vary with a coordinate);
+* ``0^b`` with a negative integer ``b`` is a division by zero.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import FUNCTION_NAMES, Jet, JetDomainError, jet_apply, jet_pow, jet_var
+from .jets import FUNCTION_NAMES, Jet, _integer_exponent, jet_apply, jet_constant, jet_pow, jet_var
 
 __all__ = [
     "ExprAst",
@@ -40,7 +51,6 @@ __all__ = [
     "to_text",
     "eval_jet",
     "eval_jet_bindings",
-    "eval_real",
     "eval_array",
     "free_symbols",
     "validate_symbols",
@@ -318,18 +328,11 @@ def substitute(e: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
 
 
 # -- evaluation ---------------------------------------------------------------
-
-_MATH_FUNCS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "arctan": math.atan,
-}
+#
+# Two walkers share one function table and one set of domain guards: the
+# value walker never builds a Jet (the jets-fd check uses it as the
+# independent reference for the jet engine), and the jet walker folds its
+# constant subtrees through the value walker's node rules.
 
 _NP_FUNCS = {
     "exp": np.exp,
@@ -344,16 +347,92 @@ _NP_FUNCS = {
 }
 
 
-def _is_const(v) -> bool:
-    return not isinstance(v, Jet)
+def _any(mask) -> bool:
+    # np.any costs microseconds on the scalar comparisons of pointwise use
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _require_positive(func: str, v, span: Span) -> None:
+    if _any(v <= 0.0):
+        raise ExprEvalError(f"{func} applied outside its domain (value {float(np.min(v))!r})", span)
+
+
+def _require_nonzero_divisor(v, span: Span) -> None:
+    if _any(v == 0.0):
+        raise ExprEvalError("division by zero", span)
+
+
+def _require_pow_domain(base, exponent, span: Span) -> None:
+    """jet_pow's rule: a non-integer exponent needs a positive base, and a
+    zero base with a negative integer exponent divides by zero."""
+    nonpositive = base <= 0.0
+    if not _any(nonpositive):
+        return
+    if np.any(nonpositive & ~np.asarray(_integer_exponent(exponent))):
+        _require_positive("pow", base, span)
+    if np.any((base == 0.0) & (exponent < 0.0)):
+        raise ExprEvalError("division by zero", span)
+
+
+def _call_values(e: Call, arg):
+    fn = _NP_FUNCS.get(e.func)
+    if fn is None:
+        raise ExprEvalError(f"unknown function {e.func!r}", e.span)
+    if e.func in ("ln", "sqrt"):
+        _require_positive(e.func, arg, e.span)
+    return fn(arg)
+
+
+def _binop_values(e: BinOp, left, right):
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if e.op == "/":
+        _require_nonzero_divisor(right, e.span)
+        return left / right
+    _require_pow_domain(left, right, e.span)
+    return left ** right
+
+
+def _eval_values(e: ExprAst, bindings):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Sym):
+        try:
+            return bindings[e.name]
+        except KeyError:
+            raise ExprEvalError(f"unresolved symbol {e.name!r}", e.span) from None
+    if isinstance(e, Neg):
+        return -_eval_values(e.child, bindings)
+    if isinstance(e, Call):
+        return _call_values(e, _eval_values(e.arg, bindings))
+    return _binop_values(e, _eval_values(e.left, bindings), _eval_values(e.right, bindings))
+
+
+def eval_array(e: ExprAst, bindings: Mapping[str, Union[float, np.ndarray]]) -> np.ndarray:
+    """Values of the expression with symbols bound to floats or arrays (no
+    derivatives).
+
+    Returns a new float array with the broadcast shape of the bound values
+    (0-d when they are all scalars).  A domain error anywhere raises
+    ExprEvalError with the offending sub-expression's span.
+    """
+    value = np.array(_eval_values(e, bindings), dtype=float)
+    shapes = [v.shape for v in bindings.values() if isinstance(v, np.ndarray) and v.shape != value.shape]
+    if shapes:
+        value = np.broadcast_to(value, np.broadcast_shapes(value.shape, *shapes)).copy()
+    return value
 
 
 def eval_jet_bindings(e: ExprAst, bindings: Mapping[str, Union[Jet, float]]):
     """Evaluate with symbols bound to jets or plain numbers.
 
-    Constant subtrees fold to floats; jet/float mixing is handled by the jet
-    operators.  Domain errors from jet arithmetic are re-raised with the
-    offending sub-expression's source span.
+    Constant subtrees fold to floats under the value walker's rules;
+    jet/float mixing is handled by the jet operators.  Domain errors raise
+    ExprEvalError with the offending sub-expression's source span.
     """
     if isinstance(e, Num):
         return e.value
@@ -366,40 +445,34 @@ def eval_jet_bindings(e: ExprAst, bindings: Mapping[str, Union[Jet, float]]):
         return -eval_jet_bindings(e.child, bindings)
     if isinstance(e, Call):
         arg = eval_jet_bindings(e.arg, bindings)
+        if not isinstance(arg, Jet):
+            # a Python float: a numpy scalar times a Jet detours through object arrays
+            return float(_call_values(e, arg))
         try:
-            if _is_const(arg):
-                if e.func not in _MATH_FUNCS:
-                    raise ExprEvalError(f"unknown function {e.func!r}", e.span)
-                return _MATH_FUNCS[e.func](arg)
             return jet_apply(e.func, arg)
-        except JetDomainError as err:
-            raise ExprEvalError(str(err), e.span) from err
-        except ValueError as err:
+        except ValueError as err:  # unknown function or JetDomainError
             raise ExprEvalError(str(err), e.span) from err
     left = eval_jet_bindings(e.left, bindings)
     right = eval_jet_bindings(e.right, bindings)
-    try:
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return left / right
-        # power
-        if _is_const(right):
-            if _is_const(left):
-                return left ** right
-            return jet_pow(left, right)
-        if np.all(right.coeffs[1:] == 0.0):  # constant-valued jet exponent
-            return jet_pow(left, right.value) if isinstance(left, Jet) else left ** right.value
-        base = left if isinstance(left, Jet) else right * 0 + left
-        return jet_apply("exp", jet_apply("ln", base) * right)
-    except JetDomainError as err:
-        raise ExprEvalError(str(err), e.span) from err
-    except ZeroDivisionError as err:
-        raise ExprEvalError("division by zero", e.span) from err
+    if isinstance(right, Jet) and e.op == "^":
+        if np.any(right.coeffs[1:] != 0.0):  # a varying exponent: exp(right * ln(left))
+            _require_positive("pow", _value(left), e.span)
+            base = left if isinstance(left, Jet) else right * 0 + left
+            return jet_apply("exp", jet_apply("ln", base) * right)
+        right = right.value  # constant-valued jet exponent
+    if not isinstance(left, Jet) and not isinstance(right, Jet):
+        return _binop_values(e, left, right)
+    if e.op == "/":
+        _require_nonzero_divisor(_value(right), e.span)
+        return left / right
+    if e.op == "^":  # a jet base here
+        _require_pow_domain(left.value, right, e.span)
+        return jet_pow(left, right)
+    return _binop_values(e, left, right)
+
+
+def _value(v):
+    return v.value if isinstance(v, Jet) else v
 
 
 def eval_jet(
@@ -423,68 +496,5 @@ def eval_jet(
         bindings[k] = float(v)
     result = eval_jet_bindings(e, bindings)
     if not isinstance(result, Jet):
-        from .jets import jet_constant
-
         result = jet_constant(result, nv, order)
     return result
-
-
-def eval_real(e: ExprAst, bindings: Mapping[str, float]) -> float:
-    """Plain recursive float evaluation (no jets)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Sym):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise ExprEvalError(f"unresolved symbol {e.name!r}", e.span) from None
-    if isinstance(e, Neg):
-        return -eval_real(e.child, bindings)
-    if isinstance(e, Call):
-        fn = _MATH_FUNCS.get(e.func)
-        if fn is None:
-            raise ExprEvalError(f"unknown function {e.func!r}", e.span)
-        try:
-            return fn(eval_real(e.arg, bindings))
-        except ValueError as err:
-            raise ExprEvalError(f"{e.func}: {err}", e.span) from err
-    l = eval_real(e.left, bindings)
-    r = eval_real(e.right, bindings)
-    if e.op == "+":
-        return l + r
-    if e.op == "-":
-        return l - r
-    if e.op == "*":
-        return l * r
-    if e.op == "/":
-        return l / r
-    return l ** r
-
-
-def eval_array(e: ExprAst, bindings: Mapping[str, Union[float, np.ndarray]]):
-    """Vectorized evaluation over numpy arrays (no derivatives)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Sym):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise ExprEvalError(f"unresolved symbol {e.name!r}", e.span) from None
-    if isinstance(e, Neg):
-        return -eval_array(e.child, bindings)
-    if isinstance(e, Call):
-        fn = _NP_FUNCS.get(e.func)
-        if fn is None:
-            raise ExprEvalError(f"unknown function {e.func!r}", e.span)
-        return fn(eval_array(e.arg, bindings))
-    l = eval_array(e.left, bindings)
-    r = eval_array(e.right, bindings)
-    if e.op == "+":
-        return l + r
-    if e.op == "-":
-        return l - r
-    if e.op == "*":
-        return l * r
-    if e.op == "/":
-        return l / r
-    return l ** r

@@ -568,8 +568,7 @@ def metric_values_grid(m: MetricSpec, pts: np.ndarray) -> np.ndarray:
     out = np.empty((m.dim, m.dim, len(pts)))
     for i in range(m.dim):
         for j in range(i, m.dim):
-            vals = np.asarray(eval_array(m.components[i][j], bind), dtype=float)
-            out[i, j] = out[j, i] = np.broadcast_to(vals, (len(pts),))
+            out[i, j] = out[j, i] = eval_array(m.components[i][j], bind)
     return out
 
 

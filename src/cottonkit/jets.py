@@ -420,11 +420,19 @@ def jet_apply(fn: str, j: Jet) -> Jet:
     return j.compose_univariate(series)
 
 
+def _integer_exponent(e):
+    """Whether jet_pow raises to ``e`` by repeated multiplication (an
+    integer of magnitude at most 512); elementwise for arrays."""
+    if isinstance(e, np.ndarray):
+        return (np.abs(e) <= 512) & (e == np.round(e))
+    return abs(e) <= 512 and e == round(e)
+
+
 def jet_pow(j: Jet, exponent: Scalar) -> Jet:
     """j**exponent: integer exponents by repeated multiplication,
     non-integer routed through exp(e*ln(j)) (requires positive value)."""
     e = float(exponent)
-    if e == round(e) and abs(e) <= 512:
+    if _integer_exponent(e):
         n = int(round(e))
         if n == 0:
             return jet_constant(np.ones_like(j.coeffs[0]), j.num_vars, j.order)

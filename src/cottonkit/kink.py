@@ -33,7 +33,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .exprlang import ExprAst, eval_real, parse_expr, substitute
+from .exprlang import ExprAst, eval_array, parse_expr, substitute
 from .geometry import MetricSpec, _expr_jet, _Pipeline, _vals, curvature_grid
 from .jets import Jet, jet_extract, jet_var
 from .report import CheckReport, make_report
@@ -83,13 +83,14 @@ class PotentialSpec:
             if abs(self(v)) > 1e-12 * scale:
                 raise ValueError(f"V({v}) = {self(v):g}; vacua must be roots of V")
         interior = np.linspace(lo, hi, 201)[1:-1]
-        vals = np.array([self(float(u)) for u in interior])
+        vals = self(interior)
         if np.any(vals <= 0.0):
             bad = float(interior[int(np.argmin(vals))])
             raise ValueError(f"V must be strictly positive between the vacua (V({bad:g}) <= 0)")
 
-    def __call__(self, phi: float) -> float:
-        return eval_real(self.expr, {self.var: phi, **self.env})
+    def __call__(self, phi):
+        """V at phi, a float or an array; an array of phi's shape."""
+        return eval_array(self.expr, {self.var: phi, **self.env})
 
     def derivatives(self, phi: float, order: int = 2) -> list[float]:
         """[V, V', ..., V^(order)] at phi via a jet."""
@@ -403,7 +404,7 @@ class FlatKink:
 def _interior_maximum(p: PotentialSpec) -> float:
     lo, hi = p.vacua
     grid = np.linspace(lo, hi, 401)[1:-1]
-    vals = np.array([p(float(u)) for u in grid])
+    vals = p(grid)
     k = int(np.argmax(vals))
     a = grid[max(0, k - 1)]
     b = grid[min(len(grid) - 1, k + 1)]
@@ -470,7 +471,7 @@ def lift_flat_kink(
     if isinstance(k, FlatKink):
         xg = k.x * math.sqrt(2.0)
         f = k(xg / math.sqrt(2.0))
-        gtt = np.array([p(float(v)) for v in f])
+        gtt = p(f)
         if np.any(gtt[1:-1] <= 0.0):
             raise KinkSolverError("V(f) must stay positive on the interior grid")
         return SampledLift(potential=p, x=xg, f=f, g_tt=gtt)

@@ -553,11 +553,11 @@ def lattice_variation_check_2d(
     bind = {rd.coords[0]: T, rd.coords[1]: X, **{k: float(v) for k, v in rd.env.items()}}
     g = rd.g2.components
     fields = {
-        "gtt": np.broadcast_to(eval_array(g[0][0], bind), T.shape).astype(float).copy(),
-        "gtx": np.broadcast_to(eval_array(g[0][1], bind), T.shape).astype(float).copy(),
-        "gxx": np.broadcast_to(eval_array(g[1][1], bind), T.shape).astype(float).copy(),
-        "at": np.broadcast_to(eval_array(rd.a[0], bind), T.shape).astype(float).copy(),
-        "ax": np.broadcast_to(eval_array(rd.a[1], bind), T.shape).astype(float).copy(),
+        "gtt": eval_array(g[0][0], bind),
+        "gtx": eval_array(g[0][1], bind),
+        "gxx": eval_array(g[1][1], bind),
+        "at": eval_array(rd.a[0], bind),
+        "ax": eval_array(rd.a[1], bind),
     }
     if window is not None:
         w = window.profile(X)
@@ -647,7 +647,7 @@ def lattice_cotton_variation_check_3d(
             **{k: float(v) for k, v in m.env.items()}}
     fields = {}
     for c, (i, j) in _METRIC_COMPONENTS[3].items():
-        fields["g" + c] = np.broadcast_to(eval_array(m.components[i][j], bind), Tg.shape).astype(float).copy()
+        fields["g" + c] = eval_array(m.components[i][j], bind)
     if sites is None:
         stride = max(1, lattice.n // 4)
         rng = range(0, lattice.n, stride)

@@ -100,8 +100,24 @@ def _case(tag: str, C: float) -> SolutionCase:
 
 def _shortfall(required: float, observed: float) -> float:
     """Residual of a negative control that needs observed >= required; NaN
-    if observed is NaN."""
-    return float(np.maximum(0.0, required - observed))
+    unless observed is finite, so a control cannot pass on NaN or inf."""
+    if not np.isfinite(observed):
+        return math.nan
+    return float(max(0.0, required - observed))
+
+
+def _pointwise_report(check_id: str, resid, points, t0: float, **fields) -> CheckReport:
+    """Report of a residual sampled at points (one row each): the worst point
+    is the first maximum, or the first NaN."""
+    worst, k = _argworst(resid)
+    fields.setdefault("grid", f"{len(points)} points")
+    return make_report(
+        check_id=check_id,
+        max_residual=worst,
+        worst_point=points[k],
+        wall_time=time.perf_counter() - t0,
+        **fields,
+    )
 
 
 # -- calibration and curvature ----------------------------------------------------
@@ -121,17 +137,9 @@ def check_calibration(
         t0 = time.perf_counter()
         r = eom_grid(sol.rd, grid)["r"]
         resid = np.abs(r - Cv) / abs(Cv)
-        worst = int(np.argmax(resid))
         out.append(
-            make_report(
-                check_id=f"calibration:C={Cv:g}",
-                case="a",
-                max_residual=float(resid[worst]),
-                tolerance=tol,
-                grid=f"{len(grid)} points",
-                params={"C": Cv},
-                worst_point=list(map(float, grid[worst])),
-                wall_time=time.perf_counter() - t0,
+            _pointwise_report(
+                f"calibration:C={Cv:g}", resid, grid, t0, case="a", tolerance=tol, params={"C": Cv}
             )
         )
     return out
@@ -148,18 +156,8 @@ def check_curvature(case: SolutionCase, tol: Optional[float] = None, n: int = 7)
     want = _expected_on_grid(sol2.r_expected, grid2, case, ("t", "x"))
     scale = 1.0 + np.maximum(np.abs(r), np.abs(want))
     resid = np.abs(r - want) / scale
-    worst = int(np.argmax(resid))
     out.append(
-        make_report(
-            check_id="curvature-2d",
-            case=case.tag,
-            max_residual=float(resid[worst]),
-            tolerance=tol,
-            grid=f"{len(grid2)} points",
-            params=case.env,
-            worst_point=list(map(float, grid2[worst])),
-            wall_time=time.perf_counter() - t0,
-        )
+        _pointwise_report("curvature-2d", resid, grid2, t0, case=case.tag, tolerance=tol, params=case.env)
     )
     sol3 = solution_3d(case)
     grid3 = standard_grid(case, 3, n)
@@ -168,18 +166,8 @@ def check_curvature(case: SolutionCase, tol: Optional[float] = None, n: int = 7)
     want3 = _expected_on_grid(sol3.R_expected, grid3, case, ("t", "x", "y"))
     scale = 1.0 + np.maximum(np.abs(R), np.abs(want3))
     resid = np.abs(R - want3) / scale
-    worst = int(np.argmax(resid))
     out.append(
-        make_report(
-            check_id="curvature-3d",
-            case=case.tag,
-            max_residual=float(resid[worst]),
-            tolerance=tol,
-            grid=f"{len(grid3)} points",
-            params=case.env,
-            worst_point=list(map(float, grid3[worst])),
-            wall_time=time.perf_counter() - t0,
-        )
+        _pointwise_report("curvature-3d", resid, grid3, t0, case=case.tag, tolerance=tol, params=case.env)
     )
     return out
 
@@ -187,7 +175,7 @@ def check_curvature(case: SolutionCase, tol: Optional[float] = None, n: int = 7)
 def _expected_on_grid(expr, grid, case: SolutionCase, coords) -> np.ndarray:
     bind = {name: grid[:, k] for k, name in enumerate(coords)}
     bind.update(case.env)
-    return np.broadcast_to(np.asarray(eval_array(expr, bind), dtype=float), (len(grid),)).copy()
+    return eval_array(expr, bind)
 
 
 # -- Cotton -----------------------------------------------------------------------
@@ -200,17 +188,7 @@ def check_cotton_vanishing(case: SolutionCase, tol: Optional[float] = None, n: i
     t0 = time.perf_counter()
     data = cotton_grid(sol3.metric, grid)
     resid = np.max(np.abs(data["cotton"]), axis=(0, 1)) / data["scale"]
-    worst = int(np.argmax(resid))
-    return make_report(
-        check_id="cotton",
-        case=case.tag,
-        max_residual=float(resid[worst]),
-        tolerance=tol,
-        grid=f"{len(grid)} points",
-        params=case.env,
-        worst_point=list(map(float, grid[worst])),
-        wall_time=time.perf_counter() - t0,
-    )
+    return _pointwise_report("cotton", resid, grid, t0, case=case.tag, tolerance=tol, params=case.env)
 
 
 _CONTROL_METRIC = {
@@ -278,17 +256,7 @@ def check_eom(case: SolutionCase, tol: Optional[float] = None, n: int = 7) -> Ch
             np.max(np.abs(out["eq15"]), axis=(0, 1)),
         ]
     ) / scale
-    worst = int(np.argmax(resid))
-    return make_report(
-        check_id="eom",
-        case=case.tag,
-        max_residual=float(resid[worst]),
-        tolerance=tol,
-        grid=f"{len(grid)} points",
-        params=case.env,
-        worst_point=list(map(float, grid[worst])),
-        wall_time=time.perf_counter() - t0,
-    )
+    return _pointwise_report("eom", resid, grid, t0, case=case.tag, tolerance=tol, params=case.env)
 
 
 def check_first_integral(case: SolutionCase, tol: Optional[float] = None, n: int = 7) -> CheckReport:
@@ -300,16 +268,14 @@ def check_first_integral(case: SolutionCase, tol: Optional[float] = None, n: int
     fi = out["first_integral"]
     scale = 1.0 + np.abs(out["r"]) + 3.0 * out["f"] ** 2
     resid = np.abs(fi - case.C) / scale
-    worst = int(np.argmax(resid))
-    return make_report(
-        check_id="first-integral",
+    return _pointwise_report(
+        "first-integral",
+        resid,
+        grid,
+        t0,
         case=case.tag,
-        max_residual=float(resid[worst]),
         tolerance=tol,
-        grid=f"{len(grid)} points",
         params=case.env,
-        worst_point=list(map(float, grid[worst])),
-        wall_time=time.perf_counter() - t0,
         details={"constant": float(case.C), "spread": float(np.max(fi) - np.min(fi))},
     )
 
@@ -521,14 +487,13 @@ def check_max_symmetry(case: SolutionCase, tol: Optional[float] = None, n: int =
     dev = ric - (scal / 3.0) * np.eye(3).reshape(3, 3, 1)
     scale = 1.0 + np.max(np.abs(ric), axis=(0, 1))
     resid = np.max(np.abs(dev), axis=(0, 1)) / scale
-    observed = float(np.max(resid))
+    observed, worst = _argworst(resid)
     if case.tag.startswith("c"):
         max_residual = observed
     else:
         # homogeneous branches are *not* maximally symmetric in 3D
         max_residual = _shortfall(1e-2, observed)
         tol = 0.0
-    worst = int(np.argmax(resid))
     return make_report(
         check_id="max-symmetry",
         case=case.tag,
@@ -556,17 +521,16 @@ def check_kink_solver(C_values=(0.25, 1.0, 4.0), tol: Optional[float] = None) ->
         prof = solve_kink_ode(C, xmax, n=801, tol=1e-7)
         exact = root * np.tanh(0.5 * root * prof.x)
         err = np.abs(prof.f - exact)
-        worst = int(np.argmax(err))
         out.append(
-            make_report(
-                check_id=f"kink-solver:C={C:g}",
+            _pointwise_report(
+                f"kink-solver:C={C:g}",
+                err,
+                prof.x[:, None],
+                t0,
                 case="kink+",
-                max_residual=float(err[worst]),
                 tolerance=tol,
                 grid=f"{len(prof.x)} points on |x| <= {xmax:g}",
                 params={"C": C},
-                worst_point=[float(prof.x[worst])],
-                wall_time=time.perf_counter() - t0,
                 details={
                     "shoot_param": prof.shoot_param,
                     "iterations": prof.iterations,
@@ -618,13 +582,7 @@ def check_lift(kind: str, tol: Optional[float] = None) -> list[CheckReport]:
     if kind == "phi4":
         t0 = time.perf_counter()
         C = p.env["C"]
-        gtt = np.array(
-            [
-                eval_array(lift.metric.components[0][0], {"x": float(x), **p.env})
-                for x in xs
-            ],
-            dtype=float,
-        )
+        gtt = eval_array(lift.metric.components[0][0], {"x": xs, **p.env})
         catalog_gtt = 1.0 / np.cosh(0.5 * math.sqrt(C) * xs) ** 4
         resid = float(np.max(np.abs(gtt * 4.0 / C ** 2 - catalog_gtt)))
         out.append(
@@ -745,7 +703,7 @@ def check_lattice_3d() -> CheckReport:
 def check_jets_fd(n: int = 1000, seed: int = 11, tol: Optional[float] = None) -> CheckReport:
     """Every partial to order 4 of random compositions against
     Richardson-extrapolated central differences."""
-    from .exprlang import eval_jet, eval_real
+    from .exprlang import eval_jet
 
     tol = TOL["jets-fd"] if tol is None else tol
     rng = np.random.default_rng(seed)
@@ -759,7 +717,7 @@ def check_jets_fd(n: int = 1000, seed: int = 11, tol: Optional[float] = None) ->
         j = eval_jet(expr, coords, point, {}, 4)
 
         def f(q, _e=expr, _c=coords):
-            return eval_real(_e, dict(zip(_c, q)))
+            return eval_array(_e, dict(zip(_c, q)))
 
         from itertools import product
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cottonkit.exprlang import eval_real
+from cottonkit.exprlang import eval_array
 from cottonkit.geometry import MetricSpec
 
 
@@ -23,7 +23,7 @@ def metric_fn(m: MetricSpec):
         bind = dict(zip(m.coords, p))
         bind.update(env)
         return np.array(
-            [[eval_real(m.components[i][j], bind) for j in range(m.dim)] for i in range(m.dim)]
+            [[eval_array(m.components[i][j], bind) for j in range(m.dim)] for i in range(m.dim)]
         )
 
     return g

@@ -132,6 +132,20 @@ def test_catalog_export_case_b_gets_negative_C(tmp_path):
     assert payload["parameters"]["absC"] == 2.0
 
 
+def test_complex_valued_metric_component_exit_two(tmp_path):
+    # C^(1/3) with C = -8 has no real value; it must not be truncated to a real metric
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({
+        "coordinates": ["t", "x", "y"],
+        "parameters": {"C": -8},
+        "components": {"t,t": "1+0.01*C^(1/3)*x", "x,x": "-1", "y,y": "-1"},
+    }), encoding="utf-8")
+    for args in (("cotton", "--grid", "default"), ("killing-dim", "--point", "0.7,1.2,0.4")):
+        code, _, err = run_cli(args[0], "--metric", str(m), *args[1:])
+        assert code == 2, args
+        assert "pow applied outside its domain" in err and "(at characters 8..13)" in err
+
+
 def test_missing_metric_file_exit_two():
     code, _, err = run_cli("cotton", "--metric", "/nonexistent/m.json")
     assert code == 2

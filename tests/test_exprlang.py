@@ -9,7 +9,6 @@ from cottonkit.exprlang import (
     Num,
     eval_array,
     eval_jet,
-    eval_real,
     free_symbols,
     parse_expr,
     substitute,
@@ -30,7 +29,7 @@ def test_parse_structure_division_over_product():
 
 def test_parse_and_evaluate_kink_profile():
     e = parse_expr("sqrt(C)*tanh(sqrt(C)/2*x)")
-    assert eval_real(e, {"C": 4.0, "x": 0.0}) == 0.0
+    assert eval_array(e, {"C": 4.0, "x": 0.0}) == 0.0
 
 
 def test_syntax_error_position():
@@ -54,21 +53,21 @@ def test_unbalanced_paren_and_trailing_token():
 def test_power_binds_tighter_than_unary_minus():
     e = parse_expr("-x^2")
     assert isinstance(e, Neg)
-    assert eval_real(e, {"x": 3.0}) == -9.0
+    assert eval_array(e, {"x": 3.0}) == -9.0
 
 
 def test_power_right_associative():
-    assert eval_real(parse_expr("2^3^2"), {}) == 512.0
-    assert eval_real(parse_expr("(2^3)^2"), {}) == 64.0
+    assert eval_array(parse_expr("2^3^2"), {}) == 512.0
+    assert eval_array(parse_expr("(2^3)^2"), {}) == 64.0
 
 
 def test_negative_exponent_parses():
-    assert eval_real(parse_expr("2^-2"), {}) == 0.25
+    assert eval_array(parse_expr("2^-2"), {}) == 0.25
 
 
 def test_precedence_standard():
-    assert eval_real(parse_expr("2+3*4"), {}) == 14.0
-    assert eval_real(parse_expr("2*3-4/2"), {}) == 4.0
+    assert eval_array(parse_expr("2+3*4"), {}) == 14.0
+    assert eval_array(parse_expr("2*3-4/2"), {}) == 4.0
 
 
 def test_eval_jet_examples():
@@ -89,7 +88,7 @@ def test_eval_jet_order_zero_matches_plain_eval():
         coords = ["t", "x", "y"][: int(rng.integers(1, 4))]
         e = random_safe_expr(rng, coords)
         pt = rng.uniform(-0.9, 0.9, len(coords))
-        plain = eval_real(e, dict(zip(coords, pt)))
+        plain = eval_array(e, dict(zip(coords, pt)))
         jet = eval_jet(e, coords, pt, {}, 0).value
         assert abs(plain - jet) <= 1e-15 * (1.0 + abs(plain))
 
@@ -115,7 +114,7 @@ def test_roundtrip_preserves_structure():
 def test_unresolved_symbol_reports_name():
     e = parse_expr("C*x")
     with pytest.raises(ExprEvalError) as err:
-        eval_real(e, {"x": 1.0})
+        eval_array(e, {"x": 1.0})
     assert "C" in str(err.value)
     with pytest.raises(ExprEvalError):
         validate_symbols(e, {"x"})
@@ -136,13 +135,31 @@ def test_domain_error_carries_source_span():
     assert err.value.span[0] == 3
 
 
+@pytest.mark.parametrize("text, x", [("(0-8)^(1/3)", 0.5), ("ln(x)", -1.0), ("sqrt(x)", 0.0), ("1/x", 0.0), ("x^-1", 0.0)])
+def test_domain_rules_agree_across_evaluators(text, x):
+    """Outside the jets.py domain every evaluator raises with the same span:
+    as values (scalar or array), as jets of a coordinate, and folded as a
+    constant parameter."""
+    e = parse_expr(text)
+    attempts = {
+        "scalar": lambda: eval_array(e, {"x": x}),
+        "array": lambda: eval_array(e, {"x": np.array([1.0, x])}),
+        "coordinate": lambda: eval_jet(e, ["x"], [x], {}, 2),
+        "constant": lambda: eval_jet(e, ["t"], [0.3], {"x": x}, 2),
+    }
+    for how, attempt in attempts.items():
+        with pytest.raises(ExprEvalError) as err:
+            attempt()
+        assert err.value.span == e.span, how
+
+
 def test_free_symbols_and_substitute():
     e = parse_expr("sqrt(C)*tanh(x/2)")
     assert free_symbols(e) == {"C", "x"}
     sub = substitute(e, {"x": parse_expr("2*u")})
     assert free_symbols(sub) == {"C", "u"}
-    assert eval_real(sub, {"C": 4.0, "u": 0.5}) == pytest.approx(
-        eval_real(e, {"C": 4.0, "x": 1.0})
+    assert eval_array(sub, {"C": 4.0, "u": 0.5}) == pytest.approx(
+        eval_array(e, {"C": 4.0, "x": 1.0})
     )
 
 
@@ -164,6 +181,6 @@ def test_jet_valued_power_with_variable_exponent():
 
 
 def test_scientific_notation_literals():
-    assert eval_real(parse_expr("1.5e-3"), {}) == pytest.approx(1.5e-3)
-    assert eval_real(parse_expr("2E2"), {}) == 200.0
-    assert eval_real(parse_expr("x^2.5"), {"x": 4.0}) == pytest.approx(32.0)
+    assert eval_array(parse_expr("1.5e-3"), {}) == pytest.approx(1.5e-3)
+    assert eval_array(parse_expr("2E2"), {}) == 200.0
+    assert eval_array(parse_expr("x^2.5"), {"x": 4.0}) == pytest.approx(32.0)

@@ -283,9 +283,9 @@ def test_hessian_kink_field_equation():
     f = parse_expr("sqrt(C)*tanh(sqrt(C)/2*x)")
     m = kink_2d(1.0)
     H, box = covariant_hessian_at(m, f, (0.0, 0.8))
-    from cottonkit.exprlang import eval_real
+    from cottonkit.exprlang import eval_array
 
-    fv = eval_real(f, {"C": 1.0, "x": 0.8})
+    fv = eval_array(f, {"C": 1.0, "x": 0.8})
     assert abs(box - 1.0 * fv + fv ** 3) < 1e-10
 
 

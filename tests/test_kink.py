@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cottonkit.exprlang import eval_real, parse_expr
+from cottonkit.exprlang import eval_array, parse_expr
 from cottonkit.kink import (
     PotentialSpec,
     fixed_step_errors,
@@ -133,15 +133,15 @@ def test_lift_phi4_closed_forms():
     p, k = phi4_potential(1.0)
     lift = lift_flat_kink(p, k)
     # f(x) = k(x / sqrt 2) = tanh(x/2); g_tt = V(f) = sech^4(x/2)/4
-    assert eval_real(lift.f, {"x": 1.0, "C": 1.0}) == pytest.approx(math.tanh(0.5), abs=1e-14)
-    gtt0 = eval_real(lift.metric.components[0][0], {"x": 0.0, "C": 1.0})
+    assert eval_array(lift.f, {"x": 1.0, "C": 1.0}) == pytest.approx(math.tanh(0.5), abs=1e-14)
+    gtt0 = eval_array(lift.metric.components[0][0], {"x": 0.0, "C": 1.0})
     assert gtt0 == pytest.approx(0.25)
 
 
 def test_lift_sine_gordon_gtt_at_center():
     p, k = sine_gordon_potential()
     lift = lift_flat_kink(p, k)
-    assert eval_real(lift.metric.components[0][0], {"x": 0.0}) == pytest.approx(2.0)
+    assert eval_array(lift.metric.components[0][0], {"x": 0.0}) == pytest.approx(2.0)
 
 
 def test_lift_residuals_phi4_and_sine_gordon():
@@ -184,7 +184,7 @@ def test_lift_reproduces_catalog_after_time_rescale():
     p, k = phi4_potential(1.0)
     lift = lift_flat_kink(p, k)
     xs = np.linspace(-6.0, 6.0, 25)
-    gtt = np.array([eval_real(lift.metric.components[0][0], {"x": float(x), "C": 1.0}) for x in xs])
+    gtt = np.array([eval_array(lift.metric.components[0][0], {"x": float(x), "C": 1.0}) for x in xs])
     catalog = 1.0 / np.cosh(xs / 2.0) ** 4
     assert np.max(np.abs(4.0 * gtt - catalog)) < 1e-9
 

@@ -11,17 +11,20 @@ from cottonkit.exprlang import parse_expr
 from cottonkit.geometry import MetricSpec, flat_metric
 
 
-def _nan_cotton_grid(m, pts, order=3):
-    return {"cotton": np.full((3, 3, len(pts)), np.nan)}
+def _cotton_grid_stub(fill):
+    return lambda m, pts, order=3: {"cotton": np.full((3, 3, len(pts)), fill)}
 
 
-def _nan_killing_values(m, xi, grid):
-    return np.full(len(grid), np.nan)
+def _killing_values_stub(fill):
+    return lambda m, xi, grid: np.full(len(grid), fill)
 
 
-def _nan_curvature_grid(m, pts, order=2):
-    n = len(pts)
-    return {"ricci": np.full((3, 3, n), np.nan), "scalar": np.full(n, np.nan)}
+def _curvature_grid_stub(fill):
+    def stub(m, pts, order=2):
+        n = len(pts)
+        return {"ricci": np.full((3, 3, n), fill), "scalar": np.full(n, fill)}
+
+    return stub
 
 
 def _cotton_control():
@@ -37,19 +40,21 @@ def _max_symmetry():
 
 
 @pytest.mark.parametrize(
-    "check_id, stub_name, stub, run",
+    "check_id, stub_name, stub, run, fill",
     [
-        pytest.param(check_id, stub_name, stub, run, id=check_id)
-        for check_id, stub_name, stub, run in [
-            ("cotton-control", "cotton_grid", _nan_cotton_grid, _cotton_control),
-            ("killing", "killing_residual_values", _nan_killing_values, _killing_reports),
-            ("killing-intruder", "killing_residual_values", _nan_killing_values, _killing_reports),
-            ("max-symmetry", "curvature_grid", _nan_curvature_grid, _max_symmetry),
+        pytest.param(check_id, stub_name, stub, run, fill, id=check_id + ("" if np.isnan(fill) else ":inf"))
+        for check_id, stub_name, stub, run, fills in [
+            ("cotton-control", "cotton_grid", _cotton_grid_stub, _cotton_control, (np.nan, np.inf)),
+            ("killing", "killing_residual_values", _killing_values_stub, _killing_reports, (np.nan,)),
+            ("killing-intruder", "killing_residual_values", _killing_values_stub, _killing_reports, (np.nan, np.inf)),
+            ("max-symmetry", "curvature_grid", _curvature_grid_stub, _max_symmetry, (np.nan,)),
         ]
+        for fill in fills
     ],
 )
-def test_nan_residual_fails_check(monkeypatch, check_id, stub_name, stub, run):
-    monkeypatch.setattr(suite, stub_name, stub)
+def test_nan_residual_fails_check(monkeypatch, check_id, stub_name, stub, run, fill):
+    """A NaN residual, or an inf observation in a negative control, is a FAIL."""
+    monkeypatch.setattr(suite, stub_name, stub(fill))
     reports = [r for r in run() if r.check_id == check_id]
     assert reports, f"{check_id} produced no report"
     for r in reports:

@@ -126,9 +126,9 @@ def test_jacobi_identity_on_catalog_fields():
 
 
 def eval_vals(text, p, env):
-    from cottonkit.exprlang import eval_real, parse_expr
+    from cottonkit.exprlang import eval_array, parse_expr
 
-    return eval_real(parse_expr(text), {"t": p[0], "x": p[1], "y": p[2], **env})
+    return eval_array(parse_expr(text), {"t": p[0], "x": p[1], "y": p[2], **env})
 
 
 def test_closure_of_case_c_algebra():
