@@ -261,7 +261,7 @@ def _inverse_jets(g: list[list[Jet]], dim: int, det: Jet) -> list[list[Jet]]:
 
 
 def _check_det(det_value, point, dim) -> None:
-    bad = np.abs(np.atleast_1d(det_value)) <= _DET_FLOOR
+    bad = ~(np.abs(np.atleast_1d(det_value)) > _DET_FLOOR)  # a NaN determinant is degenerate too
     if np.any(bad):
         k = int(np.argmax(bad))
         pt = np.atleast_2d(np.asarray(point, dtype=float).reshape(dim, -1).T)[k]

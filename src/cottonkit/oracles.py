@@ -1,9 +1,17 @@
 """Independent oracles: finite differences and random test-case generators.
 
-Everything here deliberately avoids the jet engine: derivatives come from
-Richardson-extrapolated central differences of plain float evaluation, and
+Derivatives come from Richardson-extrapolated central differences, and
 expression/metric generators emit closed forms in the expression language.
-The engine checks compare the two routes; they share no derivative code.
+The engine checks compare these against the jets; they share no derivative
+code.
+
+Both difference routes are batched per point.  ``fd_partial`` collects the
+distinct stencil points of all its multi-indices at h and h/2 and evaluates
+the function once on all of them, on plain values only (no jets).  Partials
+of order 3 and 4 telescope instead: ``fd_partial_telescoped`` evaluates one
+jet of order max|alpha| - 1 on the ±h and ±h/2 offsets along every axis and
+first-differences its exact lower partials, so the jet engine supplies only
+the order already checked one level down.
 
 Step sizes grow with the derivative order: a fourth derivative divides by
 h^4, so the roundoff floor of an h = 1e-3 stencil is ~1e-4 and would drown
@@ -41,50 +49,81 @@ def _nested_central(f, point, alpha, h):
 
 
 def fd_partial(
-    f: Callable[[Sequence[float]], float],
+    f: Callable[[np.ndarray], np.ndarray],
     point: Sequence[float],
-    alpha: Sequence[int],
+    alphas: Sequence[Sequence[int]],
     step: float | None = None,
-) -> float:
-    """Mixed partial derivative by nested central differences with one
-    Richardson extrapolation (leading h^2 error cancelled)."""
-    alpha = tuple(int(a) for a in alpha)
-    h = step if step is not None else _STEP_BY_ORDER[min(sum(alpha), 4)]
-    coarse = _nested_central(f, tuple(point), alpha, h)
-    fine = _nested_central(f, tuple(point), alpha, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+) -> np.ndarray:
+    """Mixed partial derivatives, one per multi-index in ``alphas``, by
+    nested central differences with one Richardson extrapolation (leading
+    h^2 error cancelled).
+
+    ``f`` maps an ``(m, nv)`` array of points to their ``m`` values and is
+    called once.  A first pass of the stencil recursion records the distinct
+    points of every alpha at h and h/2, keyed by the tuple the recursion
+    builds; the second pass replays the same differences on the looked-up
+    values, so each partial is the one a point-by-point evaluation gives.
+    """
+    point = tuple(point)
+    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+    steps = [step if step is not None else _STEP_BY_ORDER[min(sum(a), 4)] for a in alphas]
+    index: dict[tuple, int] = {}
+
+    def record(q):
+        index.setdefault(q, len(index))
+        return 0.0
+
+    for alpha, h in zip(alphas, steps):
+        _nested_central(record, point, alpha, h)
+        _nested_central(record, point, alpha, h / 2.0)
+    values = np.asarray(f(np.array(list(index), dtype=float)), dtype=float)
+
+    def lookup(q):
+        return values[index[q]]
+
+    out = np.empty(len(alphas))
+    for n, (alpha, h) in enumerate(zip(alphas, steps)):
+        coarse = _nested_central(lookup, point, alpha, h)
+        fine = _nested_central(lookup, point, alpha, h / 2.0)
+        out[n] = (4.0 * fine - coarse) / 3.0
+    return out
 
 
-def fd_partial_telescoped(expr, coords, point, alpha, step: float = 1e-3) -> float:
-    """Order-3/4 partials: Richardson central first-difference of the exact
-    next-lower-order partial.
+def fd_partial_telescoped(expr, coords, point, alphas, step: float = 1e-3) -> np.ndarray:
+    """Order-3/4 partials, one per multi-index in ``alphas``: Richardson
+    central first-difference of the exact next-lower-order partial.
 
     Direct nesting of four central differences divides roundoff by h^4 and
     cannot reach 1e-6 in double precision; differencing the (order-1)
     partial keeps a 1/h roundoff amplification only, while each level of
     the telescope is still an independent finite-difference test of the
-    step it adds.
+    step it adds.  One jet of order max|alpha| - 1 is evaluated on 4·nv
+    columns, the offsets ±h and ±h/2 along each axis; an alpha differences
+    the lower partial in the four columns of its first nonzero axis.
     """
     from .exprlang import eval_jet_bindings
     from .jets import jet_extract, jet_var
 
-    alpha = tuple(int(a) for a in alpha)
-    i = next(k for k, a in enumerate(alpha) if a > 0)
-    lower = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
-    order = sum(lower)
+    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+    order = max(sum(a) for a in alphas) - 1
     nv = len(coords)
 
     offsets = np.array([step, -step, step / 2.0, -step / 2.0])
-    cols = {
-        name: (np.full(4, point[k]) + (offsets if k == i else 0.0))
-        for k, name in enumerate(coords)
-    }
-    seeds = {name: jet_var(k, cols[name], nv, order) for k, name in enumerate(coords)}
+    seeds = {}
+    for k, name in enumerate(coords):
+        col = np.full(4 * nv, point[k])
+        col[4 * k : 4 * k + 4] = point[k] + offsets
+        seeds[name] = jet_var(k, col, nv, order)
     j = eval_jet_bindings(expr, seeds)
-    vals = np.asarray(jet_extract(j, lower))
-    coarse = (vals[0] - vals[1]) / (2.0 * step)
-    fine = (vals[2] - vals[3]) / step
-    return float((4.0 * fine - coarse) / 3.0)
+    out = np.empty(len(alphas))
+    for n, alpha in enumerate(alphas):
+        i = next(k for k, a in enumerate(alpha) if a > 0)
+        lower = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
+        vals = np.asarray(jet_extract(j, lower))[4 * i : 4 * i + 4]
+        coarse = (vals[0] - vals[1]) / (2.0 * step)
+        fine = (vals[2] - vals[3]) / step
+        out[n] = (4.0 * fine - coarse) / 3.0
+    return out
 
 
 # -- random generators ------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +148,19 @@ def test_complex_valued_metric_component_exit_two(tmp_path):
         assert "pow applied outside its domain" in err and "(at characters 8..13)" in err
 
 
+def test_nan_metric_component_exit_two(tmp_path):
+    # inf - inf folds to NaN: a NaN determinant is degenerate, not a metric to judge
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({
+        "coordinates": ["t", "x", "y"],
+        "components": {"t,t": "1+(1e400-1e400)*x", "x,x": "-1", "y,y": "-1"},
+    }), encoding="utf-8")
+    for args in (("cotton", "--grid", "default"), ("killing-dim", "--point", "0.7,1.2,0.4")):
+        code, _, err = run_cli(args[0], "--metric", str(m), *args[1:])
+        assert code == 2, args
+        assert "metric degenerate at" in err and "(det = nan)" in err
+
+
 def test_missing_metric_file_exit_two():
     code, _, err = run_cli("cotton", "--metric", "/nonexistent/m.json")
     assert code == 2
@@ -201,11 +216,15 @@ def test_report_command_end_to_end(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child process does not see pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cottonkit.cli", "verify", "--case", "a",
          "--what", "calibration", "--format", "text"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -9,6 +9,7 @@ from cottonkit import reduction, suite, symmetry
 from cottonkit.catalog import SolutionCase, killing_fields
 from cottonkit.exprlang import parse_expr
 from cottonkit.geometry import MetricSpec, flat_metric
+from cottonkit.report import make_report
 
 
 def _cotton_grid_stub(fill):
@@ -95,3 +96,18 @@ def test_nan_bracket_fails_killing_closure(monkeypatch):
     assert np.isnan(symmetry.closure_residual(killing_fields(case), pts, env=dict(case.env)))
     reports = [r for r in suite.check_killing_fields(case) if r.check_id == "killing-closure"]
     assert reports and not any(r.passed for r in reports)
+
+
+def test_thorough_mode_runs_scale_free_checks_once(monkeypatch):
+    # calibration, kink-solver and lift ignore C, so thorough mode must not repeat them
+    calls = []
+
+    def counting_stub():
+        calls.append(1)
+        return [make_report(check_id="kink-solver", max_residual=0.0, tolerance=1.0)]
+
+    monkeypatch.setattr(suite, "check_kink_solver", counting_stub)
+    reports = suite.run_checks(checks=["calibration", "kink-solver", "lift"], thorough=True)
+    assert len(calls) == 1
+    keys = [(r.check_id, r.case) for r in reports]
+    assert len(keys) == len(set(keys))
