@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +37,7 @@ from .exprlang import (
     to_text,
     validate_symbols,
 )
-from .jets import Jet, jet_apply, jet_constant, jet_var
+from .jets import MAX_ORDER, Jet, JetSpace, jet_apply, jet_constant, jet_var
 from .report import CheckReport, make_report
 
 __all__ = [
@@ -260,147 +261,137 @@ def _inverse_jets(g: list[list[Jet]], dim: int, det: Jet) -> list[list[Jet]]:
     return cof  # type: ignore[return-value]
 
 
-def _check_det(det_value, point, dim) -> None:
-    bad = ~(np.abs(np.atleast_1d(det_value)) > _DET_FLOOR)  # a NaN determinant is degenerate too
+def _check_det(det_value, g_values, point, dim) -> None:
+    # the floor scales with the components, as det(lam g) = lam^dim det(g);
+    # a NaN determinant or component is degenerate too
+    floor = _DET_FLOOR * np.max(np.abs(g_values), axis=(0, 1)) ** dim
+    bad = np.atleast_1d(~(np.abs(det_value) > floor))
     if np.any(bad):
         k = int(np.argmax(bad))
         pt = np.atleast_2d(np.asarray(point, dtype=float).reshape(dim, -1).T)[k]
         raise DegenerateMetricError(pt, float(np.atleast_1d(det_value)[k]))
 
 
-def _christoffel_jets(g, ginv, dim) -> list[list[list[Jet]]]:
-    dg = [[[g[i][j].derivative(l) for l in range(dim)] for j in range(dim)] for i in range(dim)]
-    gamma = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
-    for k in range(dim):
-        for i in range(dim):
-            for j in range(i, dim):
-                total = None
-                for l in range(dim):
-                    term = dg[l][j][i] + dg[l][i][j] - dg[i][j][l]
-                    contrib = ginv[k][l] * term
-                    total = contrib if total is None else total + contrib
-                val = total * 0.5
-                gamma[k][i][j] = gamma[k][j][i] = val
-    return gamma
+# -- tensor jets ----------------------------------------------------------------
+#
+# A tensor jet is one float array of shape (ncoeff, *index_axes, *grid): axis 0
+# holds the Taylor coefficients in the JetSpace layout, so truncating to a lower
+# order is a prefix slice of axis 0 (Neidinger, SIAM Review 52(3), 2010).
 
 
-def _riemann_jets(gamma, dim) -> list[list[list[list[Jet]]]]:
-    dgam = [
-        [[[gamma[r][i][j].derivative(l) for l in range(dim)] for j in range(dim)] for i in range(dim)]
-        for r in range(dim)
-    ]
-    riem = [[[[None] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for rho in range(dim):
-        for sig in range(dim):
-            for mu in range(dim):
-                for nu in range(mu + 1, dim):
-                    term = dgam[rho][nu][sig][mu] - dgam[rho][mu][sig][nu]
-                    for lam in range(dim):
-                        term = term + gamma[rho][mu][lam] * gamma[lam][nu][sig]
-                        term = term - gamma[rho][nu][lam] * gamma[lam][mu][sig]
-                    riem[rho][sig][mu][nu] = term
-                    riem[rho][sig][nu][mu] = -term
-                riem[rho][sig][mu][mu] = gamma[0][0][0] * 0.0
-    return riem
+def _space(ncoeff: int, nv: int) -> JetSpace:
+    """The coefficient layout with ``ncoeff`` coefficients in ``nv`` variables."""
+    order = next(o for o in range(MAX_ORDER + 1) if math.comb(nv + o, o) == ncoeff)
+    return JetSpace.get(nv, order)
 
 
-def _ricci_lower_jets(riem, dim) -> list[list[Jet]]:
-    # contraction with the LAST slot; see module docstring for the calibration
-    ric = [[None] * dim for _ in range(dim)]
-    for s in range(dim):
-        for m in range(dim):
-            total = riem[0][s][m][0]
-            for lam in range(1, dim):
-                total = total + riem[lam][s][m][lam]
-            ric[s][m] = total
-    return ric
+def _stack(jets) -> np.ndarray:
+    """Nested lists of same-order scalar jets as one tensor jet."""
+    if isinstance(jets, Jet):
+        return jets.coeffs
+    return np.stack([_stack(j) for j in jets], axis=1)
 
 
-def _mixed(ginv, lower, dim) -> list[list[Jet]]:
-    out = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            total = ginv[i][0] * lower[0][j]
-            for s in range(1, dim):
-                total = total + ginv[i][s] * lower[s][j]
-            out[i][j] = total
+def _tmul(A: np.ndarray, B: np.ndarray, spec: str, nv: int) -> np.ndarray:
+    """Truncated Cauchy product of two tensor jets at the lower of their
+    orders: coefficient k sums ``np.einsum(spec, A[i], B[j])`` over the pairs
+    (i, j) of the JetSpace pair table.  Pairs are accumulated one at a time;
+    gathering them all at once would hold pairs x tensor x grid values."""
+    sp = _space(min(len(A), len(B)), nv)
+    ends = np.append(sp._mul_starts[1:], len(sp._mul_i))
+    out = None
+    for k, (lo, hi) in enumerate(zip(sp._mul_starts, ends)):
+        for i, j in zip(sp._mul_i[lo:hi], sp._mul_j[lo:hi]):
+            term = np.einsum(spec, A[i], B[j])
+            if out is None:
+                out = np.zeros((sp.ncoeff,) + term.shape)
+            out[k] += term
     return out
 
 
-def _vals(jets_nested):
-    """Extract value arrays from a nested list of jets -> ndarray with tensor
-    indices first, grid axis (if batched) last."""
-    if isinstance(jets_nested, Jet):
-        return np.asarray(jets_nested.coeffs[0])
-    return np.array([_vals(x) for x in jets_nested])
-
-
-def _component(T, idx):
-    for k in idx:
-        T = T[k]
-    return T
-
-
-def _nested(fn, dim: int, rank: int, idx=()):
-    """Nested lists of fn(idx) over every index tuple of the given rank.  A
-    module-level function, so no closure cycle keeps fn's tensors alive."""
-    if len(idx) == rank:
-        return fn(idx)
-    return [_nested(fn, dim, rank, idx + (k,)) for k in range(dim)]
+def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
+    """Partial derivatives of a tensor jet, one order lower, with the
+    derivative index first: ``out[c, l, ...]`` is coefficient c of d_l A."""
+    sp = _space(len(A), nv)
+    out = np.empty((len(sp._deriv_src[0]), nv) + A.shape[1:])
+    for l in range(nv):
+        np.multiply(A[sp._deriv_src[l]], sp._deriv_fac[l].reshape((-1,) + (1,) * (A.ndim - 1)), out=out[:, l])
+    return out
 
 
 class _Pipeline:
-    """The jet curvature engine at a chosen jet order.  Every quantity is
-    built on first use and kept, so each is computed once per instance."""
+    """The jet curvature engine at a chosen jet order.  The metric, its
+    determinant and inverse are built as scalar jets; every quantity from
+    g and g^-1 on is a tensor jet.  Each is built on first use and kept."""
 
     def __init__(self, m: MetricSpec, point, order: int):
         self.m = m
         self.dim = m.dim
         self.point = point
         self.seeds = coordinate_seeds(m.coords, point, m.env, order)
-        self.g = _metric_jets(m, self.seeds)
+        self.g = _stack(_metric_jets(m, self.seeds))
+        # scalar-jet views of g for the cofactor formulas, so g is held once
+        sp = JetSpace.get(self.dim, order)
+        self._g_jets = [[Jet(sp, self.g[:, i, j]) for j in range(self.dim)] for i in range(self.dim)]
         self._sqrt_abs_det = None
 
     @cached_property
     def det(self) -> Jet:
-        det = _det_jet(self.g, self.dim)
-        _check_det(det.coeffs[0], self.point, self.dim)
+        det = _det_jet(self._g_jets, self.dim)
+        _check_det(det.value, self.g[0], self.point, self.dim)
         return det
 
     @cached_property
-    def ginv(self):
-        return _inverse_jets(self.g, self.dim, self.det)
+    def ginv(self) -> np.ndarray:
+        return _stack(_inverse_jets(self._g_jets, self.dim, self.det))
 
     @cached_property
-    def gamma(self):
-        return _christoffel_jets(self.g, self.ginv, self.dim)
+    def gamma(self) -> np.ndarray:
+        """Gamma^k_{ij}, indexed [c, k, i, j]."""
+        dg = _tgrad(self.g, self.dim)  # [c, l, i, j] = d_l g_ij
+        lower = np.einsum("cjli...->clij...", dg) + np.einsum("cilj...->clij...", dg)
+        lower -= dg
+        lower *= 0.5
+        del dg  # not held through the product: on grids it is the largest temporary
+        return _tmul(self.ginv, lower, "kl...,lij...->kij...", self.dim)
 
     @cached_property
-    def riemann(self):
-        return _riemann_jets(self.gamma, self.dim)
+    def riemann(self) -> np.ndarray:
+        """R^r_{smn}, indexed [c, r, s, m, n]: the antisymmetrization in (m, n)
+        of d_m Gamma^r_{ns} + Gamma^r_{ml} Gamma^l_{ns}."""
+        gam = self.gamma
+        # [c, r, s, m, n] = d_m Gamma^r_{ns}, a view of the partials in place
+        half = np.einsum("cmrns...->crsmn...", _tgrad(gam, self.dim))
+        half += _tmul(gam[: len(half)], gam, "rml...,lns...->rsmn...", self.dim)
+        return half - np.swapaxes(half, 3, 4)
 
     @cached_property
-    def ricci_lower(self):
-        return _ricci_lower_jets(self.riemann, self.dim)
+    def ricci_lower(self) -> np.ndarray:
+        """R_{sm} = R^l_{sml}, the contraction with the LAST slot (see the
+        module docstring for the calibration), taken term by term in the
+        Riemann formula so the Cotton path never holds the rank-4 tensor."""
+        gam = self.gamma
+        # d_m Gamma^l_{ls} - d_l Gamma^l_{ms} from partials of a trace and of
+        # slices: on grids the full gradient of Gamma sets the peak memory
+        ric = np.einsum("cms...->csm...", _tgrad(np.einsum("clls...->cs...", gam), self.dim))
+        for l in range(self.dim):
+            ric -= _tgrad(gam[:, l], self.dim)[:, l]
+        ric += _tmul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.dim)
+        ric -= _tmul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.dim)
+        return ric
 
     @cached_property
-    def ricci_mixed(self):
-        return _mixed(self.ginv, self.ricci_lower, self.dim)
+    def ricci_mixed(self) -> np.ndarray:
+        return _tmul(self.ginv, self.ricci_lower, "is...,sj...->ij...", self.dim)
 
     @cached_property
-    def ricci_mixed_deriv(self):
-        """R^i_{j;a}, indexed [i][j][a]."""
+    def ricci_mixed_deriv(self) -> np.ndarray:
+        """R^i_{j;a}, indexed [c, i, j, a]."""
         return self.cov_deriv(self.ricci_mixed, 1, 1)
 
-    def scalar(self):
-        dim = self.dim
-        total = None
-        ric = self.ricci_lower
-        for s in range(dim):
-            for m_ in range(dim):
-                term = self.ginv[s][m_] * ric[s][m_]
-                total = term if total is None else total + term
-        return total
+    def scalar(self) -> Jet:
+        r = _tmul(self.ginv, self.ricci_lower, "sm...,sm...->...", self.dim)
+        return Jet(_space(len(r), self.dim), r)
 
     def sqrt_abs_det(self) -> Jet:
         if self._sqrt_abs_det is None:
@@ -408,73 +399,48 @@ class _Pipeline:
             self._sqrt_abs_det = jet_apply("sqrt", self.det * sign)
         return self._sqrt_abs_det
 
-    def cov_deriv(self, T, ups: int, downs: int):
-        """T^{i...}_{j...;a} for a jet tensor with ``ups`` leading upper and
-        ``downs`` trailing lower indices, as nested lists with the
-        derivative index last; the jet order drops by one."""
-        dim, gam = self.dim, self.gamma
-
-        def deriv_at(idx):
-            out = []
-            for a in range(dim):
-                term = _component(T, idx).derivative(a)
-                for l in range(dim):
-                    for pos, i in enumerate(idx):
-                        rep = _component(T, idx[:pos] + (l,) + idx[pos + 1:])
-                        if pos < ups:
-                            term = term + gam[i][a][l] * rep
-                        else:
-                            term = term - gam[l][a][i] * rep
-                out.append(term)
-            return out
-
-        return _nested(deriv_at, dim, ups + downs)
+    def cov_deriv(self, T: np.ndarray, ups: int, downs: int) -> np.ndarray:
+        """T^{i...}_{j...;a} for a tensor jet with ``ups`` leading upper and
+        ``downs`` trailing lower indices, with the derivative index last; the
+        jet order drops by one."""
+        idx = "ijkmnopq"[: ups + downs]
+        out = np.moveaxis(_tgrad(T, self.dim), 1, len(idx) + 1)
+        gam = self.gamma[: len(out)]
+        for pos, i in enumerate(idx):
+            rep = idx.replace(i, "l")
+            if pos < ups:
+                out += _tmul(gam, T, f"{i}al...,{rep}...->{idx}a...", self.dim)
+            else:
+                out -= _tmul(gam, T, f"la{i}...,{rep}...->{idx}a...", self.dim)
+        return out
 
     def hessian(self, s: Jet) -> tuple[np.ndarray, np.ndarray]:
         """Values of (D_a D_b s, g^{ab} D_a D_b s) for a scalar jet s."""
-        dim, gam = self.dim, self.gamma
-        ds = [s.derivative(a) for a in range(dim)]
-        hess = np.empty((dim, dim) + np.shape(s.value))
-        for a in range(dim):
-            for b in range(a, dim):
-                term = ds[a].derivative(b)
-                for l in range(dim):
-                    term = term - gam[l][a][b] * ds[l]
-                hess[a, b] = hess[b, a] = term.value
-        return hess, np.einsum("ab...,ab...->...", _vals(self.ginv), hess)
+        ds = _tgrad(s.coeffs, self.dim)
+        hess = _tgrad(ds, self.dim)[0] - np.einsum("lab...,l...->ab...", self.gamma[0], ds[0])
+        return hess, np.einsum("ab...,ab...->...", self.ginv[0], hess)
 
-    def cotton(self) -> list[list[Jet]]:
+    def cotton(self) -> np.ndarray:
+        """C^{ij}, indexed [c, i, j]."""
         if self.dim != 3:
             raise GeometryError("Cotton tensor requires dim = 3")
-        eps = _eps3(self.m.orientation)
-        dr = self.ricci_mixed_deriv
+        # eps^{iab} D_a R^j_b, from R^j_{b;a} indexed [c, j, b, a]
+        curl = np.einsum("iab,cjba...->cij...", _eps3(self.m.orientation), self.ricci_mixed_deriv)
         # The overall sign makes the tensor the metric variation of the
         # connection functional, delta W = -(1/4 pi^2) int sqrt|g| C^{mn}
         # delta g_{mn}; the lattice variation check pins it.  That is the
         # opposite Ricci sign from the scalar-curvature calibration, which
         # no magnitude-based Cotton property is sensitive to.
-        half_inv_sqrt = -0.5 / self.sqrt_abs_det()
-        cot = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                total = None
-                for (a, b), s in eps[i]:
-                    term = dr[j][b][a] * s
-                    total = term if total is None else total + term
-                for (a, b), s in eps[j]:
-                    total = total + dr[i][b][a] * s
-                cot[i][j] = cot[j][i] = total * half_inv_sqrt
-        return cot
+        half_inv_sqrt = -0.5 / self.sqrt_abs_det().truncated(_space(len(curl), 3).order)
+        return _tmul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", 3)
 
 
-def _eps3(orientation: int):
-    """For each first index mu: list of ((alpha, beta), sign) with
-    eps^{mu alpha beta} != 0, eps^{012} = +orientation."""
-    table = {i: [] for i in range(3)}
+def _eps3(orientation: int) -> np.ndarray:
+    """Permutation symbol eps^{abc} with eps^{012} = +orientation."""
+    eps = np.zeros((3, 3, 3))
     for perm in itertools.permutations(range(3)):
-        sign = _perm_sign(perm) * orientation
-        table[perm[0]].append(((perm[1], perm[2]), float(sign)))
-    return table
+        eps[perm] = _perm_sign(perm) * orientation
+    return eps
 
 
 def _perm_sign(perm) -> int:
@@ -514,24 +480,24 @@ def christoffel_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
     pipe = _Pipeline(m, tuple(float(v) for v in p), order=3)
     return CurvatureAt(
         point=tuple(float(v) for v in p),
-        g=_vals(pipe.g),
-        g_inv=_vals(pipe.ginv),
-        gamma=_vals(pipe.gamma),
+        g=pipe.g[0],
+        g_inv=pipe.ginv[0],
+        gamma=pipe.gamma[0],
     )
 
 
 def curvature_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
     pipe = _Pipeline(m, tuple(float(v) for v in p), order=2)
-    ric = _vals(pipe.ricci_mixed)
-    scal = float(np.asarray(pipe.scalar().coeffs[0]))
+    ric = pipe.ricci_mixed[0]
+    scal = float(pipe.scalar().value)
     dim = m.dim
     einstein = ric - 0.5 * scal * np.eye(dim)
     return CurvatureAt(
         point=tuple(float(v) for v in p),
-        g=_vals(pipe.g),
-        g_inv=_vals(pipe.ginv),
-        gamma=_vals(pipe.gamma),
-        riemann=_vals(pipe.riemann),
+        g=pipe.g[0],
+        g_inv=pipe.ginv[0],
+        gamma=pipe.gamma[0],
+        riemann=pipe.riemann[0],
         ricci=ric,
         scalar=scal,
         einstein=einstein,
@@ -545,15 +511,15 @@ def curvature_grid(m: MetricSpec, pts: np.ndarray, order: int = 2) -> dict:
     """
     pts = np.asarray(pts, dtype=float)
     pipe = _Pipeline(m, tuple(pts[:, i] for i in range(m.dim)), order=order)
-    ric = _vals(pipe.ricci_mixed)
-    scal = np.asarray(pipe.scalar().coeffs[0])
+    ric = pipe.ricci_mixed[0]
+    scal = pipe.scalar().value
     dim = m.dim
     einstein = ric - 0.5 * scal * np.eye(dim).reshape(dim, dim, 1)
     return {
-        "g": _vals(pipe.g),
-        "g_inv": _vals(pipe.ginv),
-        "gamma": _vals(pipe.gamma),
-        "riemann": _vals(pipe.riemann),
+        "g": pipe.g[0],
+        "g_inv": pipe.ginv[0],
+        "gamma": pipe.gamma[0],
+        "riemann": pipe.riemann[0],
         "ricci": ric,
         "scalar": scal,
         "einstein": einstein,
@@ -576,7 +542,7 @@ def cotton_at(m: MetricSpec, p: Sequence[float]) -> CottonAt:
     if m.dim != 3:
         raise GeometryError("Cotton tensor requires a 3-dimensional metric")
     pipe = _Pipeline(m, tuple(float(v) for v in p), order=3)
-    return CottonAt(point=tuple(float(v) for v in p), c=_vals(pipe.cotton()))
+    return CottonAt(point=tuple(float(v) for v in p), c=pipe.cotton()[0])
 
 
 def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
@@ -587,32 +553,22 @@ def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
     pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=order)
     cot = pipe.cotton()
     out = {
-        "cotton": _vals(cot),
-        "g": _vals(pipe.g),
-        "ricci": _vals(pipe.ricci_mixed),
+        "cotton": cot[0],
+        "g": pipe.g[0],
+        "ricci": pipe.ricci_mixed[0],
         "scale": 1.0 + _cotton_term_scale(pipe),
     }
     if order >= 4:
-        gam = pipe.gamma
-        div = []
-        for j in range(3):
-            total = None
-            for a in range(3):
-                term = cot[a][j].derivative(a)
-                for l in range(3):
-                    term = term + gam[a][a][l] * cot[l][j]
-                    term = term + gam[j][a][l] * cot[a][l]
-                total = term if total is None else total + term
-            div.append(np.asarray(total.coeffs[0]))
-        out["divergence"] = np.array(div)
+        # D_a C^{aj}, the trace of the order-0 covariant derivative
+        out["divergence"] = np.einsum("aja...->j...", pipe.cov_deriv(cot, 2, 0)[0])
     return out
 
 
 def _cotton_term_scale(pipe: _Pipeline) -> np.ndarray:
     """Magnitude of the individual terms entering the Cotton assembly; the
     meaningful scale for a residual that is a cancellation of those terms."""
-    inv_sqrt = np.asarray((0.5 / pipe.sqrt_abs_det()).coeffs[0])
-    mag = np.max(np.abs(_vals(pipe.ricci_mixed_deriv)), axis=(0, 1, 2))
+    inv_sqrt = 0.5 / pipe.sqrt_abs_det().value
+    mag = np.max(np.abs(pipe.ricci_mixed_deriv[0]), axis=(0, 1, 2))
     return np.abs(inv_sqrt) * mag
 
 
@@ -676,7 +632,8 @@ def pullback_metric_at(
     jac = np.array(
         [[float(np.asarray(images[mu].derivative(a).coeffs[0])) for a in range(nsrc)] for mu in range(target.dim)]
     )
-    if nsrc == target.dim and abs(np.linalg.det(jac)) < _DET_FLOOR:
+    # a non-finite Jacobian is rejected before det, which would only warn
+    if not np.all(np.isfinite(jac)) or (nsrc == target.dim and not abs(np.linalg.det(jac)) > _DET_FLOOR):
         raise GeometryError(f"singular Jacobian at {tuple(p)}")
     image_point = {name: float(np.asarray(images[k].coeffs[0])) for k, name in enumerate(target.coords)}
     bindings = dict(image_point)

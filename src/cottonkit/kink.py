@@ -34,7 +34,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .exprlang import ExprAst, eval_array, parse_expr, substitute
-from .geometry import MetricSpec, _expr_jet, _Pipeline, _vals, curvature_grid
+from .geometry import MetricSpec, _expr_jet, _Pipeline, curvature_grid
 from .jets import Jet, jet_extract, jet_var
 from .report import CheckReport, make_report
 
@@ -360,16 +360,15 @@ def fixed_step_errors(C: float, xmax: float, steps: Sequence[float]) -> list[flo
     for h in steps:
         nchk = int(round(xmax / h))
         xs = np.linspace(h, nchk * h, nchk)
-        worst = 0.0
+        dev = np.empty(nchk)
         y = np.array([0.0, s, 1.0])
         rhs = _rhs_full(C)
         x = 0.0
-        for xt in xs:
+        for n, xt in enumerate(xs):
             y = _dopri5_fixed(rhs, y, xt - x, h)
             x = xt
-            exact = root * math.tanh(0.5 * root * xt)
-            worst = max(worst, abs(y[0] - exact))
-        errors.append(worst)
+            dev[n] = y[0] - root * math.tanh(0.5 * root * xt)
+        errors.append(float(np.max(np.abs(dev))))  # a NaN step is the worst
     return errors
 
 
@@ -489,7 +488,7 @@ def _lift_field_data(lift: LiftedKink, xs: np.ndarray):
     pipe = _Pipeline(lift.metric, (np.zeros_like(xs), xs), order=2)
     fj = _expr_jet(lift.f, pipe.seeds)
     hess, box = pipe.hessian(fj)
-    return np.asarray(fj.value), _vals(pipe.g), hess, box
+    return np.asarray(fj.value), pipe.g[0], hess, box
 
 
 def _potential_derivs_at(p: PotentialSpec, fv: np.ndarray, order: int):

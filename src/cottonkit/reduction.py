@@ -48,7 +48,6 @@ from .geometry import (
     _expr_jet,
     _perm_sign,
     _Pipeline,
-    _vals,
     cotton_grid,
     curvature_grid,
     metric_from_dict,
@@ -281,8 +280,8 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
     hessv, boxv = pipe.hessian(f)
     fv = _v(f)
     rv = _v(r)
-    gv = _vals(pipe.g)
-    ginvv = _vals(pipe.ginv)
+    gv = pipe.g[0]
+    ginvv = pipe.ginv[0]
 
     core12 = boxv - fv ** 3 - 0.5 * rv * fv
     eq12 = gv * core12 - hessv

@@ -772,7 +772,7 @@ def check_geometry_identities(
     random analytic metrics."""
     tol_c = TOL["metric-compatibility"] if tol is None else tol
     tol_b = TOL["bianchi"] if tol is None else tol
-    from .geometry import _Pipeline, _vals
+    from .geometry import _Pipeline, _tgrad
 
     rng = np.random.default_rng(seed)
     res_c, res_b = [], []
@@ -782,17 +782,15 @@ def check_geometry_identities(
         m = random_smooth_metric(rng)
         pts = rng.uniform(-1.0, 1.0, (points_per_metric, 3))
         pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=2)
-        gv = _vals(pipe.g)
-        dgv = _vals([[[gij.derivative(l) for l in range(3)] for gij in row] for row in pipe.g])
-        gamv = _vals(pipe.gamma)
+        gv = pipe.g[0]
+        dgv = _tgrad(pipe.g, 3)[0]  # [l, i, j] = d_l g_ij
+        gamv = pipe.gamma[0]
         # D_l g_ij = d_l g_ij - Gamma^r_{li} g_rj - Gamma^r_{lj} g_ir
-        comp = dgv.transpose(2, 0, 1, 3) - np.einsum("rli...,rj...->lij...", gamv, gv) - np.einsum(
-            "rlj...,ir...->lij...", gamv, gv
-        )
+        comp = dgv - np.einsum("rli...,rj...->lij...", gamv, gv) - np.einsum("rlj...,ir...->lij...", gamv, gv)
         scale = 1.0 + np.max(np.abs(dgv), axis=(0, 1, 2))
         res_c.append(np.max(np.max(np.abs(comp), axis=(0, 1, 2)) / scale))
         t1 = time.perf_counter()
-        rv = _vals(pipe.riemann)
+        rv = pipe.riemann[0]
         cyc = rv + rv.transpose(0, 2, 3, 1, 4) + rv.transpose(0, 3, 1, 2, 4)
         scale_b = 1.0 + np.max(np.abs(rv), axis=(0, 1, 2, 3))
         res_b.append(np.max(np.max(np.abs(cyc), axis=(0, 1, 2, 3)) / scale_b))

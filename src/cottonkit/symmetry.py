@@ -24,7 +24,8 @@ from .geometry import (
     MetricSpec,
     _expr_jet,
     _Pipeline,
-    _vals,
+    _stack,
+    _tgrad,
     coordinate_seeds,
 )
 from .report import CheckReport, _argworst, make_report
@@ -87,32 +88,14 @@ def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray
         raise GeometryError("vector field dimension does not match the metric")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     pipe = _Pipeline(m, tuple(grid[:, i] for i in range(m.dim)), order=1)
-    g = pipe.g
-    xij = [_expr_jet(c, pipe.seeds) for c in xi.components]
-    dim = m.dim
-    npts = grid.shape[0]
-    lie = np.zeros((dim, dim, npts))
-    for a in range(dim):
-        for b in range(a, dim):
-            tot = 0.0
-            for l in range(dim):
-                tot = tot + np.asarray(xij[l].derivative(a).coeffs[0]) * np.asarray(g[l][b].coeffs[0])
-                tot = tot + np.asarray(xij[l].derivative(b).coeffs[0]) * np.asarray(g[a][l].coeffs[0])
-                tot = tot + np.asarray(xij[l].coeffs[0]) * np.asarray(g[a][b].derivative(l).coeffs[0])
-            lie[a, b] = lie[b, a] = tot
-    xi_mag = np.max(np.abs(np.array([np.asarray(j.coeffs[0]) for j in xij])), axis=0)
-    dg_mag = np.max(
-        np.abs(
-            np.array([
-                np.asarray(g[i][j].derivative(l).coeffs[0])
-                for i in range(dim)
-                for j in range(dim)
-                for l in range(dim)
-            ])
-        ),
-        axis=0,
-    )
-    norm = 1.0 + xi_mag * dg_mag
+    g = pipe.g[0]
+    dg = _tgrad(pipe.g, m.dim)[0]  # [l, a, b] = d_l g_ab
+    xij = _stack([_expr_jet(c, pipe.seeds) for c in xi.components])
+    dxi = _tgrad(xij, m.dim)[0]  # [a, l] = d_a xi^l
+    # L_xi g_ab = d_a xi^l g_lb + d_b xi^l g_al + xi^l d_l g_ab
+    flow = np.einsum("al...,lb...->ab...", dxi, g)
+    lie = flow + np.swapaxes(flow, 0, 1) + np.einsum("l...,lab...->ab...", xij[0], dg)
+    norm = 1.0 + np.max(np.abs(xij[0]), axis=0) * np.max(np.abs(dg), axis=(0, 1, 2))
     return np.max(np.abs(lie), axis=(0, 1)) / norm
 
 
@@ -213,52 +196,33 @@ def killing_dimension_estimate(m: MetricSpec, p: Sequence[float], depth: int = 2
     order = 3 if depth == 1 else 4
     pipe = _Pipeline(m, point, order=order)
     dim = m.dim
-    ginv = _vals(pipe.ginv)
-    riem = pipe.riemann
+    ginv = pipe.ginv[0]
 
     # covariant derivatives carry the derivative index last: T^r_{s m n; a}
-    dR = pipe.cov_deriv(riem, 1, 3)
-    dRv = _vals(dR)
-    tensors = [(3, _vals(riem), dRv)]
+    dR = pipe.cov_deriv(pipe.riemann, 1, 3)
+    tensors = [(pipe.riemann[0], dR[0])]
     if depth == 2:
-        tensors.append((4, dRv, _vals(pipe.cov_deriv(dR, 1, 4))))
+        tensors.append((dR[0], pipe.cov_deriv(dR, 1, 4)[0]))
 
-    pairs = [(c, d) for c in range(dim) for d in range(c + 1, dim)]
-    n_unknowns = dim + len(pairs)
+    # unknowns: xi^a, then one so(p,q) generator per pair c < d, the
+    # antisymmetric initial data D_l xi^r = g^{rd} delta_lc - g^{rc} delta_ld
+    c, d = np.triu_indices(dim, 1)
+    eye = np.eye(dim)
+    gens = np.einsum("rk,kl->krl", ginv[:, d], eye[c]) - np.einsum("rk,kl->krl", ginv[:, c], eye[d])
     # constraint rows that are pure roundoff must count as zero, so the
     # rank cutoff is relative to the curvature magnitude, not only to the
     # largest singular value of the (possibly all-noise) matrix
-    scale = 1.0
-    for _, Tv, DTv in tensors:
-        scale = max(scale, float(np.max(np.abs(Tv))), float(np.max(np.abs(DTv))))
-    rows = []
-    for ndown, Tv, DTv in tensors:
-        # component loop: one constraint row per tensor component
-        for comp in np.ndindex(*Tv.shape):
-            rho, lower = comp[0], comp[1:]
-            row = np.zeros(n_unknowns)
-            for a in range(dim):
-                # DTv indexing: derivative index is the last axis
-                row[a] = DTv[comp + (a,)]
-            for k, (c, d) in enumerate(pairs):
-                coeff = 0.0
-                # -(D_l xi^rho) T^l_{lower}
-                for l in range(dim):
-                    dxi = ginv[rho][d] * (1.0 if l == c else 0.0) - ginv[rho][c] * (1.0 if l == d else 0.0)
-                    if dxi:
-                        coeff -= dxi * Tv[(l,) + lower]
-                # +(D_sigma xi^l) T^rho_{... l ...} for each lower slot
-                for pos in range(ndown):
-                    sig = lower[pos]
-                    for l in range(dim):
-                        dxi = ginv[l][d] * (1.0 if sig == c else 0.0) - ginv[l][c] * (1.0 if sig == d else 0.0)
-                        if dxi:
-                            rep = lower[:pos] + (l,) + lower[pos + 1:]
-                            coeff += dxi * Tv[(rho,) + rep]
-                row[dim + k] = coeff
-            rows.append(row)
-    M = np.array(rows)
-    return n_unknowns - _rank(M, scale)
+    scale = max([1.0] + [float(np.max(np.abs(X))) for pair in tensors for X in pair])
+    blocks = []
+    for T, DT in tensors:
+        # one row per component of L_xi T: xi^a D_a T - (D_l xi^r) T^l_{...}
+        # + (D_s xi^l) T^r_{...l...} for each lower slot s
+        lower = "stuv"[: T.ndim - 1]
+        coef = -np.einsum(f"krl,l{lower}->kr{lower}", gens, T)
+        for s in lower:
+            coef += np.einsum(f"kl{s},r{lower.replace(s, 'l')}->kr{lower}", gens, T)
+        blocks.append(np.hstack([DT.reshape(-1, dim), coef.reshape(len(gens), -1).T]))
+    return dim + len(gens) - _rank(np.vstack(blocks), scale)
 
 
 def _rank(M: np.ndarray, scale: float = 0.0) -> int:

@@ -70,6 +70,21 @@ def test_degenerate_metric_detected():
         curvature_at(m, (0.0, 1.0))
 
 
+def test_degeneracy_floor_is_relative_to_metric_scale():
+    # det(lam g) = lam^3 det(g) and R(lam g) = R(g) / lam: a small overall
+    # scale is not a degenerate metric
+    coords = ("t", "x", "y")
+    p = (0.2, 0.7, -0.3)
+    unscaled = MetricSpec.from_components(coords, {"t,t": "1+0.1*x*x", "x,x": "-1", "y,y": "-1"})
+    scaled = MetricSpec.from_components(coords, {"t,t": "1e-5*(1+0.1*x*x)", "x,x": "-1e-5", "y,y": "-1e-5"})
+    r = curvature_at(unscaled, p).scalar
+    assert r != 0.0
+    assert curvature_at(scaled, p).scalar == pytest.approx(1e5 * r, rel=1e-12)
+    rank_two = MetricSpec.from_components(coords, {"t,t": "1e-5", "t,x": "1e-5", "x,x": "1e-5", "y,y": "-1e-5"})
+    with pytest.raises(DegenerateMetricError):
+        curvature_at(rank_two, p)
+
+
 # -- Christoffel -----------------------------------------------------------------
 
 
@@ -138,6 +153,21 @@ def test_riemann_antisymmetry_and_gamma_symmetry():
     cv = curvature_at(m, (0.5, 0.2, -0.1))
     np.testing.assert_allclose(cv.gamma, np.swapaxes(cv.gamma, 1, 2), atol=1e-15)
     np.testing.assert_allclose(cv.riemann, -np.swapaxes(cv.riemann, 2, 3), atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ricci_is_last_slot_contraction_of_riemann(dim):
+    # the engine contracts the Riemann formula term by term; it must agree
+    # with R_{sm} = R^l_{sml} of the assembled tensor at every jet coefficient
+    from cottonkit.geometry import _Pipeline
+
+    rng = np.random.default_rng(13)
+    m = random_smooth_metric(rng, dim=dim, coords=("t", "x", "y")[:dim])
+    pts = rng.uniform(-1.0, 1.0, (20, dim))
+    pipe = _Pipeline(m, tuple(pts[:, i] for i in range(dim)), order=3)
+    contracted = np.einsum("clsml...->csm...", pipe.riemann)
+    scale = 1.0 + np.max(np.abs(pipe.riemann))
+    assert np.max(np.abs(pipe.ricci_lower - contracted)) < 1e-14 * scale
 
 
 def test_metric_compatibility_and_bianchi_on_random_metrics():
@@ -214,7 +244,7 @@ def test_cotton_einstein_form_equivalence():
     ric = pipe.ricci_mixed
     scal = pipe.scalar()
     dim = 3
-    einstein = [[ric[i][j] - (0.5 * scal if i == j else 0.0) for j in range(dim)] for i in range(dim)]
+    einstein = ric - 0.5 * np.multiply.outer(scal.coeffs, np.eye(dim))
     # covariant derivative of the mixed Einstein tensor, same assembly
     dr = pipe.cov_deriv(einstein, 1, 1)
     half = -0.5 / pipe.sqrt_abs_det()
@@ -223,29 +253,75 @@ def test_cotton_einstein_form_equivalence():
     for i in range(3):
         for j in range(3):
             tot = None
-            for (a, b), s in eps[i]:
-                term = dr[j][b][a] * s
+            for (a, b), s in np.ndenumerate(eps[i]):
+                term = dr[0, j, b, a] * s
                 tot = term if tot is None else tot + term
-            for (a, b), s in eps[j]:
-                tot = tot + dr[i][b][a] * s
-            cot_e[i, j] = float(np.asarray((tot * half).coeffs[0]))
+            for (a, b), s in np.ndenumerate(eps[j]):
+                tot = tot + dr[0, i, b, a] * s
+            cot_e[i, j] = float(tot * half.value)
     cot_r = cotton_at(m, p).c
     np.testing.assert_allclose(cot_e, cot_r, atol=1e-12 * (1 + np.max(np.abs(cot_r))))
 
 
 @pytest.mark.parametrize("ups, downs", [(0, 2), (2, 0)])
 def test_metric_and_inverse_are_covariantly_constant(ups, downs):
-    from cottonkit.geometry import _Pipeline, _vals
+    from cottonkit.geometry import _Pipeline, _tgrad
 
     m = random_smooth_metric(np.random.default_rng(8))
     pts = np.random.default_rng(9).uniform(-1.0, 1.0, (20, 3))
     pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=2)
     T = pipe.g if downs else pipe.ginv
-    d = _vals(pipe.cov_deriv(T, ups, downs))
+    d = pipe.cov_deriv(T, ups, downs)[0]
     assert d.shape == (3, 3, 3, 20)
     # the covariant derivative is a cancellation of partials and Gamma terms
-    scale = 1.0 + np.max(np.abs(_vals([[[t.derivative(a) for a in range(3)] for t in row] for row in T])))
+    scale = 1.0 + np.max(np.abs(_tgrad(T, 3)[0]))
     assert np.max(np.abs(d)) < 1e-14 * scale
+
+
+def test_second_bianchi_identity_on_random_metrics():
+    # D_l R^r_{smn} + D_m R^r_{snl} + D_n R^r_{slm} = 0, a rank-4 covariant derivative
+    from cottonkit.geometry import _Pipeline
+
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        m = random_smooth_metric(rng)
+        pts = rng.uniform(-1.0, 1.0, (20, 3))
+        pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=3)
+        dR = pipe.cov_deriv(pipe.riemann, 1, 3)[0]  # [r, s, m, n, l] = D_l R^r_{smn}
+        cyc = dR + np.einsum("rsnlm...->rsmnl...", dR) + np.einsum("rslmn...->rsmnl...", dR)
+        scale = np.max(np.abs(dR))
+        assert scale > 1e-4
+        assert np.max(np.abs(cyc)) < 1e-14 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("grid", [(), (4,)], ids=["point", "grid"])
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("nv", [2, 3])
+def test_tmul_matches_scalar_jet_products(nv, order, grid):
+    from cottonkit.geometry import _tmul
+    from cottonkit.jets import Jet, JetSpace
+
+    sp = JetSpace.get(nv, order)
+    rng = np.random.default_rng(100 * nv + 10 * order + len(grid))
+    A = rng.standard_normal((sp.ncoeff, 3, 2) + grid)
+    B = rng.standard_normal((sp.ncoeff, 2, 4) + grid)
+
+    def jet(c):
+        return Jet(sp, c)
+
+    contracted = _tmul(A, B, "ij...,jk...->ik...", nv)
+    outer = _tmul(A, B, "ij...,kl...->ijkl...", nv)
+    assert contracted.shape == (sp.ncoeff, 3, 4) + grid
+    assert outer.shape == (sp.ncoeff, 3, 2, 2, 4) + grid
+    for i, k in np.ndindex(3, 4):
+        ref = jet(A[:, i, 0]) * jet(B[:, 0, k]) + jet(A[:, i, 1]) * jet(B[:, 1, k])
+        # rounding is relative to the sum of |a_p b_q| over the same products
+        bound = jet(np.abs(A[:, i, 0])) * jet(np.abs(B[:, 0, k])) + jet(np.abs(A[:, i, 1])) * jet(np.abs(B[:, 1, k]))
+        assert np.all(np.abs(contracted[:, i, k] - ref.coeffs) <= 1e-15 * bound.coeffs)
+        for j, l in np.ndindex(2, 2):
+            ref = jet(A[:, i, j]) * jet(B[:, l, k])
+            bound = jet(np.abs(A[:, i, j])) * jet(np.abs(B[:, l, k]))
+            assert np.all(np.abs(outer[:, i, j, l, k] - ref.coeffs) <= 1e-15 * bound.coeffs)
 
 
 def test_cotton_grid_computes_ricci_derivative_once(monkeypatch):
@@ -316,6 +392,10 @@ def test_pullback_singular_jacobian_rejected():
     m = flat_metric()
     maps = [parse_expr("t"), parse_expr("t"), parse_expr("y")]
     with pytest.raises(GeometryError):
+        pullback_metric_at(maps, ("t", "x", "y"), m, (1.0, 1.0, 1.0))
+    # a NaN Jacobian is singular too, not an all-NaN pulled-back metric
+    maps = [parse_expr("t+(1e400-1e400)*x"), parse_expr("x"), parse_expr("y")]
+    with pytest.raises(GeometryError, match="singular Jacobian"):
         pullback_metric_at(maps, ("t", "x", "y"), m, (1.0, 1.0, 1.0))
 
 

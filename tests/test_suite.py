@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cottonkit import reduction, suite, symmetry
+from cottonkit import kink, reduction, suite, symmetry
 from cottonkit.catalog import SolutionCase, killing_fields
 from cottonkit.exprlang import parse_expr
 from cottonkit.geometry import MetricSpec, flat_metric
@@ -61,6 +61,21 @@ def test_nan_residual_fails_check(monkeypatch, check_id, stub_name, stub, run, f
     for r in reports:
         assert not r.passed, r.line()
         assert np.isnan(r.max_residual)
+
+
+def test_nan_fixed_step_error_fails_kink_convergence(monkeypatch):
+    """A NaN integration step makes the refinement order NaN and a FAIL."""
+    original = kink._dopri5_fixed
+
+    def nan_past_09(rhs, y0, x1, h):
+        y = original(rhs, y0, x1, h)
+        return np.full_like(y, np.nan) if abs(y[0]) > 0.9 else y
+
+    monkeypatch.setattr(kink, "_dopri5_fixed", nan_past_09)
+    rep = suite.check_kink_convergence(1.0)
+    assert not rep.passed, rep.line()
+    assert np.isnan(rep.max_residual)
+    assert all(np.isnan(e) for e in rep.details["errors"])
 
 
 def test_argworst_prefers_nan_and_first_maximum():
