@@ -1,5 +1,6 @@
 """Checks fail closed: a NaN residual is a FAIL, never a skipped value."""
 
+import inspect
 import math
 
 import numpy as np
@@ -126,3 +127,150 @@ def test_thorough_mode_runs_scale_free_checks_once(monkeypatch):
     assert len(calls) == 1
     keys = [(r.check_id, r.case) for r in reports]
     assert len(keys) == len(set(keys))
+
+
+def _record_schedule(monkeypatch) -> list:
+    """Stub every check function with a recorder of (check, case tag or kind, C)
+    that returns one marker report, shaped like the real function's result."""
+    calls = []
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            case = bound.arguments.get("case")
+            if case is not None:
+                calls.append((name, case.tag, case.C))
+            else:
+                tag = bound.arguments.get("case_tag", bound.arguments.get("kind"))
+                calls.append((name, tag, bound.arguments.get("C")))
+            marker = make_report(check_id=name, max_residual=0.0, tolerance=0.0)
+            return [marker] if fn.__annotations__["return"].startswith("list") else marker
+
+        return record
+
+    for name, fn in list(vars(suite).items()):
+        if name.startswith("check_") and inspect.isfunction(fn):
+            monkeypatch.setattr(suite, name, recorder(name[len("check_"):], fn))
+    return calls
+
+
+_SCHEDULE_DEFAULT = [
+    ('calibration', None, None), ('cotton_vanishing', 'a', 1.0), ('cotton_vanishing', 'b', -1.0),
+    ('cotton_vanishing', 'c+', 1.0), ('cotton_vanishing', 'c-', 1.0), ('cotton_vanishing', 'kink+', 1.0),
+    ('cotton_vanishing', 'kink-', 1.0), ('cotton_control', None, None), ('cotton_identities', None, None),
+    ('curvature', 'a', 1.0), ('curvature', 'b', -1.0), ('curvature', 'c+', 1.0), ('curvature', 'c-', 1.0),
+    ('curvature', 'kink+', 1.0), ('curvature', 'kink-', 1.0), ('eom', 'a', 1.0), ('eom', 'b', -1.0),
+    ('eom', 'c+', 1.0), ('eom', 'c-', 1.0), ('eom', 'kink+', 1.0), ('eom', 'kink-', 1.0),
+    ('first_integral', 'a', 1.0), ('first_integral', 'b', -1.0), ('first_integral', 'c+', 1.0),
+    ('first_integral', 'c-', 1.0), ('first_integral', 'kink+', 1.0), ('first_integral', 'kink-', 1.0),
+    ('geometry_identities', None, None), ('jets_fd', None, None), ('killing_fields', 'a', 1.0),
+    ('killing_fields', 'b', -1.0), ('killing_fields', 'c+', 1.0), ('killing_fields', 'c-', 1.0),
+    ('killing_dimension', 'flat', 1.0), ('killing_dimension', 'a', 1.0), ('killing_dimension', 'b', 1.0),
+    ('killing_dimension', 'c+', 1.0), ('killing_dimension', 'c-', 1.0), ('kink_convergence', None, 1.0),
+    ('kink_solver', None, None), ('kk', 'a', 1.0), ('kk', 'b', -1.0), ('kk', 'c+', 1.0), ('kk', 'c-', 1.0),
+    ('kk', 'kink+', 1.0), ('kk', 'kink-', 1.0), ('lattice_2d', 'random', 1.0),
+    ('lattice_2d', 'solution', 1.0), ('lattice_3d', None, None), ('lift', 'phi4', None),
+    ('lift', 'sine-gordon', None), ('max_symmetry', 'a', 1.0), ('max_symmetry', 'b', -1.0),
+    ('max_symmetry', 'c+', 1.0), ('max_symmetry', 'c-', 1.0), ('max_symmetry', 'kink+', 1.0),
+    ('max_symmetry', 'kink-', 1.0), ('parser_roundtrip', None, None), ('transform', 'a', 1.0),
+    ('transform', 'b', -1.0), ('transform', 'c+', 1.0), ('transform', 'c-', 1.0),
+    ('transform', 'kink+', 1.0), ('transform', 'kink-', 1.0), ('transform_limit', None, 1.0),
+]
+
+_SCHEDULE_THOROUGH = [
+    ('calibration', None, None), ('cotton_vanishing', 'a', 1.0), ('cotton_vanishing', 'b', -1.0),
+    ('cotton_vanishing', 'c+', 1.0), ('cotton_vanishing', 'c-', 1.0), ('cotton_vanishing', 'kink+', 1.0),
+    ('cotton_vanishing', 'kink-', 1.0), ('cotton_vanishing', 'a', 0.25), ('cotton_vanishing', 'b', -0.25),
+    ('cotton_vanishing', 'c+', 0.25), ('cotton_vanishing', 'c-', 0.25), ('cotton_vanishing', 'kink+', 0.25),
+    ('cotton_vanishing', 'kink-', 0.25), ('cotton_vanishing', 'a', 9.0), ('cotton_vanishing', 'b', -9.0),
+    ('cotton_vanishing', 'c+', 9.0), ('cotton_vanishing', 'c-', 9.0), ('cotton_vanishing', 'kink+', 9.0),
+    ('cotton_vanishing', 'kink-', 9.0), ('cotton_control', None, None), ('cotton_identities', None, None),
+    ('curvature', 'a', 1.0), ('curvature', 'b', -1.0), ('curvature', 'c+', 1.0), ('curvature', 'c-', 1.0),
+    ('curvature', 'kink+', 1.0), ('curvature', 'kink-', 1.0), ('curvature', 'a', 0.25),
+    ('curvature', 'b', -0.25), ('curvature', 'c+', 0.25), ('curvature', 'c-', 0.25),
+    ('curvature', 'kink+', 0.25), ('curvature', 'kink-', 0.25), ('curvature', 'a', 9.0),
+    ('curvature', 'b', -9.0), ('curvature', 'c+', 9.0), ('curvature', 'c-', 9.0),
+    ('curvature', 'kink+', 9.0), ('curvature', 'kink-', 9.0), ('eom', 'a', 1.0), ('eom', 'b', -1.0),
+    ('eom', 'c+', 1.0), ('eom', 'c-', 1.0), ('eom', 'kink+', 1.0), ('eom', 'kink-', 1.0), ('eom', 'a', 0.25),
+    ('eom', 'b', -0.25), ('eom', 'c+', 0.25), ('eom', 'c-', 0.25), ('eom', 'kink+', 0.25),
+    ('eom', 'kink-', 0.25), ('eom', 'a', 9.0), ('eom', 'b', -9.0), ('eom', 'c+', 9.0), ('eom', 'c-', 9.0),
+    ('eom', 'kink+', 9.0), ('eom', 'kink-', 9.0), ('first_integral', 'a', 1.0),
+    ('first_integral', 'b', -1.0), ('first_integral', 'c+', 1.0), ('first_integral', 'c-', 1.0),
+    ('first_integral', 'kink+', 1.0), ('first_integral', 'kink-', 1.0), ('first_integral', 'a', 0.25),
+    ('first_integral', 'b', -0.25), ('first_integral', 'c+', 0.25), ('first_integral', 'c-', 0.25),
+    ('first_integral', 'kink+', 0.25), ('first_integral', 'kink-', 0.25), ('first_integral', 'a', 9.0),
+    ('first_integral', 'b', -9.0), ('first_integral', 'c+', 9.0), ('first_integral', 'c-', 9.0),
+    ('first_integral', 'kink+', 9.0), ('first_integral', 'kink-', 9.0), ('geometry_identities', None, None),
+    ('jets_fd', None, None), ('killing_fields', 'a', 1.0), ('killing_fields', 'b', -1.0),
+    ('killing_fields', 'c+', 1.0), ('killing_fields', 'c-', 1.0), ('killing_fields', 'a', 0.25),
+    ('killing_fields', 'b', -0.25), ('killing_fields', 'c+', 0.25), ('killing_fields', 'c-', 0.25),
+    ('killing_fields', 'a', 9.0), ('killing_fields', 'b', -9.0), ('killing_fields', 'c+', 9.0),
+    ('killing_fields', 'c-', 9.0), ('killing_dimension', 'flat', 1.0), ('killing_dimension', 'a', 1.0),
+    ('killing_dimension', 'b', 1.0), ('killing_dimension', 'c+', 1.0), ('killing_dimension', 'c-', 1.0),
+    ('killing_dimension', 'flat', 0.25), ('killing_dimension', 'a', 0.25), ('killing_dimension', 'b', 0.25),
+    ('killing_dimension', 'c+', 0.25), ('killing_dimension', 'c-', 0.25), ('killing_dimension', 'flat', 9.0),
+    ('killing_dimension', 'a', 9.0), ('killing_dimension', 'b', 9.0), ('killing_dimension', 'c+', 9.0),
+    ('killing_dimension', 'c-', 9.0), ('kink_convergence', None, 1.0), ('kink_convergence', None, 0.25),
+    ('kink_convergence', None, 9.0), ('kink_solver', None, None), ('kk', 'a', 1.0), ('kk', 'b', -1.0),
+    ('kk', 'c+', 1.0), ('kk', 'c-', 1.0), ('kk', 'kink+', 1.0), ('kk', 'kink-', 1.0), ('kk', 'a', 0.25),
+    ('kk', 'b', -0.25), ('kk', 'c+', 0.25), ('kk', 'c-', 0.25), ('kk', 'kink+', 0.25), ('kk', 'kink-', 0.25),
+    ('kk', 'a', 9.0), ('kk', 'b', -9.0), ('kk', 'c+', 9.0), ('kk', 'c-', 9.0), ('kk', 'kink+', 9.0),
+    ('kk', 'kink-', 9.0), ('lattice_2d', 'random', 1.0), ('lattice_2d', 'solution', 1.0),
+    ('lattice_2d', 'random', 0.25), ('lattice_2d', 'solution', 0.25), ('lattice_2d', 'random', 9.0),
+    ('lattice_2d', 'solution', 9.0), ('lattice_3d', None, None), ('lift', 'phi4', None),
+    ('lift', 'sine-gordon', None), ('max_symmetry', 'a', 1.0), ('max_symmetry', 'b', -1.0),
+    ('max_symmetry', 'c+', 1.0), ('max_symmetry', 'c-', 1.0), ('max_symmetry', 'kink+', 1.0),
+    ('max_symmetry', 'kink-', 1.0), ('max_symmetry', 'a', 0.25), ('max_symmetry', 'b', -0.25),
+    ('max_symmetry', 'c+', 0.25), ('max_symmetry', 'c-', 0.25), ('max_symmetry', 'kink+', 0.25),
+    ('max_symmetry', 'kink-', 0.25), ('max_symmetry', 'a', 9.0), ('max_symmetry', 'b', -9.0),
+    ('max_symmetry', 'c+', 9.0), ('max_symmetry', 'c-', 9.0), ('max_symmetry', 'kink+', 9.0),
+    ('max_symmetry', 'kink-', 9.0), ('parser_roundtrip', None, None), ('transform', 'a', 1.0),
+    ('transform', 'b', -1.0), ('transform', 'c+', 1.0), ('transform', 'c-', 1.0),
+    ('transform', 'kink+', 1.0), ('transform', 'kink-', 1.0), ('transform', 'a', 0.25),
+    ('transform', 'b', -0.25), ('transform', 'c+', 0.25), ('transform', 'c-', 0.25),
+    ('transform', 'kink+', 0.25), ('transform', 'kink-', 0.25), ('transform', 'a', 9.0),
+    ('transform', 'b', -9.0), ('transform', 'c+', 9.0), ('transform', 'c-', 9.0),
+    ('transform', 'kink+', 9.0), ('transform', 'kink-', 9.0), ('transform_limit', None, 1.0),
+    ('transform_limit', None, 0.25), ('transform_limit', None, 9.0),
+]
+
+_SCHEDULE_CASE_A = [
+    ('calibration', None, None), ('cotton_vanishing', 'a', 1.0), ('cotton_control', None, None),
+    ('cotton_identities', None, None), ('curvature', 'a', 1.0), ('eom', 'a', 1.0),
+    ('first_integral', 'a', 1.0), ('geometry_identities', None, None), ('jets_fd', None, None),
+    ('killing_fields', 'a', 1.0), ('killing_dimension', 'a', 1.0), ('kink_convergence', None, 1.0),
+    ('kink_solver', None, None), ('kk', 'a', 1.0), ('lattice_2d', 'random', 1.0),
+    ('lattice_2d', 'solution', 1.0), ('lattice_3d', None, None), ('lift', 'phi4', None),
+    ('lift', 'sine-gordon', None), ('max_symmetry', 'a', 1.0), ('parser_roundtrip', None, None),
+    ('transform', 'a', 1.0), ('transform_limit', None, 1.0),
+]
+
+_SCHEDULE_CASE_KINK = [
+    ('calibration', None, None), ('cotton_vanishing', 'kink+', 1.0), ('cotton_control', None, None),
+    ('cotton_identities', None, None), ('curvature', 'kink+', 1.0), ('eom', 'kink+', 1.0),
+    ('first_integral', 'kink+', 1.0), ('geometry_identities', None, None), ('jets_fd', None, None),
+    ('kink_convergence', None, 1.0), ('kink_solver', None, None), ('kk', 'kink+', 1.0),
+    ('lattice_2d', 'random', 1.0), ('lattice_2d', 'solution', 1.0), ('lattice_3d', None, None),
+    ('lift', 'phi4', None), ('lift', 'sine-gordon', None), ('max_symmetry', 'kink+', 1.0),
+    ('parser_roundtrip', None, None), ('transform', 'kink+', 1.0), ('transform_limit', None, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, expected",
+    [
+        ({}, _SCHEDULE_DEFAULT),
+        ({"thorough": True}, _SCHEDULE_THOROUGH),
+        ({"cases": ["a"]}, _SCHEDULE_CASE_A),
+        ({"cases": ["kink+"]}, _SCHEDULE_CASE_KINK),
+    ],
+    ids=["default", "thorough", "case-a", "case-kink"],
+)
+def test_run_checks_dispatch_schedule(monkeypatch, kwargs, expected):
+    """The exact order of check calls; reports come back in run order, which
+    decides the JSON order of reports sharing a (check_id, case) key."""
+    calls = _record_schedule(monkeypatch)
+    reports = suite.run_checks(**kwargs)
+    assert calls == expected
+    assert [r.check_id for r in reports] == [name for name, _, _ in calls]
