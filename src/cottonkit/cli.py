@@ -24,8 +24,8 @@ from . import catalog as cat
 from .exprlang import ExprSyntaxError, eval_array, parse_expr
 from .geometry import (
     GeometryError,
-    cotton_grid,
     cotton_identities_check,
+    cotton_vanishing_check,
     load_metric,
 )
 from .kink import (
@@ -35,7 +35,7 @@ from .kink import (
     lift_flat_kink,
     solve_kink_ode,
 )
-from .report import CheckReport, make_report, reports_to_json
+from .report import CheckReport, reports_to_json
 from .suite import CHECK_NAMES, TOL, run_checks
 from .symmetry import (
     VectorFieldSpec,
@@ -146,14 +146,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _apply_tol_override(reports: list[CheckReport], tol: Optional[float]) -> list[CheckReport]:
-    if tol is None:
-        return reports
-    out = []
-    for r in reports:
-        r.tolerance = tol
-        r.passed = r.max_residual <= tol
-        out.append(r)
-    return out
+    if tol is not None:
+        for r in reports:
+            r.hold_to(tol)
+    return reports
 
 
 # -- commands ---------------------------------------------------------------------
@@ -282,21 +278,12 @@ def _parse_grid_spec(spec: str, coords: Sequence[str]) -> np.ndarray:
 def cmd_cotton(args) -> int:
     m = load_metric(args.metric)
     grid = _parse_grid_spec(args.grid, m.coords)
-    tol = args.tol if args.tol is not None else TOL["cotton"]
-    data = cotton_grid(m, grid)
-    resid = np.max(np.abs(data["cotton"]), axis=(0, 1)) / data["scale"]
-    worst = int(np.argmax(resid))
-    vanishing = make_report(
-        check_id="cotton",
-        max_residual=float(resid[worst]),
-        tolerance=tol,
-        grid=f"{len(grid)} points",
-        params=dict(m.env),
-        worst_point=list(map(float, grid[worst])),
-    )
-    identities = cotton_identities_check(m, grid, tolerance=args.tol or TOL["cotton-identities"])
+    reports = [
+        cotton_vanishing_check(m, grid, tolerance=TOL["cotton"]),
+        cotton_identities_check(m, grid, tolerance=TOL["cotton-identities"]),
+    ]
     cfg = RunConfig(format=args.format or "json", out=args.out, stable_output=args.stable_output)
-    return _emit_reports([vanishing, identities], cfg)
+    return _emit_reports(_apply_tol_override(reports, args.tol), cfg)
 
 
 def cmd_killing(args) -> int:
@@ -307,15 +294,12 @@ def cmd_killing(args) -> int:
     if unknown:
         raise _CliError(f"unknown fields-file keys: {sorted(unknown)}")
     grid = _parse_grid_spec(args.grid, m.coords)
-    tol = args.tol if args.tol is not None else TOL["killing"]
     reports = []
     for k, comps in enumerate(payload["fields"]):
         xi = VectorFieldSpec.parse(comps)
-        reports.append(
-            killing_residual(m, xi, grid, tolerance=tol, check_id=f"killing:field{k}")
-        )
+        reports.append(killing_residual(m, xi, grid, tolerance=TOL["killing"], check_id=f"killing:field{k}"))
     cfg = RunConfig(format=args.format or "json", out=args.out, stable_output=args.stable_output)
-    return _emit_reports(reports, cfg)
+    return _emit_reports(_apply_tol_override(reports, args.tol), cfg)
 
 
 def cmd_killing_dim(args) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
@@ -38,7 +37,7 @@ from .exprlang import (
     validate_symbols,
 )
 from .jets import MAX_ORDER, Jet, JetSpace, jet_apply, jet_constant, jet_var
-from .report import CheckReport, make_report
+from .report import CheckReport, Span
 
 __all__ = [
     "MetricSpec",
@@ -52,6 +51,7 @@ __all__ = [
     "cotton_at",
     "cotton_grid",
     "cotton_identities_check",
+    "cotton_vanishing_check",
     "covariant_hessian_at",
     "pullback_metric_at",
     "flat_metric",
@@ -572,6 +572,17 @@ def _cotton_term_scale(pipe: _Pipeline) -> np.ndarray:
     return np.abs(inv_sqrt) * mag
 
 
+def cotton_vanishing_check(
+    m: MetricSpec, grid: np.ndarray, tolerance: float, case: Optional[str] = None
+) -> CheckReport:
+    """Max over the grid of |C_ij| normalized by the assembly scale."""
+    span = Span()
+    grid = np.asarray(grid, dtype=float)
+    data = cotton_grid(m, grid)
+    resid = np.max(np.abs(data["cotton"]), axis=(0, 1)) / data["scale"]
+    return span.report("cotton", resid, tolerance, grid, case=case, params=dict(m.env))
+
+
 def cotton_identities_check(
     m: MetricSpec,
     grid: np.ndarray,
@@ -580,23 +591,19 @@ def cotton_identities_check(
 ) -> CheckReport:
     """Max over the grid of the symmetry, trace, and covariant-conservation
     residuals of the Cotton tensor, each normalized by the assembly scale."""
-    t0 = time.perf_counter()
+    span = Span()
     grid = np.asarray(grid, dtype=float)
     data = cotton_grid(m, grid, order=4)
     cot, g, scale = data["cotton"], data["g"], data["scale"]
     sym_res = np.max(np.abs(cot - np.swapaxes(cot, 0, 1)), axis=(0, 1)) / scale
     trace = np.abs(np.einsum("ij...,ij...->...", g, cot)) / scale
     cons = np.max(np.abs(data["divergence"]), axis=0) / scale
-    per_point = np.maximum(np.maximum(sym_res, trace), cons)
-    worst = int(np.argmax(per_point))
-    return make_report(
-        check_id=check_id,
-        max_residual=float(per_point[worst]),
-        tolerance=tolerance,
-        grid=f"{len(grid)} points",
+    return span.report(
+        check_id,
+        np.maximum(np.maximum(sym_res, trace), cons),
+        tolerance,
+        grid,
         params=dict(m.env),
-        worst_point=list(map(float, grid[worst])),
-        wall_time=time.perf_counter() - t0,
         details={
             "symmetry": float(np.max(sym_res)),
             "trace": float(np.max(trace)),

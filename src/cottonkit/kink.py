@@ -25,7 +25,6 @@ normalization of V as the stated precondition.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -36,7 +35,7 @@ from scipy.optimize import brentq
 from .exprlang import ExprAst, eval_array, parse_expr, substitute
 from .geometry import MetricSpec, _expr_jet, _Pipeline, curvature_grid
 from .jets import Jet, jet_extract, jet_var
-from .report import CheckReport, make_report
+from .report import CheckReport, Span
 
 __all__ = [
     "PotentialSpec",
@@ -510,7 +509,7 @@ def lift_residuals(
     case: Optional[str] = None,
 ) -> CheckReport:
     """Max over the grid of |D^2 f + V'(f)| and of the traceless Hessian."""
-    t0 = time.perf_counter()
+    span = Span()
     xs = np.asarray(grid, dtype=float).reshape(-1)
     fv, g_v, hess, box = _lift_field_data(lift, xs)
     vp = _potential_derivs_at(p, fv, 1)[1]
@@ -518,17 +517,14 @@ def lift_residuals(
     traceless = hess - 0.5 * g_v * box
     res_tracefree = np.max(np.abs(traceless), axis=(0, 1))
     scale = 1.0 + np.maximum(np.abs(box), np.abs(vp)) + np.max(np.abs(hess), axis=(0, 1))
-    per_point = np.maximum(res_field, res_tracefree) / scale
-    worst = int(np.argmax(per_point))
-    return make_report(
-        check_id=check_id,
+    return span.report(
+        check_id,
+        np.maximum(res_field, res_tracefree) / scale,
+        tolerance,
+        np.column_stack([np.zeros_like(xs), xs]),
         case=case,
-        max_residual=float(per_point[worst]),
-        tolerance=tolerance,
         grid=f"{len(xs)} points on [{xs[0]:g}, {xs[-1]:g}]",
         params=dict(p.env),
-        worst_point=[0.0, float(xs[worst])],
-        wall_time=time.perf_counter() - t0,
         details={
             "field_equation": float(np.max(res_field / scale)),
             "traceless_hessian": float(np.max(res_tracefree / scale)),
@@ -545,22 +541,11 @@ def lift_curvature_check(
     case: Optional[str] = None,
 ) -> CheckReport:
     """Residual of r(metric) - (-V''(f)) over the grid."""
-    t0 = time.perf_counter()
+    span = Span()
     xs = np.asarray(grid, dtype=float).reshape(-1)
     pts = np.column_stack([np.zeros_like(xs), xs])
     r = curvature_grid(lift.metric, pts)["scalar"]
     fv = _lift_field_data(lift, xs)[0]
     vpp = _potential_derivs_at(p, fv, 2)[2]
     scale = 1.0 + np.maximum(np.abs(r), np.abs(vpp))
-    resid = np.abs(r + vpp) / scale
-    worst = int(np.argmax(resid))
-    return make_report(
-        check_id=check_id,
-        case=case,
-        max_residual=float(resid[worst]),
-        tolerance=tolerance,
-        grid=f"{len(xs)} points",
-        params=dict(p.env),
-        worst_point=[0.0, float(xs[worst])],
-        wall_time=time.perf_counter() - t0,
-    )
+    return span.report(check_id, np.abs(r + vpp) / scale, tolerance, pts, case=case, params=dict(p.env))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -54,7 +53,7 @@ from .geometry import (
     metric_to_dict,
 )
 from .jets import Jet
-from .report import CheckReport, _argworst, make_report
+from .report import CheckReport, Span
 
 __all__ = [
     "ReducedData",
@@ -315,7 +314,7 @@ def kk_curvature_relation_check(
     case: Optional[str] = None,
 ) -> CheckReport:
     """Residual of R_3(assembled metric) - (r + f^2/2) over the grid."""
-    t0 = time.perf_counter()
+    span = Span()
     phi_val = eval_array(rd.phi, {rd.coords[0]: 0.17, rd.coords[1]: 0.31, **dict(rd.env)})
     if abs(float(phi_val) - 1.0) > 1e-12 or free_symbols(rd.phi):
         raise GeometryError("the curvature relation check requires phi = 1")
@@ -329,18 +328,7 @@ def kk_curvature_relation_check(
     red = eom_grid(rd, pts3[:, :2])
     rhs = red["r"] + 0.5 * red["f"] ** 2
     scale = 1.0 + np.maximum(np.abs(R3), np.abs(rhs))
-    resid = np.abs(R3 - rhs) / scale
-    worst = int(np.argmax(resid))
-    return make_report(
-        check_id=check_id,
-        case=case,
-        max_residual=float(resid[worst]),
-        tolerance=tolerance,
-        grid=f"{len(grid)} points",
-        params=dict(rd.env),
-        worst_point=list(map(float, pts3[worst])),
-        wall_time=time.perf_counter() - t0,
-    )
+    return span.report(check_id, np.abs(R3 - rhs) / scale, tolerance, pts3, case=case, params=dict(rd.env))
 
 
 # -- lattice variational checks -------------------------------------------------
@@ -546,7 +534,7 @@ def lattice_variation_check_2d(
     sites, where the blend is exactly the identity over the full stencil,
     are compared.
     """
-    t0 = time.perf_counter()
+    span = Span()
     taxis, xaxis = lattice.axes(h)
     T, X = np.meshgrid(taxis, xaxis, indexing="ij")
     bind = {rd.coords[0]: T, rd.coords[1]: X, **{k: float(v) for k, v in rd.env.items()}}
@@ -591,21 +579,17 @@ def lattice_variation_check_2d(
         for name in names
     ])
     per_field = {name: float(np.max(row)) for name, row in zip(names, resid)}
-    worst, k = _argworst(resid.ravel())
-    worst_site = sites[k % len(sites)]
     scale = 1.0 + float(np.max(np.abs(dens))) + max(
         float(np.max(np.abs(v))) for v in target.values()
     )
-    tol = tolerance if tolerance is not None else 10.0 * h ** 2 * scale
-    return make_report(
-        check_id=check_id,
+    return span.report(
+        check_id,
+        resid,
+        tolerance if tolerance is not None else 10.0 * h ** 2 * scale,
+        pts,
         case=case,
-        max_residual=worst,
-        tolerance=tol,
         grid=f"{lattice.nt}x{lattice.nx} lattice, h={h:g}, {len(sites)} sites varied",
         params=dict(rd.env),
-        worst_point=[float(taxis[worst_site[0]]), float(xaxis[worst_site[1]])],
-        wall_time=time.perf_counter() - t0,
         details={"h": h, "scale": scale, "per_field": per_field},
     )
 
@@ -639,7 +623,7 @@ def lattice_cotton_variation_check_3d(
     """Numeric variation of the discretized connection functional w.r.t.
     metric values at interior lattice sites, against the Cotton tensor
     density from the exact engine."""
-    t0 = time.perf_counter()
+    span = Span()
     axes = lattice.axes(h)
     Tg, Xg, Yg = np.meshgrid(*axes, indexing="ij")
     bind = {m.coords[0]: Tg, m.coords[1]: Xg, m.coords[2]: Yg,
@@ -664,18 +648,14 @@ def lattice_cotton_variation_check_3d(
         for c, (i, j) in comps.items()
     ])
     per_comp = {c: float(np.max(row)) for c, row in zip(comps, resid)}
-    worst, k = _argworst(resid.ravel())
-    worst_site = sites[k % len(sites)]
     scale = 1.0 + float(np.max(np.abs(COTTON_COUPLING * sqrtg * cot)))
-    tol = tolerance if tolerance is not None else 10.0 * h ** 2 * scale
-    return make_report(
-        check_id=check_id,
-        max_residual=worst,
-        tolerance=tol,
+    return span.report(
+        check_id,
+        resid,
+        tolerance if tolerance is not None else 10.0 * h ** 2 * scale,
+        pts,
         grid=f"{lattice.n}^3 lattice, h={h:g}, {len(sites)} sites varied",
         params=dict(m.env),
-        worst_point=[float(axes[0][worst_site[0]]), float(axes[1][worst_site[1]]), float(axes[2][worst_site[2]])],
-        wall_time=time.perf_counter() - t0,
         details={"h": h, "scale": scale, "per_component": per_comp},
     )
 

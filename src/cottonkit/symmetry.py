@@ -12,7 +12,6 @@ threshold.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,7 +27,7 @@ from .geometry import (
     _tgrad,
     coordinate_seeds,
 )
-from .report import CheckReport, _argworst, make_report
+from .report import CheckReport, Span, _argworst
 
 __all__ = [
     "VectorFieldSpec",
@@ -67,20 +66,10 @@ def killing_residual(
 ) -> CheckReport:
     """Max over the grid of |L_xi g| = |D_mu xi_nu + D_nu xi_mu|, normalized
     by 1 + |xi| |dg|."""
-    t0 = time.perf_counter()
+    span = Span()
     grid = np.asarray(grid, dtype=float)
     per_point = killing_residual_values(m, xi, grid)
-    worst = int(np.argmax(per_point))
-    return make_report(
-        check_id=check_id,
-        case=case,
-        max_residual=float(per_point[worst]),
-        tolerance=tolerance,
-        grid=f"{len(grid)} points",
-        params=dict(m.env),
-        worst_point=list(map(float, grid[worst])),
-        wall_time=time.perf_counter() - t0,
-    )
+    return span.report(check_id, per_point, tolerance, grid, case=case, params=dict(m.env))
 
 
 def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray) -> np.ndarray:

@@ -125,6 +125,37 @@ def test_catalog_export_and_downstream_commands(tmp_path):
     assert json.loads(out.strip())["killing_dimension"] == 6
 
 
+def _export_c_plus_metric(tmp_path) -> Path:
+    m3 = tmp_path / "c.json"
+    code, _, _ = run_cli("catalog", "export", "--case", "c+", "--what", "metric3d", "--out", str(m3))
+    assert code == 0
+    return m3
+
+
+def test_cotton_tol_zero_applies_to_both_reports(tmp_path):
+    m3 = _export_c_plus_metric(tmp_path)
+    code, out, _ = run_cli("cotton", "--metric", str(m3), "--tol", "0", "--stable-output")
+    assert code in (0, 1)
+    tolerances = {r["check_id"]: r["tolerance"] for r in json.loads(out)["checks"]}
+    assert tolerances == {"cotton": 0.0, "cotton-identities": 0.0}
+
+
+def test_cotton_report_wall_time_is_measured(tmp_path):
+    m3 = _export_c_plus_metric(tmp_path)
+    code, out, _ = run_cli("cotton", "--metric", str(m3))
+    assert code == 0
+    report = next(r for r in json.loads(out)["checks"] if r["check_id"] == "cotton")
+    assert report["wall_time"] > 0
+
+
+@pytest.mark.parametrize("what", ["killing", "killing-dim"])
+def test_verify_check_applying_to_no_selected_case_exit_two(what):
+    code, out, err = run_cli("verify", "--case", "kink", "--what", what)
+    assert code == 2
+    assert out == ""
+    assert what in err and "a, b, c+, c-" in err
+
+
 def test_catalog_export_case_b_gets_negative_C(tmp_path):
     out = tmp_path / "b.json"
     code, _, _ = run_cli("catalog", "export", "--case", "b", "--what", "metric3d", "--C", "2", "--out", str(out))

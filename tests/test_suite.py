@@ -114,6 +114,15 @@ def test_nan_bracket_fails_killing_closure(monkeypatch):
     assert reports and not any(r.passed for r in reports)
 
 
+def test_killing_checks_use_the_requested_grid():
+    # grid_n = 3 is inside the Killing clamp [3, 5]: every report uses 27 points
+    reports = suite.run_checks(checks=["killing", "max-symmetry"], cases=["a"], grid_n=3)
+    grids = {r.check_id: r.grid for r in reports}
+    assert grids["killing"] == "4 fields x 27 points"
+    assert grids["killing-intruder"] == grids["max-symmetry"] == "27 points"
+    assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
+
+
 def test_thorough_mode_runs_scale_free_checks_once(monkeypatch):
     # calibration, kink-solver and lift ignore C, so thorough mode must not repeat them
     calls = []
