@@ -23,6 +23,7 @@ from .geometry import (
     flat_metric,
     load_metric,
     pullback_metric_at,
+    pullback_metric_grid,
 )
 from .jets import Jet, JetDomainError, jet_apply, jet_extract, jet_var
 from .kink import (

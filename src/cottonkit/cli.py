@@ -95,6 +95,12 @@ class _CliError(Exception):
     pass
 
 
+def _reports_json(reports: list[CheckReport], config: RunConfig) -> str:
+    cfg_dict = config.to_dict()
+    cfg_dict.pop("out", None)  # self-referential, breaks byte-stable output
+    return reports_to_json(reports, config=cfg_dict, stable=config.stable_output) + "\n"
+
+
 def _emit_reports(reports: list[CheckReport], config: RunConfig) -> int:
     if config.format == "text":
         body = "\n".join(r.line() for r in sorted(reports, key=lambda r: (r.check_id, r.case or ""))) + "\n"
@@ -108,9 +114,7 @@ def _emit_reports(reports: list[CheckReport], config: RunConfig) -> int:
             w.writerow([r.check_id, r.case or "", repr(r.max_residual), repr(r.tolerance), r.passed])
         body = buf.getvalue()
     else:
-        cfg_dict = config.to_dict()
-        cfg_dict.pop("out", None)  # self-referential, breaks byte-stable output
-        body = reports_to_json(reports, config=cfg_dict, stable=config.stable_output) + "\n"
+        body = _reports_json(reports, config)
     if config.out:
         Path(config.out).write_text(body, encoding="utf-8")
     else:
@@ -174,10 +178,7 @@ def cmd_report(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     reports = run_checks(C=cfg.C, thorough=cfg.thorough, grid_n=cfg.grid_n)
     reports = _apply_tol_override(reports, cfg.tol)
-    (outdir / "report.json").write_text(
-        reports_to_json(reports, config=cfg.to_dict(), stable=cfg.stable_output) + "\n",
-        encoding="utf-8",
-    )
+    (outdir / "report.json").write_text(_reports_json(reports, cfg), encoding="utf-8")
     _write_kink_profile_csv(outdir / "kink_profile.csv", cfg.C)
     if cfg.format == "text":
         for r in sorted(reports, key=lambda r: (r.check_id, r.case or "")):

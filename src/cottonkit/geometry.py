@@ -54,6 +54,7 @@ __all__ = [
     "cotton_vanishing_check",
     "covariant_hessian_at",
     "pullback_metric_at",
+    "pullback_metric_grid",
     "flat_metric",
     "load_metric",
     "dump_metric",
@@ -333,7 +334,7 @@ class _Pipeline:
         # scalar-jet views of g for the cofactor formulas, so g is held once
         sp = JetSpace.get(self.dim, order)
         self._g_jets = [[Jet(sp, self.g[:, i, j]) for j in range(self.dim)] for i in range(self.dim)]
-        self._sqrt_abs_det = None
+        self._sqrt_abs_det: dict[int, Jet] = {}
 
     @cached_property
     def det(self) -> Jet:
@@ -393,11 +394,14 @@ class _Pipeline:
         r = _tmul(self.ginv, self.ricci_lower, "sm...,sm...->...", self.dim)
         return Jet(_space(len(r), self.dim), r)
 
-    def sqrt_abs_det(self) -> Jet:
-        if self._sqrt_abs_det is None:
-            sign = np.sign(np.asarray(self.det.coeffs[0]))
-            self._sqrt_abs_det = jet_apply("sqrt", self.det * sign)
-        return self._sqrt_abs_det
+    def sqrt_abs_det(self, order: Optional[int] = None) -> Jet:
+        """sqrt|det g| as a jet of the given order (default: the pipeline's),
+        built from the truncated determinant and kept per order."""
+        det = self.det if order is None else self.det.truncated(order)
+        if det.order not in self._sqrt_abs_det:
+            sign = np.sign(np.asarray(det.coeffs[0]))
+            self._sqrt_abs_det[det.order] = jet_apply("sqrt", det * sign)
+        return self._sqrt_abs_det[det.order]
 
     def cov_deriv(self, T: np.ndarray, ups: int, downs: int) -> np.ndarray:
         """T^{i...}_{j...;a} for a tensor jet with ``ups`` leading upper and
@@ -431,7 +435,7 @@ class _Pipeline:
         # delta g_{mn}; the lattice variation check pins it.  That is the
         # opposite Ricci sign from the scalar-curvature calibration, which
         # no magnitude-based Cotton property is sensitive to.
-        half_inv_sqrt = -0.5 / self.sqrt_abs_det().truncated(_space(len(curl), 3).order)
+        half_inv_sqrt = -0.5 / self.sqrt_abs_det(_space(len(curl), 3).order)
         return _tmul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", 3)
 
 
@@ -567,7 +571,7 @@ def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
 def _cotton_term_scale(pipe: _Pipeline) -> np.ndarray:
     """Magnitude of the individual terms entering the Cotton assembly; the
     meaningful scale for a residual that is a cancellation of those terms."""
-    inv_sqrt = 0.5 / pipe.sqrt_abs_det().value
+    inv_sqrt = 0.5 / pipe.sqrt_abs_det(0).value
     mag = np.max(np.abs(pipe.ricci_mixed_deriv[0]), axis=(0, 1, 2))
     return np.abs(inv_sqrt) * mag
 
@@ -628,25 +632,36 @@ def pullback_metric_at(
     p: Sequence[float],
     env: Mapping[str, float] | None = None,
 ) -> np.ndarray:
-    """(phi* g)_{ab} at p: Jacobian of the map times target components at
-    the image point, all through jet-valued evaluation."""
+    """(phi* g)_{ab} at one point p: the one-point case of
+    ``pullback_metric_grid``."""
+    pts = np.asarray(p, dtype=float).reshape(1, -1)
+    return pullback_metric_grid(map_components, source_coords, target, pts, env)[..., 0]
+
+
+def pullback_metric_grid(
+    map_components: Sequence[ExprAst],
+    source_coords: Sequence[str],
+    target: MetricSpec,
+    pts: np.ndarray,
+    env: Mapping[str, float] | None = None,
+) -> np.ndarray:
+    """(phi* g)_{ab} over pts of shape (npts, nsrc), shape (nsrc, nsrc, npts):
+    Jacobian of the map times target components at the image points, all
+    through one jet-valued evaluation."""
     if len(map_components) != target.dim:
         raise GeometryError("map component count does not match target dim")
-    env = dict(env or {})
+    pts = np.asarray(pts, dtype=float)
     nsrc = len(source_coords)
-    seeds = coordinate_seeds(source_coords, [float(v) for v in p], env, order=1)
+    seeds = coordinate_seeds(source_coords, tuple(pts[:, a] for a in range(nsrc)), dict(env or {}), order=1)
     images = [_expr_jet(comp, seeds) for comp in map_components]
-    jac = np.array(
-        [[float(np.asarray(images[mu].derivative(a).coeffs[0])) for a in range(nsrc)] for mu in range(target.dim)]
-    )
+    # jac[mu, a, k] = d_a phi^mu at point k
+    jac = np.array([[img.derivative(a).value for a in range(nsrc)] for img in images])
     # a non-finite Jacobian is rejected before det, which would only warn
-    if not np.all(np.isfinite(jac)) or (nsrc == target.dim and not abs(np.linalg.det(jac)) > _DET_FLOOR):
-        raise GeometryError(f"singular Jacobian at {tuple(p)}")
-    image_point = {name: float(np.asarray(images[k].coeffs[0])) for k, name in enumerate(target.coords)}
-    bindings = dict(image_point)
-    bindings.update({k: float(v) for k, v in target.env.items()})
-    g_img = np.array(
-        [[eval_array(target.components[i][j], bindings) for j in range(target.dim)] for i in range(target.dim)],
-        dtype=float,
-    )
-    return np.einsum("ma,nb,mn->ab", jac, jac, g_img)
+    bad = ~np.all(np.isfinite(jac), axis=(0, 1))
+    if nsrc == target.dim:
+        det = np.linalg.det(np.moveaxis(np.where(bad, 0.0, jac), -1, 0))
+        bad |= ~(np.abs(det) > _DET_FLOOR)
+    if np.any(bad):
+        raise GeometryError(f"singular Jacobian at {tuple(float(v) for v in pts[int(np.argmax(bad))])}")
+    g_img = metric_values_grid(target, np.column_stack([img.value for img in images]))
+    return np.einsum("ma...,nb...,mn...->ab...", jac, jac, g_img)

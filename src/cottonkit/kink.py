@@ -9,9 +9,11 @@ constraint decouples to
 so the solver integrates (f, u=f', h) with f(0) = 0, h(0) = 1 and shoots on
 u(0).  The kink is the separatrix between orbits that turn back (u hits 0
 below the vacuum) and orbits that overshoot (f crosses sqrt(C)); bisection
-on that dichotomy drives f(xmax) toward sqrt(C) as far as the asymptote
-allows and pins u(0) to machine precision without ever consulting the
-closed form.
+on that dichotomy never consults the closed form.  It stops at the
+integrator's resolution, a bracket 2e-13 C wide: below that width the
+decisions follow the integration error of the classifying orbit, not the
+separatrix.  Both ends are then classified again at the tightest
+tolerance, so a wrong early decision fails the solve instead of moving it.
 
 The flat-space solver integrates the first-order quadrature form
 k' = sqrt(2 V(k)) from the potential's interior maximum, which is the
@@ -140,6 +142,7 @@ class KinkProfile:
     first_integral: np.ndarray
     shoot_param: float
     iterations: int
+    bracket_width: float
     max_residual: float
     boundary_gap: float
 
@@ -180,7 +183,10 @@ def _rhs_full(C: float):
 
 
 def _classify(C: float, s: float, x_class: float, rtol: float) -> int:
-    """+1 if the orbit overshoots sqrt(C), -1 if it turns back."""
+    """+1 if the orbit overshoots sqrt(C), -1 if it turns back.
+
+    Integrated with the 8th-order Dormand-Prince pair.  atol scales with
+    u(0) ~ C/2, so at small C the absolute part does not swamp rtol."""
     root = math.sqrt(C)
 
     def turn(x, y):
@@ -199,9 +205,9 @@ def _classify(C: float, s: float, x_class: float, rtol: float) -> int:
         _rhs_fu(C),
         (0.0, x_class),
         (0.0, s),
-        method="RK45",
+        method="DOP853",
         rtol=rtol,
-        atol=rtol,
+        atol=rtol * min(1.0, 0.5 * C),
         events=(turn, cross),
         dense_output=False,
     )
@@ -214,6 +220,20 @@ def _classify(C: float, s: float, x_class: float, rtol: float) -> int:
     return 1 if u * u > 0.25 * (f * f - C) ** 2 else -1
 
 
+# Bracket width, relative to C, at which the bisection stops: below it a
+# DOP853 trace at rtol 1e-12 shows the decisions following the integration
+# error of the classifying orbit rather than the separatrix.
+_RESOLUTION = 2e-13
+# rtol of the bracket-end classifications, the tightest of the schedule
+_CLASS_RTOL = 1e-12
+# A classification at rtol r goes wrong only for orbits within about r C / 24
+# of the separatrix.  Halving k runs at 1e-2 (hi - lo)/C, a decade clear for
+# any midpoint farther than (hi - lo)/240 from it.  The first midpoint,
+# half-way across [1e-6 C, C], sits only 5e-7 C above it and first goes
+# wrong at rtol 1.8e-5; the loosest rtol 1e-7 keeps it two decades clear.
+_LOOSEST_RTOL = 1e-7
+
+
 def solve_kink_ode(
     C: float,
     xmax: float,
@@ -223,12 +243,16 @@ def solve_kink_ode(
 ) -> KinkProfile:
     """Shooting solution of the static-gauge system on [-xmax, xmax].
 
-    Bisection on u(0) between turning and overshooting orbits; the final
-    orbit is integrated once with a 4/5-order adaptive pair at tolerance
-    tol/10 and mirrored through the origin (f odd, h even).  The residual
-    columns re-derive the second derivatives from dense output by
-    high-order finite differences, so they measure the integration honestly
-    instead of restating the equations.
+    Bisection on u(0) between turning and overshooting orbits.  Halving k
+    classifies at rtol 1e-2 (hi - lo)/C, clipped to [1e-12, 1e-7]: an orbit
+    far from the separatrix decides within a loose tolerance.  The loop stops
+    at width 2e-13 C, and both bracket ends are classified again at 1e-12;
+    a bracket that no longer straddles the separatrix raises
+    KinkSolverError.  The final orbit is integrated once with a 4/5-order
+    adaptive pair at tolerance tol/10 and mirrored through the origin
+    (f odd, h even).  The residual columns re-derive the second derivatives
+    from dense output by high-order finite differences, so they measure the
+    integration honestly instead of restating the equations.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -239,23 +263,22 @@ def solve_kink_ode(
     root = math.sqrt(C)
     x_class = xmax + 60.0 / root
     lo, hi = 1e-6 * C, float(C)
-    if _classify(C, lo, x_class, 1e-12) != -1:
+    if _classify(C, lo, x_class, _CLASS_RTOL) != -1:
         raise KinkSolverError("lower shooting bracket does not turn back")
-    if _classify(C, hi, x_class, 1e-12) != 1:
+    if _classify(C, hi, x_class, _CLASS_RTOL) != 1:
         raise KinkSolverError("upper shooting bracket does not overshoot")
+    resolution = _RESOLUTION * C
     iterations = 0
-    budget = 200
-    while iterations < budget:
+    while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # interval resolved to adjacent doubles
-        if _classify(C, mid, x_class, 1e-12) == 1:
+        rtol = min(max(1e-2 * (hi - lo) / C, _CLASS_RTOL), _LOOSEST_RTOL)
+        if _classify(C, mid, x_class, rtol) == 1:
             hi = mid
         else:
             lo = mid
         iterations += 1
-    else:
-        raise KinkSolverError("shooting bisection did not converge within budget")
+    if _classify(C, lo, x_class, _CLASS_RTOL) != -1 or _classify(C, hi, x_class, _CLASS_RTOL) != 1:
+        raise KinkSolverError(f"shooting bracket [{lo!r}, {hi!r}] does not straddle the separatrix")
     s = 0.5 * (lo + hi)
 
     delta = 0.02 / max(1.0, root)
@@ -310,6 +333,7 @@ def solve_kink_ode(
         first_integral=first_int,
         shoot_param=orientation * s,
         iterations=iterations,
+        bracket_width=hi - lo,
         max_residual=float(np.max(np.abs(eq14_pos))),
         boundary_gap=bgap,
     )

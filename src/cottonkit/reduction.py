@@ -227,7 +227,7 @@ class _ReducedJets:
         self.pipe = _Pipeline(rd.g2, point, order)
         self.a = [_expr_jet(comp, self.pipe.seeds) for comp in rd.a]
         curl = self.a[1].derivative(0) - self.a[0].derivative(1)
-        self.f = curl / self.pipe.sqrt_abs_det().truncated(curl.order) * rd.g2.orientation
+        self.f = curl / self.pipe.sqrt_abs_det(curl.order) * rd.g2.orientation
 
 
 def _v(j):
@@ -243,7 +243,7 @@ def field_strength_f(rd: ReducedData, p: Sequence[float]) -> float:
 def reduced_action_density(rd: ReducedData, p: Sequence[float]) -> ActionDensity:
     jets = _ReducedJets(rd, tuple(float(v) for v in p), order=2)
     f, r = _v(jets.f), _v(jets.pipe.scalar())
-    dens = ACTION_COUPLING * _v(jets.pipe.sqrt_abs_det()) * (f * r + f ** 3)
+    dens = ACTION_COUPLING * _v(jets.pipe.sqrt_abs_det(0)) * (f * r + f ** 3)
     theta = r + f ** 2
     return ActionDensity(float(dens), float(theta))
 
@@ -301,7 +301,7 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
         "r": np.atleast_1d(rv),
         "g": gv,
         "g_inv": ginvv,
-        "sqrt_abs_det": np.atleast_1d(_v(pipe.sqrt_abs_det())),
+        "sqrt_abs_det": np.atleast_1d(_v(pipe.sqrt_abs_det(0))),
         "box_f": np.atleast_1d(boxv),
     }
 

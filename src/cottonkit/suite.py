@@ -37,10 +37,11 @@ from .geometry import (
     curvature_grid,
     flat_metric,
     metric_values_grid,
-    pullback_metric_at,
+    pullback_metric_grid,
 )
 from .jets import jet_extract
 from .kink import (
+    _RESOLUTION,
     fixed_step_errors,
     lift_curvature_check,
     lift_flat_kink,
@@ -271,13 +272,10 @@ def check_transform(case: SolutionCase, n: int = 7) -> CheckReport:
     grid = transform_grid(case, n)
     grid = np.array([p for p in grid if tr.in_domain(p)])
     span = Span()
-    g_case = metric_values_grid(sol3.metric, grid)
-    resid = []
-    for k, p in enumerate(grid):
-        pb = pullback_metric_at(tr.components, tr.source_coords, target, p, env=tr.env)
-        want = g_case[..., k]
-        scale = 1.0 + np.maximum(np.max(np.abs(pb)), np.max(np.abs(want)))
-        resid.append(np.max(np.abs(pb - want)) / scale)
+    want = metric_values_grid(sol3.metric, grid)
+    pb = pullback_metric_grid(tr.components, tr.source_coords, target, grid, env=tr.env)
+    scale = 1.0 + np.maximum(np.max(np.abs(pb), axis=(0, 1)), np.max(np.abs(want), axis=(0, 1)))
+    resid = np.max(np.abs(pb - want), axis=(0, 1)) / scale
     return span.report("transform", resid, TOL["transform"], grid, solution=case)
 
 
@@ -441,6 +439,10 @@ def check_kink_solver(C_values=(0.25, 1.0, 4.0)) -> list[CheckReport]:
                 details={
                     "shoot_param": prof.shoot_param,
                     "iterations": prof.iterations,
+                    # two bracket ends, the halvings, their re-classification
+                    "classify_solves": prof.iterations + 4,
+                    "resolution": _RESOLUTION * C,
+                    "bracket_width": prof.bracket_width,
                     "first_integral_drift": float(np.max(np.abs(prof.first_integral - C))),
                 },
             )

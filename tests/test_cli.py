@@ -246,6 +246,22 @@ def test_report_command_end_to_end(tmp_path):
     assert (tmp_path / "kink_profile.csv").exists()
 
 
+def test_report_stable_output_independent_of_out_dir(tmp_path, monkeypatch):
+    # a cheap selection stands in for the default suite: what is under test
+    # is the config block, which must not record the output directory
+    import cottonkit.cli as cli
+
+    real = cli.run_checks
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: real(checks=["calibration", "kink-solver"], **kw))
+    bodies = []
+    for name in ("repA", "repB"):
+        code, _, _ = run_cli("report", "--stable-output", "--out", str(tmp_path / name))
+        assert code == 0
+        bodies.append((tmp_path / name / "report.json").read_bytes())
+    assert bodies[0] == bodies[1]
+    assert "out" not in json.loads(bodies[0])["config"]
+
+
 def test_console_entry_point_runs():
     # the child process does not see pytest's pythonpath setting
     src = str(Path(__file__).resolve().parents[1] / "src")

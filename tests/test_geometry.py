@@ -19,6 +19,7 @@ from cottonkit.geometry import (
     load_metric,
     metric_from_dict,
     pullback_metric_at,
+    pullback_metric_grid,
 )
 from cottonkit.oracles import random_smooth_metric
 
@@ -397,6 +398,33 @@ def test_pullback_singular_jacobian_rejected():
     maps = [parse_expr("t+(1e400-1e400)*x"), parse_expr("x"), parse_expr("y")]
     with pytest.raises(GeometryError, match="singular Jacobian"):
         pullback_metric_at(maps, ("t", "x", "y"), m, (1.0, 1.0, 1.0))
+
+
+def test_pullback_grid_matches_single_points_bitwise():
+    from cottonkit.catalog import SolutionCase, transform, transform_grid
+    from cottonkit.exprlang import to_text
+
+    for case in (SolutionCase("a", 1.0), SolutionCase("b", -1.0), SolutionCase("kink+", 1.0)):
+        tr = transform(case)
+        ft = to_text(tr.conformal_factor)
+        target = MetricSpec.from_components(
+            tr.target_coords, {(0, 0): ft, (1, 1): f"-({ft})", (2, 2): f"-({ft})"}, env=tr.env
+        )
+        grid = np.array([p for p in transform_grid(case, 7) if tr.in_domain(p)])
+        got = pullback_metric_grid(tr.components, tr.source_coords, target, grid, env=tr.env)
+        assert got.shape == (3, 3, len(grid))
+        for k, p in enumerate(grid):
+            one = pullback_metric_at(tr.components, tr.source_coords, target, p, env=tr.env)
+            assert np.array_equal(got[..., k], one)
+
+
+def test_pullback_grid_singular_point_rejected():
+    # the Jacobian of (t, t*x, y) has determinant t
+    maps = [parse_expr("t"), parse_expr("t*x"), parse_expr("y")]
+    pts = np.array([[1.0, 0.5, 0.2], [0.0, 0.5, 0.2], [2.0, -1.0, 0.3]])
+    with pytest.raises(GeometryError, match=r"singular Jacobian at \(0\.0, 0\.5, 0\.2\)"):
+        pullback_metric_grid(maps, ("t", "x", "y"), flat_metric(), pts)
+    assert pullback_metric_grid(maps, ("t", "x", "y"), flat_metric(), pts[::2]).shape == (3, 3, 2)
 
 
 def test_cotton_grid_conservation_needs_order4():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import cottonkit.kink as kink
 from cottonkit.exprlang import eval_array, parse_expr
 from cottonkit.kink import (
+    KinkSolverError,
     PotentialSpec,
     fixed_step_errors,
     flat_kink_solve,
@@ -15,6 +17,7 @@ from cottonkit.kink import (
     sine_gordon_potential,
     solve_kink_ode,
 )
+from cottonkit.suite import check_kink_solver
 
 
 # -- potential spec ------------------------------------------------------------
@@ -84,6 +87,60 @@ def test_solver_preconditions():
         solve_kink_ode(1.0, 8.0, n=32)
     with pytest.raises(ValueError):
         solve_kink_ode(-1.0, 8.0)
+
+
+# xmax varies the classification span sqrt(C) (xmax + 60/sqrt(C)) from 65
+# to 72; for C <= 2 the classifier is otherwise one scaled problem
+@pytest.mark.parametrize("C, xmax", [(0.01, 50.0), (0.25, 20.0), (1.0, 8.0), (4.0, 6.0), (100.0, 0.6)])
+def test_shooting_parameter_at_integrator_resolution(C, xmax):
+    prof = solve_kink_ode(C, xmax, n=201, tol=1e-7)
+    assert abs(prof.shoot_param - 0.5 * C) <= 5e-13 * C
+    assert prof.bracket_width <= 2e-13 * C
+
+
+@pytest.mark.parametrize("C", [1.0, 100.0])
+def test_first_halving_decided_a_decade_clear(C):
+    # the first midpoint sits 5e-7 C above the separatrix; every rtol up to
+    # ten times the loosest must still put it on the overshooting side
+    x_class = 68.0 / math.sqrt(C)
+    mid = 0.5 * (1e-6 * C + C)
+    rtols = kink._LOOSEST_RTOL * 10.0 ** (np.arange(-8, 5) / 4)
+    assert all(kink._classify(C, mid, x_class, r) == 1 for r in rtols)
+
+
+def test_wrong_early_decision_fails_closed(monkeypatch):
+    # flip the first halving: the bracket then converges away from the
+    # separatrix, and the re-classification of its ends must catch it
+    real = kink._classify
+    calls = []
+
+    def flipped(*args):
+        calls.append(args)
+        side = real(*args)
+        return -side if len(calls) == 3 else side
+
+    monkeypatch.setattr(kink, "_classify", flipped)
+    with pytest.raises(KinkSolverError, match="does not straddle"):
+        solve_kink_ode(1.0, 8.0, n=201, tol=1e-7)
+
+
+def test_integration_count_per_solve(monkeypatch):
+    # two bracket ends, 43 halvings from width C to 2e-13 C, two
+    # re-classifications, one final dense integration
+    real = kink.solve_ivp
+    methods = []
+
+    def counted(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kink, "solve_ivp", counted)
+    (rep,) = check_kink_solver(C_values=(1.0,))
+    assert rep.details["iterations"] == 43
+    assert rep.details["classify_solves"] == 47
+    assert rep.details["resolution"] == pytest.approx(2e-13)
+    assert rep.details["bracket_width"] <= 2e-13
+    assert methods == ["DOP853"] * 47 + ["RK45"]
 
 
 def test_grid_refinement_at_least_fourth_order():
