@@ -234,6 +234,14 @@ _CLASS_RTOL = 1e-12
 _LOOSEST_RTOL = 1e-7
 
 
+def _require_finite_positive(**values: float) -> None:
+    """ValueError naming the first argument that is not a finite positive
+    number (a NaN fails every comparison, so `x <= 0` alone lets it by)."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 def solve_kink_ode(
     C: float,
     xmax: float,
@@ -254,8 +262,7 @@ def solve_kink_ode(
     from dense output by high-order finite differences, so they measure the
     integration honestly instead of restating the equations.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    _require_finite_positive(C=C, xmax=xmax, tol=tol)
     if xmax < 5.0 / math.sqrt(C):
         raise ValueError(f"xmax must be at least 5/sqrt(C) = {5.0 / math.sqrt(C):g}")
     if n < 64:
@@ -442,6 +449,9 @@ def _interior_maximum(p: PotentialSpec) -> float:
 def flat_kink_solve(p: PotentialSpec, xmax: float, n: int = 801) -> FlatKink:
     """Solve k' = sqrt(2 V(k)) with k(0) at the potential's interior maximum
     (for an odd well, the midpoint zero); monotone between the vacua."""
+    _require_finite_positive(xmax=xmax)
+    if n < 2:
+        raise ValueError("grid size n must be at least 2")
     k0 = _interior_maximum(p)
     lo, hi = p.vacua
 

@@ -488,33 +488,27 @@ def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
 def _patch_gradient(fields: dict, name: str, sites, h: float, density_fn, eps_scale: float = 1e-6) -> np.ndarray:
     """d(sum density * h^dim)/d(field value at each site) by central
     differences, recomputing only the stencil neighborhood (radius 4) of a
-    site.  The patches of one lattice row (sites sharing the first index)
-    are stacked along a trailing batch axis, so the density runs once per
-    row and sign."""
+    site.  The patches of all sites are gathered by one fancy index and
+    stacked along a trailing batch axis, so the density runs once per sign."""
     sites = np.asarray(sites, dtype=int)
-    dim = sites.shape[1]
-    shape = fields[name].shape
+    n, dim = sites.shape
     offsets = np.arange(-4, 5)
-    grads = np.empty(len(sites))
-    for row in np.unique(sites[:, 0]):
-        sel = np.flatnonzero(sites[:, 0] == row)
-        at = tuple(
-            (offsets.reshape([9 if a == d else 1 for a in range(dim)] + [1]) + sites[sel, d]) % shape[d]
-            for d in range(dim)
-        )
-        patch = {k: v[at] for k, v in fields.items()}
-        center = (4,) * dim + (np.arange(len(sel)),)
-        base = patch[name][center]
-        eps = eps_scale * (1.0 + np.abs(base))
-        sums = []
-        for value in (base + eps, base - eps):
-            varied = patch[name].copy()
-            varied[center] = value
-            dens = density_fn({**patch, name: varied}, h)
-            # one contiguous row per patch: sums in the order of np.sum over a single core
-            sums.append(np.ascontiguousarray(np.moveaxis(dens, -1, 0)).reshape(len(sel), -1).sum(axis=1))
-        grads[sel] = (sums[0] - sums[1]) / (2.0 * eps) * h ** dim
-    return grads
+    at = tuple(
+        (offsets.reshape([9 if a == d else 1 for a in range(dim)] + [1]) + sites[:, d]) % fields[name].shape[d]
+        for d in range(dim)
+    )
+    patch = {k: v[at] for k, v in fields.items()}
+    center = (4,) * dim + (np.arange(n),)
+    base = patch[name][center]
+    eps = eps_scale * (1.0 + np.abs(base))
+    sums = []
+    for value in (base + eps, base - eps):
+        varied = patch[name].copy()
+        varied[center] = value
+        dens = density_fn({**patch, name: varied}, h)
+        # one contiguous row per patch: sums in the order of np.sum over a single core
+        sums.append(np.ascontiguousarray(np.moveaxis(dens, -1, 0)).reshape(n, -1).sum(axis=1))
+    return (sums[0] - sums[1]) / (2.0 * eps) * h ** dim
 
 
 def lattice_variation_check_2d(

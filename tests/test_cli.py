@@ -99,6 +99,24 @@ def test_lift_csv(tmp_path):
     assert abs(float(mid[3]) - 0.25) < 1e-8
 
 
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("solve", "kink", "--xmax", "nan"), "xmax"),
+        (("solve", "kink", "--xmax", "inf"), "xmax"),
+        (("solve", "kink", "--tol", "nan"), "tol"),
+        (("solve", "kink", "--C", "nan"), "C"),
+        (("lift", "--potential", "(phi^2-1)^2/4", "--vacua=-1,1", "--xmax", "nan"), "xmax"),
+        (("lift", "--potential", "(phi^2-1)^2/4", "--vacua=-1,1", "--xmax", "inf"), "xmax"),
+    ],
+)
+def test_kink_commands_reject_non_finite_input_exit_two(tmp_path, args, name):
+    code, _, err = run_cli(*args, "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert f"error: {name} must be finite and positive" in err
+    assert not (tmp_path / "out.csv").exists()
+
 def test_catalog_export_and_downstream_commands(tmp_path):
     m3 = tmp_path / "c.json"
     fields = tmp_path / "fields.json"

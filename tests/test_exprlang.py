@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cottonkit.exprlang import (
     BinOp,
+    Call,
     ExprEvalError,
     ExprSyntaxError,
     Neg,
     Num,
+    Sym,
     eval_array,
     eval_jet,
     free_symbols,
@@ -184,3 +188,47 @@ def test_scientific_notation_literals():
     assert eval_array(parse_expr("1.5e-3"), {}) == pytest.approx(1.5e-3)
     assert eval_array(parse_expr("2E2"), {}) == 200.0
     assert eval_array(parse_expr("x^2.5"), {"x": 4.0}) == pytest.approx(32.0)
+
+
+# -- properties -------------------------------------------------------------------
+
+_leaves = st.one_of(
+    st.builds(Num, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+    st.builds(Sym, st.sampled_from(["t", "x", "y", "C", "e", "phi_2"])),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(["exp", "ln", "sqrt", "sin", "tanh", "arctan"]), sub),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_property_text_roundtrip(tree):
+    assert parse_expr(to_text(tree)) == tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nv=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    order=st.integers(0, 3),
+)
+# relative to 1 + |value|: jet powers are exp(e*ln(a)), a few ulp off a**e, and
+# at this seed the outer cos sits near a root (-7.9e-3), so the two differ by
+# 4.4e-16, 5.6e-14 of the value
+@example(seed=13901, nv=3, depth=3, order=0)
+def test_property_jet_value_equals_eval_array(seed, nv, depth, order):
+    rng = np.random.default_rng(seed)
+    coords = ["t", "x", "y"][:nv]
+    e = random_safe_expr(rng, coords, depth=depth)
+    pt = rng.uniform(-0.9, 0.9, nv)
+    plain = float(eval_array(e, dict(zip(coords, pt))))
+    jet = float(eval_jet(e, coords, pt, {}, order).value)
+    assert abs(jet - plain) <= 1e-14 * (1.0 + abs(plain))

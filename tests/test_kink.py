@@ -89,6 +89,43 @@ def test_solver_preconditions():
         solve_kink_ode(-1.0, 8.0)
 
 
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"C": math.nan}, "C"),
+        ({"C": math.inf}, "C"),
+        ({"xmax": math.nan}, "xmax"),
+        ({"xmax": math.inf}, "xmax"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": 0.0}, "tol"),
+    ],
+)
+def test_solver_rejects_non_finite_input_before_integrating(monkeypatch, kwargs, name):
+    # a NaN fails `C <= 0` and `xmax < 5/sqrt(C)` alike, and used to send
+    # the bisection into an endless loop
+    def no_integration(*a, **k):
+        raise AssertionError("integrated before validating its input")
+
+    monkeypatch.setattr(kink, "solve_ivp", no_integration)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
+        solve_kink_ode(**{"C": 1.0, "xmax": 8.0, "tol": 1e-7, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "xmax, n, match",
+    [(math.nan, 401, "xmax"), (math.inf, 401, "xmax"), (-3.0, 401, "xmax"), (6.0, 1, "grid size n")],
+)
+def test_flat_kink_rejects_bad_input_before_integrating(monkeypatch, xmax, n, match):
+    def no_integration(*a, **k):
+        raise AssertionError("integrated before validating its input")
+
+    p, _ = phi4_potential(1.0)
+    monkeypatch.setattr(kink, "solve_ivp", no_integration)
+    with pytest.raises(ValueError, match=match):
+        flat_kink_solve(p, xmax, n=n)
+
 # xmax varies the classification span sqrt(C) (xmax + 60/sqrt(C)) from 65
 # to 72; for C <= 2 the classifier is otherwise one scaled problem
 @pytest.mark.parametrize("C, xmax", [(0.01, 50.0), (0.25, 20.0), (1.0, 8.0), (4.0, 6.0), (100.0, 0.6)])

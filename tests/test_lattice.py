@@ -189,3 +189,56 @@ def test_suite_ladders():
     rep = check_lattice_3d()
     assert rep.passed, rep.line()
     assert abs(rep.details["fitted_order"] - 2.0) <= 0.3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_patch_gradient_one_density_call_per_sign(dim):
+    from cottonkit import reduction
+
+    if dim == 2:
+        n, name, density = 10, "gtx", reduction._action_density_2d
+        names = ("gtt", "gtx", "gxx", "at", "ax")
+        sites = [(a, b) for a in (0, 3, 4, 9) for b in (1, 5, 8)]
+    else:
+        n, name, density = 8, "gxy", reduction._cs_density_3d
+        names = ("gtt", "gtx", "gty", "gxx", "gxy", "gyy")
+        sites = [(a, b, c) for a in (0, 3, 7) for b in (1, 6) for c in (0, 5)]
+    batches = []
+
+    def counting(fields, h):
+        batches.append(fields[name].shape[-1])
+        return density(fields, h)
+
+    fields = _smooth_fields(names, n, dim, seed=dim)
+    reduction._patch_gradient(fields, name, sites, 2 * math.pi / n, counting)
+    # every site of every row in one batch, once per sign
+    assert batches == [len(sites), len(sites)]
+
+
+# the smallest rung of each suite ladder (suite.check_lattice_2d / _3d)
+_SMALLEST_RUNGS = {
+    "2d-random": lambda: lattice_variation_check_2d(
+        random_periodic_rd(), Lattice2D(0.0, 0.0, 12, 12), 2 * math.pi / 12
+    ),
+    "2d-windowed": lambda: lattice_variation_check_2d(
+        solution_2d(SolutionCase("c+", 1.0)).rd,
+        Lattice2D(0.0, 0.5, 24, 24),
+        2.0 / 24,
+        window=Window1D(center=1.5, flat_radius=0.55, support_radius=0.95, compare_radius=0.55 - 4 * 2.0 / 24),
+    ),
+    "3d": lambda: lattice_cotton_variation_check_3d(PERTURBED_3D, Lattice3D(8), 2 * math.pi / 8),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(_SMALLEST_RUNGS))
+def test_lattice_check_same_report_batched_or_site_by_site(monkeypatch, rung):
+    from cottonkit import reduction
+
+    batched = reduction._patch_gradient
+
+    def one_site_per_call(fields, name, sites, h, density_fn):
+        return np.array([batched(fields, name, [s], h, density_fn)[0] for s in sites])
+
+    want = _SMALLEST_RUNGS[rung]().to_dict(stable=True)
+    monkeypatch.setattr(reduction, "_patch_gradient", one_site_per_call)
+    assert _SMALLEST_RUNGS[rung]().to_dict(stable=True) == want
