@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +31,7 @@ from .geometry import (
 from .kink import (
     KinkSolverError,
     PotentialSpec,
+    _require_finite_positive,
     flat_kink_solve,
     lift_flat_kink,
     solve_kink_ode,
@@ -75,6 +76,7 @@ class RunConfig:
     stable_output: bool = False
 
     def __post_init__(self):
+        _require_finite_positive(C=self.C)
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if self.grid_n < 2:
@@ -123,30 +125,20 @@ def _emit_reports(reports: list[CheckReport], config: RunConfig) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    base = {}
+    cfg = RunConfig()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-        cfg = RunConfig.from_dict(base)
-    else:
-        cfg = RunConfig()
-    if args.C is not None:
-        cfg.C = args.C
-    if args.tol is not None:
-        cfg.tol = args.tol
+            cfg = RunConfig.from_dict(json.load(fh))
+    flags = {"C": args.C, "tol": args.tol, "grid_n": args.grid, "format": args.format, "out": args.out}
+    overrides = {k: v for k, v in flags.items() if v is not None}
     if getattr(args, "what", None):
-        cfg.checks = [w.strip() for w in args.what.split(",") if w.strip()]
+        overrides["checks"] = [w.strip() for w in args.what.split(",") if w.strip()]
     if getattr(args, "case", None) and args.case != "all":
-        cfg.cases = [cat.canonical_tag(c) for c in args.case.split(",")]
-    if args.grid is not None:
-        cfg.grid_n = args.grid
-    if args.format is not None:
-        cfg.format = args.format
-    if args.out is not None:
-        cfg.out = args.out
-    cfg.thorough = bool(getattr(args, "thorough", False))
-    cfg.stable_output = bool(getattr(args, "stable_output", False))
-    return cfg
+        overrides["cases"] = [cat.canonical_tag(c) for c in args.case.split(",")]
+    overrides["thorough"] = bool(getattr(args, "thorough", False))
+    overrides["stable_output"] = bool(getattr(args, "stable_output", False))
+    # replace() runs __post_init__ again, so a flag is validated like a file key
+    return replace(cfg, **overrides)
 
 
 def _apply_tol_override(reports: list[CheckReport], tol: Optional[float]) -> list[CheckReport]:
@@ -227,7 +219,7 @@ def cmd_solve(args) -> int:
             w.writerow([repr(float(v)) for v in row])
     print(
         f"{out}: {len(prof.x)} rows; f'(0) = {prof.shoot_param!r}, "
-        f"{prof.iterations} bisections, max |eq14| = {prof.max_residual:.3e}"
+        f"{prof.iterations} rounds, max |eq14| = {prof.max_residual:.3e}"
     )
     return 0
 

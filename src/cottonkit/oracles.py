@@ -58,11 +58,14 @@ def fd_partial(
     nested central differences with one Richardson extrapolation (leading
     h^2 error cancelled).
 
-    ``f`` maps an ``(m, nv)`` array of points to their ``m`` values and is
-    called once.  A first pass of the stencil recursion records the distinct
-    points of every alpha at h and h/2, keyed by the tuple the recursion
-    builds; the second pass replays the same differences on the looked-up
-    values, so each partial is the one a point-by-point evaluation gives.
+    ``f`` maps an ``(m, nv)`` array of points to an ``(m, ...)`` array of
+    their values and is called once; the result has shape
+    ``(len(alphas), ...)``, one partial array per multi-index of a vector-
+    or matrix-valued ``f``.  A first pass of the stencil recursion records
+    the distinct points of every alpha at h and h/2, keyed by the tuple the
+    recursion builds; the second pass replays the same differences on the
+    looked-up values, so each partial is the one a point-by-point evaluation
+    gives.
     """
     point = tuple(point)
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
@@ -81,12 +84,12 @@ def fd_partial(
     def lookup(q):
         return values[index[q]]
 
-    out = np.empty(len(alphas))
-    for n, (alpha, h) in enumerate(zip(alphas, steps)):
+    out = []
+    for alpha, h in zip(alphas, steps):
         coarse = _nested_central(lookup, point, alpha, h)
         fine = _nested_central(lookup, point, alpha, h / 2.0)
-        out[n] = (4.0 * fine - coarse) / 3.0
-    return out
+        out.append((4.0 * fine - coarse) / 3.0)
+    return np.array(out)
 
 
 def fd_partial_telescoped(expr, coords, point, alphas, step: float = 1e-3) -> np.ndarray:

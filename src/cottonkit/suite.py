@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .jets import jet_extract
 from .kink import (
+    _MULTISECTION,
     _RESOLUTION,
     fixed_step_errors,
     lift_curvature_check,
@@ -439,8 +440,9 @@ def check_kink_solver(C_values=(0.25, 1.0, 4.0)) -> list[CheckReport]:
                 details={
                     "shoot_param": prof.shoot_param,
                     "iterations": prof.iterations,
-                    # two bracket ends, the halvings, their re-classification
-                    "classify_solves": prof.iterations + 4,
+                    # orbits classified: the interior points of every round,
+                    # the two bracket ends and their re-classification
+                    "classify_solves": prof.iterations * _MULTISECTION + 4,
                     "resolution": _RESOLUTION * C,
                     "bracket_width": prof.bracket_width,
                     "first_integral_drift": float(np.max(np.abs(prof.first_integral - C))),

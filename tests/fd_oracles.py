@@ -14,6 +14,7 @@ import numpy as np
 
 from cottonkit.exprlang import eval_array
 from cottonkit.geometry import MetricSpec
+from cottonkit.oracles import fd_partial
 
 
 def metric_fn(m: MetricSpec):
@@ -29,17 +30,13 @@ def metric_fn(m: MetricSpec):
     return g
 
 
-def _rich_diff(fn, p, i, h):
-    """Richardson central difference of a vector/matrix-valued function."""
-
-    def d(step):
-        up = list(p)
-        dn = list(p)
-        up[i] += step
-        dn[i] -= step
-        return (np.asarray(fn(tuple(up))) - np.asarray(fn(tuple(dn)))) / (2.0 * step)
-
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
+def _rich_grad(fn, p, h):
+    """Richardson central differences of a vector/matrix-valued function
+    along every coordinate, stacked on a leading axis (plain float
+    evaluations of ``fn`` through ``oracles.fd_partial``)."""
+    return fd_partial(
+        lambda pts: np.array([fn(tuple(q)) for q in pts]), p, np.eye(len(p), dtype=int), step=h
+    )
 
 
 def christoffel_fd(m: MetricSpec, h: float = 1e-3):
@@ -49,7 +46,7 @@ def christoffel_fd(m: MetricSpec, h: float = 1e-3):
     def gamma(p):
         gv = g(p)
         ginv = np.linalg.inv(gv)
-        dg = np.array([_rich_diff(g, p, l, h) for l in range(dim)])
+        dg = _rich_grad(g, p, h)
         out = np.empty((dim, dim, dim))
         for k in range(dim):
             for i in range(dim):
@@ -72,7 +69,7 @@ def ricci_mixed_fd(m: MetricSpec, h_gamma: float = 1e-3, h_outer: float = 2e-3):
 
     def ricci(p):
         gam = gamma(p)
-        dgam = np.array([_rich_diff(gamma, p, l, h_outer) for l in range(dim)])
+        dgam = _rich_grad(gamma, p, h_outer)
         ric = np.empty((dim, dim))
         for s in range(dim):
             for mu in range(dim):
@@ -107,7 +104,7 @@ def cotton_fd(m: MetricSpec, h_outer: float = 1e-2):
         gv = g(p)
         gam = gamma(p)
         ric = ricci(p)
-        dric = np.array([_rich_diff(ricci, p, a, h_outer) for a in range(3)])
+        dric = _rich_grad(ricci, p, h_outer)
         dcov = np.empty((3, 3, 3))
         for a in range(3):
             for i in range(3):

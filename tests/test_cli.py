@@ -117,6 +117,20 @@ def test_kink_commands_reject_non_finite_input_exit_two(tmp_path, args, name):
     assert f"error: {name} must be finite and positive" in err
     assert not (tmp_path / "out.csv").exists()
 
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_run_config_rejects_bad_coupling_exit_two(tmp_path, value):
+    # every check used to run at |C| (or fail on a NaN metric) while the
+    # config echo showed the bad value
+    code, out, err = run_cli("verify", "--C", value, "--what", "curvature")
+    assert (code, out) == (2, "")
+    assert f"error: C must be finite and positive, got {float(value)!r}" in err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"C": float(value)}))
+    code, _, err = run_cli("report", "--config", str(config), "--out", str(tmp_path / "rep"))
+    assert code == 2 and "error: C must be finite and positive" in err
+    assert not (tmp_path / "rep").exists()
+
 def test_catalog_export_and_downstream_commands(tmp_path):
     m3 = tmp_path / "c.json"
     fields = tmp_path / "fields.json"

@@ -1,7 +1,9 @@
 import math
+import signal
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import cottonkit.kink as kink
 from cottonkit.exprlang import eval_array, parse_expr
@@ -104,11 +106,12 @@ def test_solver_preconditions():
 )
 def test_solver_rejects_non_finite_input_before_integrating(monkeypatch, kwargs, name):
     # a NaN fails `C <= 0` and `xmax < 5/sqrt(C)` alike, and used to send
-    # the bisection into an endless loop
+    # the shooting into an endless loop
     def no_integration(*a, **k):
         raise AssertionError("integrated before validating its input")
 
     monkeypatch.setattr(kink, "solve_ivp", no_integration)
+    monkeypatch.setattr(kink, "_classify_batch", no_integration)
     with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
         solve_kink_ode(**{"C": 1.0, "xmax": 8.0, "tol": 1e-7, **kwargs})
 
@@ -123,6 +126,7 @@ def test_flat_kink_rejects_bad_input_before_integrating(monkeypatch, xmax, n, ma
 
     p, _ = phi4_potential(1.0)
     monkeypatch.setattr(kink, "solve_ivp", no_integration)
+    monkeypatch.setattr(kink, "_classify_batch", no_integration)
     with pytest.raises(ValueError, match=match):
         flat_kink_solve(p, xmax, n=n)
 
@@ -137,33 +141,52 @@ def test_shooting_parameter_at_integrator_resolution(C, xmax):
 
 @pytest.mark.parametrize("C", [1.0, 100.0])
 def test_first_halving_decided_a_decade_clear(C):
-    # the first midpoint sits 5e-7 C above the separatrix; every rtol up to
-    # ten times the loosest must still put it on the overshooting side
+    # the first round's middle point sits 5e-7 C above the separatrix; every
+    # rtol up to ten times the loosest must still put it on the overshooting
+    # side
     x_class = 68.0 / math.sqrt(C)
     mid = 0.5 * (1e-6 * C + C)
     rtols = kink._LOOSEST_RTOL * 10.0 ** (np.arange(-8, 5) / 4)
-    assert all(kink._classify(C, mid, x_class, r) == 1 for r in rtols)
+    assert list(kink._classify_batch(C, np.full(rtols.size, mid), x_class, rtols)) == [1] * rtols.size
 
 
-def test_wrong_early_decision_fails_closed(monkeypatch):
-    # flip the first halving: the bracket then converges away from the
-    # separatrix, and the re-classification of its ends must catch it
-    real = kink._classify
+def _flip_second_round(monkeypatch, pick):
+    """Route the solver's classifications through a stub that flips the
+    decision at index pick(sides) of the second round's batch."""
+    real = kink._classify_batch
     calls = []
 
     def flipped(*args):
         calls.append(args)
-        side = real(*args)
-        return -side if len(calls) == 3 else side
+        sides = real(*args)
+        if len(calls) == 2:
+            sides[pick(sides)] *= -1
+        return sides
 
-    monkeypatch.setattr(kink, "_classify", flipped)
+    monkeypatch.setattr(kink, "_classify_batch", flipped)
+
+
+def test_wrong_early_decision_fails_closed(monkeypatch):
+    # flip the second round's point nearest the separatrix on the turning
+    # side: the bracket then converges away from the separatrix, and the
+    # re-classification of its ends must catch it
+    _flip_second_round(monkeypatch, lambda sides: np.flatnonzero(sides == -1)[-1])
     with pytest.raises(KinkSolverError, match="does not straddle"):
         solve_kink_ode(1.0, 8.0, n=201, tol=1e-7)
 
 
+def test_non_monotone_round_fails_closed(monkeypatch):
+    # an overshooting decision below a turning one has no separatrix to
+    # bracket; the round must fail rather than pick either crossing
+    _flip_second_round(monkeypatch, lambda sides: 0)
+    with pytest.raises(KinkSolverError, match="overshooting orbit below a turning one"):
+        solve_kink_ode(1.0, 8.0, n=201, tol=1e-7)
+
+
 def test_integration_count_per_solve(monkeypatch):
-    # two bracket ends, 43 halvings from width C to 2e-13 C, two
-    # re-classifications, one final dense integration
+    # 9 rounds of 31 points from width C to 2e-13 C, the two bracket ends in
+    # the first round's batch, their re-classification; solve_ivp runs only
+    # the final dense integration
     real = kink.solve_ivp
     methods = []
 
@@ -173,11 +196,72 @@ def test_integration_count_per_solve(monkeypatch):
 
     monkeypatch.setattr(kink, "solve_ivp", counted)
     (rep,) = check_kink_solver(C_values=(1.0,))
-    assert rep.details["iterations"] == 43
-    assert rep.details["classify_solves"] == 47
+    assert rep.details["iterations"] == 9
+    assert rep.details["classify_solves"] == 9 * 31 + 4
     assert rep.details["resolution"] == pytest.approx(2e-13)
     assert rep.details["bracket_width"] <= 2e-13
-    assert methods == ["DOP853"] * 47 + ["RK45"]
+    assert methods == ["RK45"]
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_classify_batch_non_finite_slope_fails_fast(s):
+    # a NaN error norm rejects every step and a NaN step never collapses
+    # below a bound, so without the guard this would loop for ever
+    def timeout(*_):
+        raise AssertionError("classification did not stop within a second")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(KinkSolverError, match="non-finite"):
+            kink._classify_batch(1.0, [0.5, s], 68.0, 1e-9)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _scipy_side(C, s, x_class, rtol):
+    """One orbit's side by scipy's DOP853 with terminal events, and the
+    conserved quadratic at x_class for an undecided orbit."""
+    root = math.sqrt(C)
+
+    def turn(x, y):
+        return y[1]
+
+    def cross(x, y):
+        return y[0] - root
+
+    turn.terminal = cross.terminal = True
+    turn.direction, cross.direction = -1.0, 1.0
+    sol = solve_ivp(
+        lambda x, y: (y[1], 0.5 * (y[0] ** 3 - C * y[0])),
+        (0.0, x_class),
+        (0.0, s),
+        method="DOP853",
+        rtol=rtol,
+        atol=rtol * min(1.0, 0.5 * C),
+        events=(turn, cross),
+    )
+    if sol.t_events[1].size:
+        return 1
+    if sol.t_events[0].size:
+        return -1
+    f, u = sol.y[:, -1]
+    return 1 if u * u > 0.25 * (f * f - C) ** 2 else -1
+
+
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+def test_classify_batch_agrees_with_scipy(C):
+    # 204 orbits per coupling, 10^-12.5 to 10^-0.5 of C/2 either side of
+    # the separatrix, at three tolerances: the batch reproduces scipy's
+    # steps, so no decision may differ, right or wrong
+    x_class = 68.0 / math.sqrt(C)
+    offsets = 10.0 ** np.linspace(-12.5, -0.5, 34)
+    s = 0.5 * C * np.concatenate((1.0 - offsets, 1.0 + offsets))
+    for rtol in (1e-12, 1e-9, 1e-7):
+        batch = kink._classify_batch(C, s, x_class, rtol)
+        want = [_scipy_side(C, float(v), x_class, rtol) for v in s]
+        assert batch.tolist() == want, rtol
 
 
 def test_grid_refinement_at_least_fourth_order():
