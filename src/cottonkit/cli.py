@@ -135,8 +135,10 @@ def _config_from_args(args) -> RunConfig:
         overrides["checks"] = [w.strip() for w in args.what.split(",") if w.strip()]
     if getattr(args, "case", None) and args.case != "all":
         overrides["cases"] = [cat.canonical_tag(c) for c in args.case.split(",")]
-    overrides["thorough"] = bool(getattr(args, "thorough", False))
-    overrides["stable_output"] = bool(getattr(args, "stable_output", False))
+    # store_true flags: an absent flag keeps the config file's value
+    for name in ("thorough", "stable_output"):
+        if getattr(args, name, False):
+            overrides[name] = True
     # replace() runs __post_init__ again, so a flag is validated like a file key
     return replace(cfg, **overrides)
 

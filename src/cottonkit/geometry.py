@@ -17,7 +17,6 @@ test: the catalog's homogeneous 2D cosmology must come out with r = +C.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from .exprlang import (
     to_text,
     validate_symbols,
 )
-from .jets import MAX_ORDER, Jet, JetSpace, jet_apply, jet_constant, jet_var
+from .jets import MAX_ORDER, MAX_VARS, Jet, JetSpace, jet_apply, jet_constant, jet_var
 from .report import CheckReport, Span
 
 __all__ = [
@@ -199,19 +198,11 @@ def dump_metric(m: MetricSpec, path) -> None:
 
 
 def coordinate_seeds(
-    coords: Sequence[str],
-    point: Sequence[Union[float, np.ndarray]],
-    env: Mapping[str, float],
-    order: int,
+    coords: Sequence[str], point: Sequence[Union[float, np.ndarray]], env: Mapping[str, float], order: int
 ) -> dict[str, Union[Jet, float]]:
-    nv = len(coords)
-    seeds: dict[str, Union[Jet, float]] = {
-        name: jet_var(i, np.asarray(point[i], dtype=float), nv, order)
-        for i, name in enumerate(coords)
-    }
-    for k, v in env.items():
-        seeds[k] = float(v)
-    return seeds
+    """Coordinate jets at the point (or grid), then the parameters as floats."""
+    seeds = {name: jet_var(i, np.asarray(point[i], dtype=float), len(coords), order) for i, name in enumerate(coords)}
+    return {**seeds, **{k: float(v) for k, v in env.items()}}
 
 
 def _expr_jet(expr: ExprAst, seeds) -> Jet:
@@ -222,44 +213,6 @@ def _expr_jet(expr: ExprAst, seeds) -> Jet:
     if isinstance(val, Jet):
         return val
     return jet_constant(np.broadcast_to(val, np.shape(ref.value)), ref.num_vars, ref.order)
-
-
-def _metric_jets(m: MetricSpec, seeds) -> list[list[Jet]]:
-    g: list[list[Optional[Jet]]] = [[None] * m.dim for _ in range(m.dim)]
-    for i in range(m.dim):
-        for j in range(i, m.dim):
-            g[i][j] = g[j][i] = _expr_jet(m.components[i][j], seeds)
-    return g  # type: ignore[return-value]
-
-
-def _det_jet(g: list[list[Jet]], dim: int) -> Jet:
-    if dim == 2:
-        return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    return (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-    )
-
-
-def _inverse_jets(g: list[list[Jet]], dim: int, det: Jet) -> list[list[Jet]]:
-    rec = 1.0 / det
-    if dim == 2:
-        return [
-            [g[1][1] * rec, -(g[0][1] * rec)],
-            [-(g[1][0] * rec), g[0][0] * rec],
-        ]
-    cof = [[None] * 3 for _ in range(3)]
-    idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    for i in range(3):
-        for j in range(i, 3):
-            # adjugate of a symmetric matrix is symmetric
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
-            sign = -1.0 if (i + j) % 2 else 1.0
-            cof[i][j] = cof[j][i] = minor * sign * rec
-    return cof  # type: ignore[return-value]
 
 
 def _check_det(det_value, g_values, point, dim) -> None:
@@ -280,10 +233,15 @@ def _check_det(det_value, g_values, point, dim) -> None:
 # order is a prefix slice of axis 0 (Neidinger, SIAM Review 52(3), 2010).
 
 
+# (ncoeff, nv) -> (nv, order): ncoeff = comb(nv + order, order) is unique per nv
+_LAYOUTS = {
+    (math.comb(nv + o, o), nv): (nv, o) for nv in range(1, MAX_VARS + 1) for o in range(MAX_ORDER + 1)
+}
+
+
 def _space(ncoeff: int, nv: int) -> JetSpace:
     """The coefficient layout with ``ncoeff`` coefficients in ``nv`` variables."""
-    order = next(o for o in range(MAX_ORDER + 1) if math.comb(nv + o, o) == ncoeff)
-    return JetSpace.get(nv, order)
+    return JetSpace.get(*_LAYOUTS[ncoeff, nv])
 
 
 def _stack(jets) -> np.ndarray:
@@ -293,12 +251,28 @@ def _stack(jets) -> np.ndarray:
     return np.stack([_stack(j) for j in jets], axis=1)
 
 
+# Products on grids of at most this many points gather every coefficient pair
+# into one call; larger grids loop over the pairs (or columns), which holds no
+# pairs x tensor x grid temporary.  Gather time as a share of loop time for
+# _tmul over orders 2-4 and four pipeline specs, on a 2-vCPU Xeon with numpy
+# 2.4: 0.03-0.25 at 1 point, 0.08-0.59 at 8, 0.14-1.2 at 27 (the Riemann
+# product rml,lns->rsmn loses) and 1.6-4.4 at 343 points.
+_GATHER_MAX_POINTS = 8
+
+
 def _tmul(A: np.ndarray, B: np.ndarray, spec: str, nv: int) -> np.ndarray:
     """Truncated Cauchy product of two tensor jets at the lower of their
     orders: coefficient k sums ``np.einsum(spec, A[i], B[j])`` over the pairs
-    (i, j) of the JetSpace pair table.  Pairs are accumulated one at a time;
-    gathering them all at once would hold pairs x tensor x grid values."""
+    (i, j) of the JetSpace pair table.  Small grids run one einsum over all
+    pairs and one reduceat; larger ones accumulate the pairs one at a time."""
     sp = _space(min(len(A), len(B)), nv)
+    operands, result = spec.split("->")
+    sa, sb = operands.split(",")
+    # grid points: the axes after the coefficient axis and the named index axes
+    npts = max(math.prod(T.shape[1 + len(sub.replace("...", "")) :]) for T, sub in ((A, sa), (B, sb)))
+    if npts <= _GATHER_MAX_POINTS:
+        terms = np.einsum(f"z{sa},z{sb}->z{result}", A[sp._mul_i], B[sp._mul_j])
+        return np.add.reduceat(terms, sp._mul_starts, axis=0)
     ends = np.append(sp._mul_starts[1:], len(sp._mul_i))
     out = None
     for k, (lo, hi) in enumerate(zip(sp._mul_starts, ends)):
@@ -308,6 +282,38 @@ def _tmul(A: np.ndarray, B: np.ndarray, spec: str, nv: int) -> np.ndarray:
                 out = np.zeros((sp.ncoeff,) + term.shape)
             out[k] += term
     return out
+
+
+def _column_products(A: np.ndarray, ia: tuple, B: np.ndarray, ib: tuple, nv: int) -> np.ndarray:
+    """Truncated products of the scalar-jet columns A[:, ia[0][n], ...] and
+    B[:, ib[0][n], ...] (one index array per index axis), stacked on axis 1.
+    Small grids gather all columns into one ``JetSpace.mul_coeffs`` call;
+    larger ones write each product into place and hold no gathered copy."""
+    sp = _space(len(A), nv)
+    grid = A.shape[1 + len(ia) :]
+    if math.prod(grid) <= _GATHER_MAX_POINTS:
+        return sp.mul_coeffs(A[(slice(None),) + ia], B[(slice(None),) + ib])
+    out = np.empty((sp.ncoeff, len(ia[0])) + grid)
+    for n, (a, b) in enumerate(zip(zip(*ia), zip(*ib))):
+        out[:, n] = sp.mul_coeffs(A[(slice(None),) + a], B[(slice(None),) + b])
+    return out
+
+
+def _cofactor_layout(dim: int) -> tuple:
+    """The upper triangle (i, j) of a symmetric dim x dim matrix, row by row,
+    its cofactor signs and the (rows, columns) factors of its minors: g[r0, c0]
+    in 2D, both products of g[r0, c0] g[r1, c1] - g[r0, c1] g[r1, c0] in 3D."""
+    i, j = np.triu_indices(dim)
+    k = np.arange(dim - 1)
+    r, c = k + (k >= i[:, None]), k + (k >= j[:, None])  # without row i and column j
+    if dim == 2:
+        factors = [(r[:, 0], c[:, 0])]
+    else:
+        factors = [(np.r_[r[:, 0], r[:, 0]], np.r_[c[:, 0], c[:, 1]]), (np.r_[r[:, 1], r[:, 1]], np.r_[c[:, 1], c[:, 0]])]
+    return i, j, np.where((i + j) % 2, -1.0, 1.0), factors
+
+
+_COFACTORS = {dim: _cofactor_layout(dim) for dim in (2, 3)}
 
 
 def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
@@ -321,30 +327,53 @@ def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
 
 
 class _Pipeline:
-    """The jet curvature engine at a chosen jet order.  The metric, its
-    determinant and inverse are built as scalar jets; every quantity from
-    g and g^-1 on is a tensor jet.  Each is built on first use and kept."""
+    """The jet curvature engine at a chosen jet order.  Every quantity from
+    the metric g on is a tensor jet, its determinant a scalar jet over the
+    same layout.  Each is built on first use and kept."""
 
     def __init__(self, m: MetricSpec, point, order: int):
         self.m = m
         self.dim = m.dim
         self.point = point
         self.seeds = coordinate_seeds(m.coords, point, m.env, order)
-        self.g = _stack(_metric_jets(m, self.seeds))
-        # scalar-jet views of g for the cofactor formulas, so g is held once
-        sp = JetSpace.get(self.dim, order)
-        self._g_jets = [[Jet(sp, self.g[:, i, j]) for j in range(self.dim)] for i in range(self.dim)]
+        # each component once: components[i][j] is components[j][i]
+        jets = {(i, j): _expr_jet(m.components[i][j], self.seeds) for i in range(m.dim) for j in range(i, m.dim)}
+        self.g = _stack([[jets[min(i, j), max(i, j)] for j in range(m.dim)] for i in range(m.dim)])
         self._sqrt_abs_det: dict[int, Jet] = {}
 
     @cached_property
+    def _minors(self) -> np.ndarray:
+        """Minors of g at the upper triangle, stacked on axis 1 (see
+        ``_cofactor_layout``); only det and ginv use them."""
+        factors = _COFACTORS[self.dim][3]
+        if self.dim == 2:
+            return self.g[(slice(None),) + factors[0]]
+        prod = _column_products(self.g, factors[0], self.g, factors[1], 3)  # both products of each minor
+        half = prod.shape[1] // 2
+        return prod[:, :half] - prod[:, half:]
+
+    @cached_property
     def det(self) -> Jet:
-        det = _det_jet(self._g_jets, self.dim)
-        _check_det(det.value, self.g[0], self.point, self.dim)
-        return det
+        """Expansion along the first row: g_00 M_00 - g_01 M_01 (+ g_02 M_02)."""
+        first = np.arange(self.dim)
+        terms = _column_products(self.g, (np.zeros_like(first), first), self._minors, (first,), self.dim)
+        det = terms[:, 0] - terms[:, 1]
+        if self.dim == 3:
+            det = det + terms[:, 2]
+        _check_det(det[0], self.g[0], self.point, self.dim)
+        return Jet(_space(len(det), self.dim), det)
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return _stack(_inverse_jets(self._g_jets, self.dim, self.det))
+        """Each cofactor (minor times sign) times 1/det, a truncated product."""
+        i, j, sign, _ = _COFACTORS[self.dim]
+        n = np.arange(len(i))
+        signed = self._minors * sign.reshape((-1,) + (1,) * (self.g.ndim - 3))
+        cof = _column_products(signed, (n,), (1.0 / self.det).coeffs[:, None], (np.zeros_like(n),), self.dim)
+        del self._minors
+        out = np.empty(self.g.shape)
+        out[:, i, j] = out[:, j, i] = cof
+        return out
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -441,20 +470,8 @@ class _Pipeline:
 
 def _eps3(orientation: int) -> np.ndarray:
     """Permutation symbol eps^{abc} with eps^{012} = +orientation."""
-    eps = np.zeros((3, 3, 3))
-    for perm in itertools.permutations(range(3)):
-        eps[perm] = _perm_sign(perm) * orientation
-    return eps
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    a, b, c = np.indices((3, 3, 3))
+    return (a - b) * (b - c) * (c - a) / 2.0 * orientation
 
 
 # -- public single-point results ----------------------------------------------
@@ -481,31 +498,16 @@ class CottonAt:
 def christoffel_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
     """Connection coefficients, carried at jet order 2 so callers can take
     two more derivatives of Gamma downstream."""
-    pipe = _Pipeline(m, tuple(float(v) for v in p), order=3)
-    return CurvatureAt(
-        point=tuple(float(v) for v in p),
-        g=pipe.g[0],
-        g_inv=pipe.ginv[0],
-        gamma=pipe.gamma[0],
-    )
+    p = tuple(float(v) for v in p)
+    pipe = _Pipeline(m, p, order=3)
+    return CurvatureAt(point=p, g=pipe.g[0], g_inv=pipe.ginv[0], gamma=pipe.gamma[0])
 
 
 def curvature_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
-    pipe = _Pipeline(m, tuple(float(v) for v in p), order=2)
-    ric = pipe.ricci_mixed[0]
-    scal = float(pipe.scalar().value)
-    dim = m.dim
-    einstein = ric - 0.5 * scal * np.eye(dim)
-    return CurvatureAt(
-        point=tuple(float(v) for v in p),
-        g=pipe.g[0],
-        g_inv=pipe.ginv[0],
-        gamma=pipe.gamma[0],
-        riemann=pipe.riemann[0],
-        ricci=ric,
-        scalar=scal,
-        einstein=einstein,
-    )
+    p = tuple(float(v) for v in p)
+    out = _curvature_values(_Pipeline(m, p, order=2))
+    out["scalar"] = float(out["scalar"])
+    return CurvatureAt(point=p, **out)
 
 
 def curvature_grid(m: MetricSpec, pts: np.ndarray, order: int = 2) -> dict:
@@ -514,11 +516,12 @@ def curvature_grid(m: MetricSpec, pts: np.ndarray, order: int = 2) -> dict:
     Returns arrays with tensor indices leading and the grid axis last.
     """
     pts = np.asarray(pts, dtype=float)
-    pipe = _Pipeline(m, tuple(pts[:, i] for i in range(m.dim)), order=order)
+    return _curvature_values(_Pipeline(m, tuple(pts[:, i] for i in range(m.dim)), order=order))
+
+
+def _curvature_values(pipe: _Pipeline) -> dict:
     ric = pipe.ricci_mixed[0]
     scal = pipe.scalar().value
-    dim = m.dim
-    einstein = ric - 0.5 * scal * np.eye(dim).reshape(dim, dim, 1)
     return {
         "g": pipe.g[0],
         "g_inv": pipe.ginv[0],
@@ -526,7 +529,7 @@ def curvature_grid(m: MetricSpec, pts: np.ndarray, order: int = 2) -> dict:
         "riemann": pipe.riemann[0],
         "ricci": ric,
         "scalar": scal,
-        "einstein": einstein,
+        "einstein": ric - 0.5 * scal * np.eye(pipe.dim).reshape(ric.shape[:2] + (1,) * np.ndim(scal)),
     }
 
 
@@ -556,24 +559,20 @@ def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
     pts = np.asarray(pts, dtype=float)
     pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=order)
     cot = pipe.cotton()
+    # the magnitude of the terms that the Cotton assembly cancels: the
+    # meaningful scale for a residual of that cancellation
+    inv_sqrt = 0.5 / pipe.sqrt_abs_det(0).value
     out = {
         "cotton": cot[0],
         "g": pipe.g[0],
+        "det": pipe.det.value,
         "ricci": pipe.ricci_mixed[0],
-        "scale": 1.0 + _cotton_term_scale(pipe),
+        "scale": 1.0 + np.abs(inv_sqrt) * np.max(np.abs(pipe.ricci_mixed_deriv[0]), axis=(0, 1, 2)),
     }
     if order >= 4:
         # D_a C^{aj}, the trace of the order-0 covariant derivative
         out["divergence"] = np.einsum("aja...->j...", pipe.cov_deriv(cot, 2, 0)[0])
     return out
-
-
-def _cotton_term_scale(pipe: _Pipeline) -> np.ndarray:
-    """Magnitude of the individual terms entering the Cotton assembly; the
-    meaningful scale for a residual that is a cancellation of those terms."""
-    inv_sqrt = 0.5 / pipe.sqrt_abs_det(0).value
-    mag = np.max(np.abs(pipe.ricci_mixed_deriv[0]), axis=(0, 1, 2))
-    return np.abs(inv_sqrt) * mag
 
 
 def cotton_vanishing_check(

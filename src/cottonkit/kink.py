@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
@@ -447,29 +447,19 @@ def solve_kink_ode(
 
 # -- fixed-step convergence probe -------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-
-
 def _dopri5_fixed(rhs, y0, x1: float, h: float) -> np.ndarray:
     """Classical Dormand-Prince step at fixed h (the 5th-order solution of
-    the embedded 4/5 pair); used only for the grid-convergence study."""
+    the embedded 4/5 pair, scipy's RK45 tableau); used only for the
+    grid-convergence study."""
     y = np.asarray(y0, dtype=float)
     x = 0.0
     nsteps = int(round(x1 / h))
     for _ in range(nsteps):
         k = [np.asarray(rhs(x, y))]
         for i in range(1, 6):
-            yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-            k.append(np.asarray(rhs(x + h * sum(_DP_A[i]), yi)))
-        y = y + h * sum(b * kk for b, kk in zip(_DP_B, k))
+            yi = y + h * sum(a * kk for a, kk in zip(RK45.A[i], k))
+            k.append(np.asarray(rhs(x + h * RK45.C[i], yi)))
+        y = y + h * sum(b * kk for b, kk in zip(RK45.B, k))
         x += h
     return y
 

@@ -43,9 +43,8 @@ from .exprlang import (
 from .geometry import (
     GeometryError,
     MetricSpec,
-    _det_jet,
     _expr_jet,
-    _perm_sign,
+    _eps3,
     _Pipeline,
     cotton_grid,
     curvature_grid,
@@ -412,17 +411,22 @@ def _discrete_christoffel(fields: dict[str, np.ndarray], h: float, dim: int):
     g = np.empty((dim, dim) + shape)
     for c, (i, j) in _METRIC_COMPONENTS[dim].items():
         g[i, j] = g[j, i] = fields["g" + c]
-    det = _det_jet(g, dim)
+
+    def minor(i, j):
+        r_ = [k for k in range(dim) if k != i]
+        c_ = [k for k in range(dim) if k != j]
+        if dim == 2:
+            return g[r_[0], c_[0]]
+        return g[r_[0], c_[0]] * g[r_[1], c_[1]] - g[r_[0], c_[1]] * g[r_[1], c_[0]]
+
+    first = [minor(0, j) for j in range(dim)]
+    det = g[0, 0] * first[0] - g[0, 1] * first[1]
+    if dim == 3:
+        det = det + g[0, 2] * first[2]
     inv = np.empty_like(g)
     for i in range(dim):
         for j in range(dim):
-            r_ = [k for k in range(dim) if k != i]
-            c_ = [k for k in range(dim) if k != j]
-            if dim == 2:
-                minor = g[r_[0], c_[0]]
-            else:
-                minor = g[r_[0], c_[0]] * g[r_[1], c_[1]] - g[r_[0], c_[1]] * g[r_[1], c_[0]]
-            inv[j, i] = minor * (-1.0 if (i + j) % 2 else 1.0) / det
+            inv[j, i] = (first[j] if i == 0 else minor(i, j)) * (-1.0 if (i + j) % 2 else 1.0) / det
     dg = [[None] * dim for _ in range(dim)]
     for i, j in _METRIC_COMPONENTS[dim].values():
         dg[i][j] = dg[j][i] = [_d(g[i, j], l, h, dim) for l in range(dim)]
@@ -474,8 +478,9 @@ def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
 
     gam_c = _trim(gam, 3, lead=3)
     dens = 0.0
+    eps = _eps3(1)
     for perm in itertools.permutations(range(3)):
-        sign = _perm_sign(perm)
+        sign = eps[perm]
         al, be, ga_ = perm
         for rho in range(3):
             for sig in range(3):
@@ -631,7 +636,7 @@ def lattice_cotton_variation_check_3d(
         sites = [(a, b, c) for a in rng for b in rng for c in rng][:27]
     pts = np.array([[axes[0][a], axes[1][b], axes[2][c]] for a, b, c in sites])
     data = cotton_grid(m, pts, order=3)
-    sqrtg = np.sqrt(np.abs(_det_jet(data["g"], 3)))
+    sqrtg = np.sqrt(np.abs(data["det"]))
     cot = data["cotton"]
     comps = _METRIC_COMPONENTS[3]
     resid = np.array([

@@ -242,6 +242,18 @@ def test_config_file_strict(tmp_path):
     assert "calibration" in out
 
 
+def test_config_file_thorough_and_stable_output_kept_without_flags(tmp_path):
+    # store_true flags that were not given leave the config file's values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": ["calibration"], "thorough": True, "stable_output": True}), encoding="utf-8")
+    code, out, _ = run_cli("verify", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["thorough"] is True and doc["config"]["stable_output"] is True
+    assert [r["check_id"] for r in doc["checks"]] == ["calibration:C=0.25", "calibration:C=1", "calibration:C=9"]
+    assert all("wall_time" not in r for r in doc["checks"])
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(format="yaml")

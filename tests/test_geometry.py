@@ -325,6 +325,106 @@ def test_tmul_matches_scalar_jet_products(nv, order, grid):
             assert np.all(np.abs(outer[:, i, j, l, k] - ref.coeffs) <= 1e-15 * bound.coeffs)
 
 
+_TMUL_SPECS = ["kl...,lij...->kij...", "rml...,lns...->rsmn...", "is...,sj...->ij...", "...,ij...->ij..."]
+
+
+def _operand(rng, ncoeff, sub, grid):
+    return rng.standard_normal((ncoeff,) + (3,) * len(sub.replace("...", "")) + grid)
+
+
+@pytest.mark.parametrize("grid", [(), (20,)], ids=["point", "20 points"])
+@pytest.mark.parametrize("order", range(2, 5))
+@pytest.mark.parametrize("spec", _TMUL_SPECS)
+def test_tmul_gather_and_loop_branches_agree(monkeypatch, spec, order, grid):
+    # the same inputs through both branches of _tmul, picked by the bound
+    from cottonkit import geometry
+    from cottonkit.jets import JetSpace
+
+    sp = JetSpace.get(3, order)
+    rng = np.random.default_rng(order + len(grid))
+    sa, sb = spec.split("->")[0].split(",")
+    A, B = _operand(rng, sp.ncoeff, sa, grid), _operand(rng, sp.ncoeff, sb, grid)
+    default = geometry._tmul(A, B, spec, 3)
+    monkeypatch.setattr(geometry, "_GATHER_MAX_POINTS", 10**9)
+    gathered = geometry._tmul(A, B, spec, 3)
+    monkeypatch.setattr(geometry, "_GATHER_MAX_POINTS", 0)
+    looped = geometry._tmul(A, B, spec, 3)
+    # rounding is relative to the same sums over |a| |b|
+    bound = geometry._tmul(np.abs(A), np.abs(B), spec, 3)
+    assert gathered.shape == looped.shape == default.shape
+    assert np.all(np.abs(gathered - looped) <= 1e-15 * bound)
+    # one point gathers by default, twenty points loop
+    assert np.array_equal(default, gathered if grid == () else looped)
+
+
+def _reference_det_and_inverse(g, dim, order):
+    """Scalar-jet cofactor expansion: det along the first row, g^-1 as each
+    cofactor (minor times sign) times 1/det."""
+    from cottonkit.jets import Jet, JetSpace
+
+    sp = JetSpace.get(dim, order)
+    G = [[Jet(sp, g[:, i, j]) for j in range(dim)] for i in range(dim)]
+
+    def minor(i, j):
+        r = [k for k in range(dim) if k != i]
+        c = [k for k in range(dim) if k != j]
+        if dim == 2:
+            return G[r[0]][c[0]]
+        return G[r[0]][c[0]] * G[r[1]][c[1]] - G[r[0]][c[1]] * G[r[1]][c[0]]
+
+    det = G[0][0] * minor(0, 0) - G[0][1] * minor(0, 1)
+    if dim == 3:
+        det = det + G[0][2] * minor(0, 2)
+    rec = 1.0 / det
+    inv = np.empty_like(g)
+    for i in range(dim):
+        for j in range(i, dim):
+            inv[:, i, j] = inv[:, j, i] = (minor(i, j) * (-1.0 if (i + j) % 2 else 1.0) * rec).coeffs
+    return det.coeffs, inv
+
+
+@pytest.mark.parametrize("npts", [1, 20])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_det_and_inverse_bit_equal_scalar_jet_cofactors(dim, order, npts):
+    from cottonkit.geometry import _Pipeline
+
+    rng = np.random.default_rng(10 * dim + npts)
+    m = random_smooth_metric(rng, dim=dim, amplitude=0.3)
+    pts = rng.uniform(-1.0, 1.0, (npts, dim))
+    point = tuple(pts[0]) if npts == 1 else tuple(pts[:, i] for i in range(dim))
+    pipe = _Pipeline(m, point, order)
+    det, inv = _reference_det_and_inverse(pipe.g, dim, order)
+    assert pipe.ginv.tobytes() == inv.tobytes()
+    assert pipe.det.coeffs.tobytes() == det.tobytes()
+    assert np.any(pipe.g[:, 0, 1] != 0.0)  # the off-diagonal minors are exercised
+
+
+@pytest.mark.parametrize("kind", ["nan component", "zero determinant"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_degenerate_metric_named_alike_on_both_paths(monkeypatch, dim, kind):
+    from cottonkit import geometry
+
+    coords = ("t", "x", "y")[:dim]
+    pts = np.random.default_rng(dim).uniform(0.5, 1.0, (20, dim))
+    if kind == "nan component":
+        m = random_smooth_metric(np.random.default_rng(dim), dim=dim)
+        pts[13, 1] = np.nan
+    else:  # det = -x (2D) or x (3D) vanishes at x = 0
+        m = MetricSpec.from_components(coords, {(0, 0): "x", **{(k, k): "-1" for k in range(1, dim)}})
+        pts[13, 1] = 0.0
+    errors = []
+    for bound in (10**9, 0):  # gather, then loop
+        monkeypatch.setattr(geometry, "_GATHER_MAX_POINTS", bound)
+        for grid in (pts, pts[13:14]):
+            with pytest.raises(DegenerateMetricError) as info:
+                geometry.curvature_grid(m, grid)
+            errors.append(str(info.value))
+    assert len(set(errors)) == 1
+    assert errors[0].startswith(f"metric degenerate at ({float(pts[13, 0])!r}, ")
+    assert errors[0].endswith("(det = nan)" if kind == "nan component" else "0)")
+
+
 def test_cotton_grid_computes_ricci_derivative_once(monkeypatch):
     from cottonkit import geometry
 

@@ -273,6 +273,51 @@ def test_grid_refinement_at_least_fourth_order():
     assert slope >= 4.0
 
 
+# Dormand and Prince (1980), Table 2: the 5th-order solution of the 4/5 pair
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+
+
+def _dopri5_reference(rhs, y0, x1, h):
+    y = np.asarray(y0, dtype=float)
+    x = 0.0
+    for _ in range(int(round(x1 / h))):
+        k = [np.asarray(rhs(x, y))]
+        for i in range(1, 6):
+            yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
+            k.append(np.asarray(rhs(x + h * sum(_DP_A[i]), yi)))
+        y = y + h * sum(b * kk for b, kk in zip(_DP_B, k))
+        x += h
+    return y
+
+
+def test_scipy_rk45_tableau_is_the_dormand_prince_table():
+    from scipy.integrate import RK45
+
+    for i, row in enumerate(_DP_A):
+        assert RK45.A[i].tolist() == list(row) + [0.0] * (5 - len(row))
+    assert RK45.B.tolist() == list(_DP_B)
+
+
+@pytest.mark.parametrize("C", [0.25, 1.0, 9.0])
+def test_fixed_step_dopri5_bit_equal_to_hand_tableau(C):
+    # the right-hand side is autonomous, so the stage nodes do not enter and
+    # every kink-convergence step reproduces the hand-copied tableau exactly
+    rhs = kink._rhs_full(C)
+    y0 = np.array([0.0, 0.5 * C, 1.0])
+    for h in (0.5, 0.125, 0.0625):
+        h /= math.sqrt(C)
+        got = kink._dopri5_fixed(rhs, y0, 8 * h, h)
+        assert got.tobytes() == _dopri5_reference(rhs, y0, 8 * h, h).tobytes()
+
+
 # -- flat kinks -------------------------------------------------------------------
 
 
