@@ -320,9 +320,9 @@ def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
     """Partial derivatives of a tensor jet, one order lower, with the
     derivative index first: ``out[c, l, ...]`` is coefficient c of d_l A."""
     sp = _space(len(A), nv)
-    out = np.empty((len(sp._deriv_src[0]), nv) + A.shape[1:])
-    for l in range(nv):
-        np.multiply(A[sp._deriv_src[l]], sp._deriv_fac[l].reshape((-1,) + (1,) * (A.ndim - 1)), out=out[:, l])
+    # mode "clip" (every index is in range) writes into out unbuffered
+    out = np.take(A, sp._deriv_src, axis=0, out=np.empty(sp._deriv_src.shape + A.shape[1:]), mode="clip")
+    out *= sp._deriv_fac.reshape(sp._deriv_fac.shape + (1,) * (A.ndim - 1))
     return out
 
 
@@ -336,9 +336,17 @@ class _Pipeline:
         self.dim = m.dim
         self.point = point
         self.seeds = coordinate_seeds(m.coords, point, m.env, order)
-        # each component once: components[i][j] is components[j][i]
-        jets = {(i, j): _expr_jet(m.components[i][j], self.seeds) for i in range(m.dim) for j in range(i, m.dim)}
-        self.g = _stack([[jets[min(i, j), max(i, j)] for j in range(m.dim)] for i in range(m.dim)])
+        seed = self.seeds[m.coords[0]]
+        self.g = np.zeros((seed.space.ncoeff, m.dim, m.dim) + np.shape(seed.value))
+        # each component once (components[i][j] is components[j][i]); a
+        # constant one sets only coefficient 0
+        for i in range(m.dim):
+            for j in range(i, m.dim):
+                val = eval_jet_bindings(m.components[i][j], self.seeds)
+                if isinstance(val, Jet):
+                    self.g[:, i, j] = self.g[:, j, i] = val.coeffs
+                else:
+                    self.g[0, i, j] = self.g[0, j, i] = val
         self._sqrt_abs_det: dict[int, Jet] = {}
 
     @cached_property

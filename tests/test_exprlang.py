@@ -220,9 +220,9 @@ def test_property_text_roundtrip(tree):
     depth=st.integers(1, 4),
     order=st.integers(0, 3),
 )
-# relative to 1 + |value|: jet powers are exp(e*ln(a)), a few ulp off a**e, and
-# at this seed the outer cos sits near a root (-7.9e-3), so the two differ by
-# 4.4e-16, 5.6e-14 of the value
+# relative to 1 + |value|; at this seed the outer cos sits near a root
+# (-7.9e-3), where powers taken as exp(e*ln(a)) put the jet 5.6e-14 of the
+# value off (tests/test_jets.py pins the value walker's a**e to 4 ulp)
 @example(seed=13901, nv=3, depth=3, order=0)
 def test_property_jet_value_equals_eval_array(seed, nv, depth, order):
     rng = np.random.default_rng(seed)

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from cottonkit import jets
+from cottonkit.exprlang import ExprEvalError, eval_array, eval_jet, eval_jet_bindings, parse_expr
 from cottonkit.jets import (
     Jet,
     JetDomainError,
     JetSpace,
+    _divide,
     jet_apply,
     jet_constant,
     jet_extract,
     jet_pow,
     jet_var,
 )
-from cottonkit.oracles import fd_partial
+from cottonkit.oracles import fd_partial, random_safe_expr
+
+LAYOUTS = [(nv, order) for nv in (1, 2, 3) for order in range(5)]
+# the crossover of JetSpace.mul_coeffs sits between (8,) and (343,)
+SHAPES = [(), (8,), (343,), (3, 3, 343)]
 
 
 def derivs(j, upto):
@@ -142,6 +149,9 @@ def test_integer_pow_handles_negative_base():
 def test_real_pow_requires_positive_base():
     with pytest.raises(JetDomainError):
         jet_pow(jet_var(0, -2.0, 1, 2), 0.5)
+    with pytest.raises(JetDomainError) as err:
+        jet_pow(jet_var(0, np.array([1.0, 0.0]), 1, 2), 0.5)
+    assert err.value.func == "pow"
 
 
 def test_real_pow_matches_sqrt():
@@ -194,3 +204,135 @@ def test_order_cap_enforced():
         jet_var(0, 0.0, 1, 5)
     with pytest.raises(ValueError):
         jet_var(0, 0.0, 4, 2)
+
+
+def _random_jets(sp, shape, rng):
+    """Random coefficients with a divisor value of magnitude 0.5 to 2."""
+    a = rng.normal(size=(sp.ncoeff,) + shape)
+    b = rng.normal(size=(sp.ncoeff,) + shape)
+    b[0] = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    return a, b
+
+
+def _pair_sum(sp, a, b):
+    """The truncated Cauchy product, one coefficient pair at a time."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for k, i, j in zip(np.repeat(np.arange(sp.ncoeff), np.diff(np.append(sp._mul_starts, len(sp._mul_i)))),
+                       sp._mul_i, sp._mul_j):
+        out[k] += a[i] * b[j]
+    return out
+
+
+@pytest.mark.parametrize("nv, order", LAYOUTS)
+def test_mul_gather_and_shift_paths_agree(nv, order, monkeypatch):
+    """Both product paths, on both sides of the crossover, agree with the
+    pairwise sum to rounding: the error bound is the sum of |terms|."""
+    sp = JetSpace.get(nv, order)
+    rng = np.random.default_rng(100 * nv + order)
+    edge = jets._GATHER_MAX_ELEMENTS
+    for shape in SHAPES + [(edge,), (edge + 1,)]:
+        a, b = _random_jets(sp, shape, rng)
+        bound = 1e-14 * _pair_sum(sp, np.abs(a), np.abs(b))
+        want = _pair_sum(sp, a, b)
+        default = sp.mul_coeffs(a, b)
+        monkeypatch.setattr(jets, "_GATHER_MAX_ELEMENTS", 0)
+        shifted = sp.mul_coeffs(a, b)
+        monkeypatch.setattr(jets, "_GATHER_MAX_ELEMENTS", 10**9)
+        gathered = sp.mul_coeffs(a, b)
+        monkeypatch.setattr(jets, "_GATHER_MAX_ELEMENTS", edge)
+        assert default.shape == shifted.shape == gathered.shape == (sp.ncoeff,) + shape
+        for got in (default, shifted, gathered):
+            assert np.all(np.abs(got - want) <= bound), shape
+
+
+@pytest.mark.parametrize("nv, order", LAYOUTS)
+def test_division_and_reciprocal_roundtrip(nv, order):
+    """(a / b) b = a and b (1 / b) = e_0 to rounding, on every layout and
+    coefficient shape."""
+    sp = JetSpace.get(nv, order)
+    rng = np.random.default_rng(200 + 10 * nv + order)
+    e0 = np.zeros(sp.ncoeff)
+    e0[0] = 1.0
+    for shape in SHAPES:
+        a, b = (Jet(sp, c) for c in _random_jets(sp, shape, rng))
+        q, r = a / b, 1.0 / b
+        scale = (1.0 + np.max(np.abs(q.coeffs), axis=0)) * (1.0 + np.max(np.abs(b.coeffs), axis=0))
+        assert np.all(np.abs((q * b).coeffs - a.coeffs) <= 1e-13 * scale), shape
+        scale = (1.0 + np.max(np.abs(r.coeffs), axis=0)) * (1.0 + np.max(np.abs(b.coeffs), axis=0))
+        assert np.all(np.abs((b * r).coeffs - e0.reshape((-1,) + (1,) * len(shape))) <= 1e-13 * scale), shape
+
+
+def _newton_reciprocal(b: Jet) -> Jet:
+    """The reciprocal by Newton steps at full order, each doubling the
+    correct truncation degree: the recurrence's independent reference."""
+    inv = jet_constant(1.0 / b.coeffs[0], b.num_vars, b.order)
+    for _ in range(math.ceil(math.log2(b.order + 1)) if b.order else 0):
+        inv = inv * (2.0 - b * inv)
+    return inv
+
+
+@pytest.mark.parametrize("nv, order", LAYOUTS)
+def test_divide_matches_newton_reciprocal(nv, order):
+    sp = JetSpace.get(nv, order)
+    rng = np.random.default_rng(300 + 10 * nv + order)
+    for shape in SHAPES:
+        a, b = (Jet(sp, c) for c in _random_jets(sp, shape, rng))
+        newton = _newton_reciprocal(b)
+        for got, want in ((_divide(None, b), newton), (_divide(a.coeffs, b), a * newton)):
+            scale = np.max(np.abs(want.coeffs), axis=0)
+            assert np.all(np.abs(got.coeffs - want.coeffs) <= 1e-13 * scale), shape
+
+
+def test_division_reads_every_coefficient_degree_by_degree():
+    """1 / (1 - x) = sum x^k and (1 + x y) / (1 - x) in two variables: the
+    recurrence gives the exact coefficients of a known series."""
+    x = jet_var(0, 0.0, 1, 4)
+    np.testing.assert_array_equal((1.0 / (1.0 - x)).coeffs, np.ones(5))
+    x, y = jet_var(0, 0.0, 2, 3), jet_var(1, 0.0, 2, 3)
+    got = (1.0 + x * y) / (1.0 - x)
+    sp = got.space
+    want = np.zeros(sp.ncoeff)
+    for k, (p, q) in enumerate(sp.alphas):
+        want[k] = 1.0 if q == 0 else (1.0 if q == 1 and p >= 1 else 0.0)
+    np.testing.assert_array_equal(got.coeffs, want)
+
+
+def test_zero_divisor_at_one_grid_point_raises():
+    vals = np.linspace(-1.0, 1.0, 9)  # 0.0 at index 4
+    b = jet_var(0, vals, 2, 3)
+    a = jet_var(1, vals + 2.0, 2, 3)
+    for attempt in (lambda: a / b, lambda: 1.0 / b, lambda: b._reciprocal(), lambda: jet_pow(b, -2)):
+        with pytest.raises(JetDomainError) as err:
+            attempt()
+        assert err.value.func == "reciprocal"
+    e = parse_expr("2+exp(x)/(y-1)")
+    bindings = {"x": a, "y": b + 1.0}
+    with pytest.raises(ExprEvalError) as err:
+        eval_jet_bindings(e, bindings)
+    # the span of the division, the rule every evaluator shares
+    assert "division by zero" in str(err.value) and err.value.span == e.right.span
+
+
+def test_real_pow_value_is_the_value_walkers_power():
+    """A non-integer power's value is v**e, as eval_array computes it: at
+    seed 13901 the jet used to sit 5.6e-14 (256 ulp) off near a root of cos."""
+    rng = np.random.default_rng(13901)
+    coords = ["t", "x", "y"]
+    e = random_safe_expr(rng, coords, depth=3)
+    pt = rng.uniform(-0.9, 0.9, 3)
+    plain = float(eval_array(e, dict(zip(coords, pt))))
+    for order in range(5):
+        jet = float(eval_jet(e, coords, pt, {}, order).value)
+        assert abs(jet - plain) <= 4 * np.spacing(abs(plain)), order
+
+
+def test_real_pow_series_matches_exp_ln():
+    """The binomial series agrees with exp(e ln a) to rounding, at one point
+    and on a grid."""
+    vals = np.linspace(0.3, 2.5, 11)
+    for e in (0.5, 1.7, -2.3):
+        for v in (1.3, vals):
+            j = jet_apply("sin", jet_var(0, v, 2, 4)) * 0.2 + jet_var(1, v, 2, 4)
+            got = jet_pow(j, e)
+            want = jet_apply("exp", jet_apply("ln", j) * e)
+            np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-13, atol=1e-13)
