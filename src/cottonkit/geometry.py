@@ -329,7 +329,8 @@ def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
 class _Pipeline:
     """The jet curvature engine at a chosen jet order.  Every quantity from
     the metric g on is a tensor jet, its determinant a scalar jet over the
-    same layout.  Each is built on first use and kept."""
+    same layout, det and g^-1 one order below g (the order of dg, the most
+    any consumer reads).  Each is built on first use and kept."""
 
     def __init__(self, m: MetricSpec, point, order: int):
         self.m = m
@@ -347,16 +348,17 @@ class _Pipeline:
                     self.g[:, i, j] = self.g[:, j, i] = val.coeffs
                 else:
                     self.g[0, i, j] = self.g[0, j, i] = val
+        self._g_low = self.g[: JetSpace.get(m.dim, max(order - 1, 0)).ncoeff]
         self._sqrt_abs_det: dict[int, Jet] = {}
 
     @cached_property
     def _minors(self) -> np.ndarray:
-        """Minors of g at the upper triangle, stacked on axis 1 (see
-        ``_cofactor_layout``); only det and ginv use them."""
+        """Minors of g at the upper triangle, one order below g, stacked on
+        axis 1 (see ``_cofactor_layout``); only det and ginv use them."""
         factors = _COFACTORS[self.dim][3]
         if self.dim == 2:
-            return self.g[(slice(None),) + factors[0]]
-        prod = _column_products(self.g, factors[0], self.g, factors[1], 3)  # both products of each minor
+            return self._g_low[(slice(None),) + factors[0]]
+        prod = _column_products(self._g_low, factors[0], self._g_low, factors[1], 3)  # both products of each minor
         half = prod.shape[1] // 2
         return prod[:, :half] - prod[:, half:]
 
@@ -364,7 +366,7 @@ class _Pipeline:
     def det(self) -> Jet:
         """Expansion along the first row: g_00 M_00 - g_01 M_01 (+ g_02 M_02)."""
         first = np.arange(self.dim)
-        terms = _column_products(self.g, (np.zeros_like(first), first), self._minors, (first,), self.dim)
+        terms = _column_products(self._g_low, (np.zeros_like(first), first), self._minors, (first,), self.dim)
         det = terms[:, 0] - terms[:, 1]
         if self.dim == 3:
             det = det + terms[:, 2]
@@ -379,7 +381,7 @@ class _Pipeline:
         signed = self._minors * sign.reshape((-1,) + (1,) * (self.g.ndim - 3))
         cof = _column_products(signed, (n,), (1.0 / self.det).coeffs[:, None], (np.zeros_like(n),), self.dim)
         del self._minors
-        out = np.empty(self.g.shape)
+        out = np.empty(cof.shape[:1] + self.g.shape[1:])
         out[:, i, j] = out[:, j, i] = cof
         return out
 
@@ -412,8 +414,9 @@ class _Pipeline:
         # d_m Gamma^l_{ls} - d_l Gamma^l_{ms} from partials of a trace and of
         # slices: on grids the full gradient of Gamma sets the peak memory
         ric = np.einsum("cms...->csm...", _tgrad(np.einsum("clls...->cs...", gam), self.dim))
-        for l in range(self.dim):
-            ric -= _tgrad(gam[:, l], self.dim)[:, l]
+        sp, ones = _space(len(gam), self.dim), (1,) * (gam.ndim - 2)
+        for l in range(self.dim):  # only the partial d_l of slice l
+            ric -= np.take(gam[:, l], sp._deriv_src[:, l], axis=0) * sp._deriv_fac[:, l].reshape((-1,) + ones)
         ric += _tmul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.dim)
         ric -= _tmul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.dim)
         return ric
@@ -432,8 +435,9 @@ class _Pipeline:
         return Jet(_space(len(r), self.dim), r)
 
     def sqrt_abs_det(self, order: Optional[int] = None) -> Jet:
-        """sqrt|det g| as a jet of the given order (default: the pipeline's),
-        built from the truncated determinant and kept per order."""
+        """sqrt|det g| as a jet of the given order (default: det's own, one
+        below the pipeline's), built from the truncated determinant and kept
+        per order."""
         det = self.det if order is None else self.det.truncated(order)
         if det.order not in self._sqrt_abs_det:
             sign = np.sign(np.asarray(det.coeffs[0]))
@@ -519,10 +523,13 @@ def curvature_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
 
 
 def curvature_grid(m: MetricSpec, pts: np.ndarray, order: int = 2) -> dict:
-    """Batched curvature values over pts of shape (npts, dim).
+    """Batched curvature values over pts of shape (npts, dim), at jet order
+    2 to 4.
 
     Returns arrays with tensor indices leading and the grid axis last.
     """
+    if not 2 <= order <= MAX_ORDER:
+        raise GeometryError(f"curvature_grid order must be in 2..{MAX_ORDER}, got {order!r}")
     pts = np.asarray(pts, dtype=float)
     return _curvature_values(_Pipeline(m, tuple(pts[:, i] for i in range(m.dim)), order=order))
 
@@ -561,9 +568,12 @@ def cotton_at(m: MetricSpec, p: Sequence[float]) -> CottonAt:
 
 
 def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
-    """Batched Cotton values; with order 4 also exact covariant divergence."""
+    """Batched Cotton values at jet order 3 or 4; with order 4 also the
+    exact covariant divergence."""
     if m.dim != 3:
         raise GeometryError("Cotton tensor requires a 3-dimensional metric")
+    if not 3 <= order <= MAX_ORDER:
+        raise GeometryError(f"cotton_grid order must be in 3..{MAX_ORDER}, got {order!r}")
     pts = np.asarray(pts, dtype=float)
     pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=order)
     cot = pipe.cotton()

@@ -299,18 +299,24 @@ class Jet:
         return Jet(sp, gathered * fac)
 
     def compose_univariate(self, series: Sequence[Scalar]) -> "Jet":
-        """Jet of ``f(self)`` given the Taylor coefficients of f at self.value."""
-        du = Jet(self.space, self.coeffs.copy())
-        if du.coeffs.ndim > 1:
-            du.coeffs[0] = np.zeros_like(du.coeffs[0])
-        else:
-            du.coeffs[0] = 0.0
-        acc: Union[Jet, Scalar] = series[self.order]
-        for k in range(self.order - 1, -1, -1):
-            acc = du * acc + series[k]
-        if not isinstance(acc, Jet):  # order 0
-            acc = jet_constant(acc, self.num_vars, self.order)
-        return acc
+        """Jet of ``f(self)`` given the Taylor coefficients of f at self.value,
+        by Horner's rule in du = self - value with step k at order - k (du^k
+        multiplies its accumulator later): each step zero-pads the accumulator
+        by one degree and sums the same terms as a full-order step."""
+        nv, order = self.num_vars, self.order
+        if order == 0:
+            return jet_constant(series[0], nv, 0)
+        du = self.coeffs.copy()
+        du[0] = 0.0
+        acc = du[: nv + 1] * series[order]
+        acc[0] += series[order - 1]
+        for k in range(order - 2, -1, -1):
+            sp = JetSpace.get(nv, order - k)
+            padded = np.zeros((sp.ncoeff,) + acc.shape[1:])
+            padded[: len(acc)] = acc
+            acc = sp.mul_coeffs(du[: sp.ncoeff], padded)
+            acc[0] += series[k]
+        return Jet(self.space, acc)
 
 
 def _divide(a: Optional[np.ndarray], b: Jet) -> Jet:

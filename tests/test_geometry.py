@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -383,10 +385,14 @@ def _reference_det_and_inverse(g, dim, order):
     return det.coeffs, inv
 
 
-@pytest.mark.parametrize("npts", [1, 20])
-@pytest.mark.parametrize("order", [2, 4])
+# 1 point gathers all columns, 20 loop over columns and gather pairs, 343
+# loop over columns and shift-accumulate
+@pytest.mark.parametrize("npts", [1, 20, 343])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_det_and_inverse_bit_equal_scalar_jet_cofactors(dim, order, npts):
+    # det and g^-1 are built one order below g, as the prefix of the
+    # full-order scalar-jet expansion
     from cottonkit.geometry import _Pipeline
 
     rng = np.random.default_rng(10 * dim + npts)
@@ -395,8 +401,10 @@ def test_det_and_inverse_bit_equal_scalar_jet_cofactors(dim, order, npts):
     point = tuple(pts[0]) if npts == 1 else tuple(pts[:, i] for i in range(dim))
     pipe = _Pipeline(m, point, order)
     det, inv = _reference_det_and_inverse(pipe.g, dim, order)
-    assert pipe.ginv.tobytes() == inv.tobytes()
-    assert pipe.det.coeffs.tobytes() == det.tobytes()
+    n = math.comb(dim + order - 1, dim)
+    assert len(pipe.ginv) == len(pipe.det.coeffs) == n
+    assert pipe.ginv.tobytes() == inv[:n].tobytes()
+    assert pipe.det.coeffs.tobytes() == det[:n].tobytes()
     assert np.any(pipe.g[:, 0, 1] != 0.0)  # the off-diagonal minors are exercised
 
 
@@ -532,6 +540,20 @@ def test_cotton_grid_conservation_needs_order4():
     pts = np.array([[0.1, 0.2, 0.3]])
     assert "divergence" not in cotton_grid(m, pts, order=3)
     assert "divergence" in cotton_grid(m, pts, order=4)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_curvature_grid_rejects_order_outside_2_to_4(order):
+    m = random_smooth_metric(np.random.default_rng(7))
+    with pytest.raises(GeometryError, match=rf"curvature_grid order must be in 2\.\.4, got {order}"):
+        curvature_grid(m, np.array([[0.1, 0.2, 0.3]]), order=order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5])
+def test_cotton_grid_rejects_order_outside_3_to_4(order):
+    m = random_smooth_metric(np.random.default_rng(7))
+    with pytest.raises(GeometryError, match=rf"cotton_grid order must be in 3\.\.4, got {order}"):
+        cotton_grid(m, np.array([[0.1, 0.2, 0.3]]), order=order)
 
 
 def test_ricci_matches_fd_oracle():

@@ -336,3 +336,32 @@ def test_real_pow_series_matches_exp_ln():
             got = jet_pow(j, e)
             want = jet_apply("exp", jet_apply("ln", j) * e)
             np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-13, atol=1e-13)
+
+
+def _full_order_horner(j, series):
+    """Horner's rule with every step a full-order product."""
+    du = Jet(j.space, j.coeffs.copy())
+    du.coeffs[0] = 0.0
+    acc = series[j.order]
+    for k in range(j.order - 1, -1, -1):
+        acc = du * acc + series[k]
+    return acc if isinstance(acc, Jet) else jet_constant(acc, j.num_vars, j.order)
+
+
+@pytest.mark.parametrize("shape", [(), (8,), (343,)])
+@pytest.mark.parametrize("nv, order", LAYOUTS)
+def test_compose_bit_equal_full_order_horner(nv, order, shape, monkeypatch):
+    """Each Horner step at its own order sums the same terms in the same
+    order as a full-order step, on both sides of the product crossover."""
+    seen = []
+    compose = Jet.compose_univariate
+    monkeypatch.setattr(Jet, "compose_univariate", lambda j, s: seen.append(s) or compose(j, s))
+    sp = JetSpace.get(nv, order)
+    rng = np.random.default_rng(100 * nv + 10 * order + len(shape))
+    j = Jet(sp, rng.normal(size=(sp.ncoeff,) + shape))
+    j.coeffs[0] = rng.uniform(0.5, 1.5, shape)  # in every function's domain
+    for fn in sorted(jets.FUNCTION_NAMES) + ["pow"]:
+        got = jet_pow(j, 1.7) if fn == "pow" else jet_apply(fn, j)
+        want = _full_order_horner(j, seen[-1])
+        assert got.coeffs.shape == want.coeffs.shape, fn
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), fn
