@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -77,6 +78,8 @@ class RunConfig:
 
     def __post_init__(self):
         _require_finite_positive(C=self.C)
+        if self.tol is not None and not (isinstance(self.tol, numbers.Real) and 0 <= self.tol < math.inf):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if self.grid_n < 2:
@@ -260,9 +263,21 @@ def _parse_grid_spec(spec: str, coords: Sequence[str]) -> np.ndarray:
     else:
         axes = {}
         for part in spec.split(","):
-            name, rng = part.split("=")
-            lo, hi, n = rng.split(":")
-            axes[name.strip()] = np.linspace(float(lo), float(hi), int(n))
+            name, _, bounds = part.partition("=")
+            name = name.strip()
+            try:
+                lo, hi, n = bounds.split(":")
+                lo, hi, n = float(lo), float(hi), int(n)
+            except ValueError:
+                raise _CliError(f"grid axis {part!r} is not name=lo:hi:n") from None
+            if not (math.isfinite(lo) and math.isfinite(hi)) or n < 1:
+                raise _CliError(f"grid axis {part!r} needs finite bounds and at least one point")
+            if name in axes:
+                raise _CliError(f"grid spec repeats axis {name!r}")
+            axes[name] = np.linspace(lo, hi, n)
+        unknown = set(axes) - set(coords)
+        if unknown:
+            raise _CliError(f"grid spec names axes the metric does not have: {sorted(unknown)}")
         missing = set(coords) - set(axes)
         if missing:
             raise _CliError(f"grid spec missing axes: {sorted(missing)}")
@@ -271,17 +286,18 @@ def _parse_grid_spec(spec: str, coords: Sequence[str]) -> np.ndarray:
 
 
 def cmd_cotton(args) -> int:
+    cfg = RunConfig(tol=args.tol, format=args.format or "json", out=args.out, stable_output=args.stable_output)
     m = load_metric(args.metric)
     grid = _parse_grid_spec(args.grid, m.coords)
     reports = [
         cotton_vanishing_check(m, grid, tolerance=TOL["cotton"]),
         cotton_identities_check(m, grid, tolerance=TOL["cotton-identities"]),
     ]
-    cfg = RunConfig(format=args.format or "json", out=args.out, stable_output=args.stable_output)
-    return _emit_reports(_apply_tol_override(reports, args.tol), cfg)
+    return _emit_reports(_apply_tol_override(reports, cfg.tol), cfg)
 
 
 def cmd_killing(args) -> int:
+    cfg = RunConfig(tol=args.tol, format=args.format or "json", out=args.out, stable_output=args.stable_output)
     m = load_metric(args.metric)
     with open(args.fields, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -293,8 +309,7 @@ def cmd_killing(args) -> int:
     for k, comps in enumerate(payload["fields"]):
         xi = VectorFieldSpec.parse(comps)
         reports.append(killing_residual(m, xi, grid, tolerance=TOL["killing"], check_id=f"killing:field{k}"))
-    cfg = RunConfig(format=args.format or "json", out=args.out, stable_output=args.stable_output)
-    return _emit_reports(_apply_tol_override(reports, args.tol), cfg)
+    return _emit_reports(_apply_tol_override(reports, cfg.tol), cfg)
 
 
 def cmd_killing_dim(args) -> int:

@@ -3,15 +3,13 @@
 Derivatives come from Richardson-extrapolated central differences, and
 expression/metric generators emit closed forms in the expression language.
 The engine checks compare these against the jets; they share no derivative
-code.
-
-Both difference routes are batched per point.  ``fd_partial`` collects the
-distinct stencil points of all its multi-indices at h and h/2 and evaluates
-the function once on all of them, on plain values only (no jets).  Partials
-of order 3 and 4 telescope instead: ``fd_partial_telescoped`` evaluates one
-jet of order max|alpha| - 1 on the ±h and ±h/2 offsets along every axis and
-first-differences its exact lower partials, so the jet engine supplies only
-the order already checked one level down.
+code.  ``fd_partial`` differences plain values: the nested central
+differences of a multi-index set, at h and h/2, lie on one integer lattice
+in units of h/2, tabled once per set and evaluated in one call.  Partials of
+order 3 and 4 telescope instead: ``telescope_partials`` first-differences
+the exact lower partials of one ``telescope_jet`` on the ±h and ±h/2 offsets
+of the point along every axis, so the jet engine supplies only the order
+already checked one level down; the same walk gives the point's own jet.
 
 Step sizes grow with the derivative order: a fourth derivative divides by
 h^4, so the roundoff floor of an h = 1e-3 stencil is ~1e-4 and would drown
@@ -21,31 +19,51 @@ and roundoff near 1e-8.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import parse_expr
+from .exprlang import eval_jet_bindings, parse_expr
 from .geometry import MetricSpec
+from .jets import MAX_ORDER, Jet, JetSpace, jet_var
 
 __all__ = [
     "fd_partial",
+    "fd_partial_telescoped",
     "random_safe_expr",
     "random_smooth_metric",
+    "telescope_jet",
+    "telescope_partials",
 ]
 
 _STEP_BY_ORDER = {0: 1e-3, 1: 1e-3, 2: 1e-3, 3: 5e-3, 4: 2e-2}
 
 
-def _nested_central(f, point, alpha, h):
-    total = sum(alpha)
-    if total == 0:
-        return f(point)
-    i = next(k for k, a in enumerate(alpha) if a > 0)
-    lower = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
-    up = tuple(p + (h if k == i else 0.0) for k, p in enumerate(point))
-    dn = tuple(p - (h if k == i else 0.0) for k, p in enumerate(point))
-    return (_nested_central(f, up, lower, h) - _nested_central(f, dn, lower, h)) / (2.0 * h)
+@lru_cache(maxsize=64)
+def _stencil(alphas: tuple, step: float | None):
+    """The lattice offsets k·(h/2) of a multi-index set; per difference (the
+    coarse ones at h, then the fine ones at h/2) its 2^|alpha| lattice rows
+    in recursion order, padded to the deepest; per nesting level the
+    differences it completes; and each difference's level divisor."""
+    steps = [step if step is not None else _STEP_BY_ORDER[min(sum(a), 4)] for a in alphas]
+    index: dict[tuple, int] = {}
+    runs, depths, divisors = [], [], []
+    for units, scale in ((2, 1.0), (1, 0.5)):
+        for alpha, h in zip(alphas, steps):
+            axes = [i for i, a in enumerate(alpha) for _ in range(a)]  # first axis outermost
+            # a leaf's lattice offset sums its signed steps along each axis
+            run = [
+                index.setdefault((h, tuple(np.bincount(axes, signed, len(alpha)).astype(int))), len(index))
+                for signed in product((units, -units), repeat=len(axes))
+            ]
+            runs.append(run + run[:1] * (2 ** max(map(sum, alphas)) - len(run)))
+            depths.append(len(axes))
+            divisors.append(2.0 * (scale * h))
+    offsets = np.array([[k * (h / 2.0) for k in ks] for h, ks in index])
+    done = [np.flatnonzero(np.array(depths) == level) for level in range(1, max(depths) + 1)]
+    return offsets, np.array(runs), done, np.array(divisors)
 
 
 def fd_partial(
@@ -56,77 +74,60 @@ def fd_partial(
 ) -> np.ndarray:
     """Mixed partial derivatives, one per multi-index in ``alphas``, by
     nested central differences with one Richardson extrapolation (leading
-    h^2 error cancelled).
-
+    h^2 error cancelled); the step grows with |alpha| when ``step`` is None.
     ``f`` maps an ``(m, nv)`` array of points to an ``(m, ...)`` array of
-    their values and is called once; the result has shape
-    ``(len(alphas), ...)``, one partial array per multi-index of a vector-
-    or matrix-valued ``f``.  A first pass of the stencil recursion records
-    the distinct points of every alpha at h and h/2, keyed by the tuple the
-    recursion builds; the second pass replays the same differences on the
-    looked-up values, so each partial is the one a point-by-point evaluation
-    gives.
-    """
-    point = tuple(point)
-    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
-    steps = [step if step is not None else _STEP_BY_ORDER[min(sum(a), 4)] for a in alphas]
-    index: dict[tuple, int] = {}
+    values and is called once; the result has shape ``(len(alphas), ...)``.
+    Each level differences adjacent values of every alpha at once, innermost
+    axis first, as the recursion (D(x + h) - D(x - h)) / 2h does, so a batch
+    equals one call per alpha bit for bit."""
+    offsets, runs, done, divisors = _stencil(tuple(map(tuple, alphas)), step)
+    values = np.asarray(f(np.asarray(point, dtype=float) + offsets), dtype=float)
+    x = values[runs]
+    divisors = divisors.reshape((-1, 1) + (1,) * (values.ndim - 1))
+    out = x[:, 0].copy()
+    for rows in done:
+        x = (x[:, 0::2] - x[:, 1::2]) / divisors
+        out[rows] = x[rows, 0]
+    coarse, fine = np.split(out, 2)
+    return (4.0 * fine - coarse) / 3.0
 
-    def record(q):
-        index.setdefault(q, len(index))
-        return 0.0
 
-    for alpha, h in zip(alphas, steps):
-        _nested_central(record, point, alpha, h)
-        _nested_central(record, point, alpha, h / 2.0)
-    values = np.asarray(f(np.array(list(index), dtype=float)), dtype=float)
+def telescope_jet(expr, coords: Sequence[str], point: Sequence[float], order: int, step: float = 1e-3) -> Jet:
+    """One jet of ``expr`` on 1 + 4·nv columns: column 0 is ``point``, then
+    point ± step and point ± step/2 along each axis in turn."""
+    nv = len(coords)
+    cols = np.repeat(np.asarray(point, dtype=float)[:, None], 1 + 4 * nv, axis=1)
+    for k in range(nv):
+        cols[k, 1 + 4 * k : 5 + 4 * k] += [step, -step, step / 2.0, -step / 2.0]
+    return eval_jet_bindings(expr, {c: jet_var(k, cols[k], nv, order) for k, c in enumerate(coords)})
 
-    def lookup(q):
-        return values[index[q]]
 
-    out = []
-    for alpha, h in zip(alphas, steps):
-        coarse = _nested_central(lookup, point, alpha, h)
-        fine = _nested_central(lookup, point, alpha, h / 2.0)
-        out.append((4.0 * fine - coarse) / 3.0)
-    return np.array(out)
+@lru_cache(maxsize=64)
+def _telescope_table(alphas: tuple):
+    """Per alpha, the row of alpha lowered on its first nonzero axis and the
+    four ``telescope_jet`` columns of that axis."""
+    index = JetSpace.get(len(alphas[0]), MAX_ORDER).index
+    axes = [next(k for k, a in enumerate(alpha) if a > 0) for alpha in alphas]
+    rows = [index[tuple(a - (k == i) for k, a in enumerate(alpha))] for alpha, i in zip(alphas, axes)]
+    return np.array(rows)[:, None], 1 + 4 * np.array(axes)[:, None] + np.arange(4)
+
+
+def telescope_partials(j: Jet, alphas: Sequence[Sequence[int]], step: float = 1e-3) -> np.ndarray:
+    """Order-3/4 partials, one per multi-index in ``alphas``: the Richardson
+    central first-difference of the exact next-lower partial in a
+    ``telescope_jet`` at ``step`` of order at least max|alpha| - 1.  Nested
+    differences would divide roundoff by h^4; this amplifies it by 1/h."""
+    rows, cols = _telescope_table(tuple(map(tuple, alphas)))
+    vals = j.coeffs[rows, cols] * j.space._factorials[rows]
+    coarse = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+    fine = (vals[:, 2] - vals[:, 3]) / step
+    return (4.0 * fine - coarse) / 3.0
 
 
 def fd_partial_telescoped(expr, coords, point, alphas, step: float = 1e-3) -> np.ndarray:
-    """Order-3/4 partials, one per multi-index in ``alphas``: Richardson
-    central first-difference of the exact next-lower-order partial.
-
-    Direct nesting of four central differences divides roundoff by h^4 and
-    cannot reach 1e-6 in double precision; differencing the (order-1)
-    partial keeps a 1/h roundoff amplification only, while each level of
-    the telescope is still an independent finite-difference test of the
-    step it adds.  One jet of order max|alpha| - 1 is evaluated on 4·nv
-    columns, the offsets ±h and ±h/2 along each axis; an alpha differences
-    the lower partial in the four columns of its first nonzero axis.
-    """
-    from .exprlang import eval_jet_bindings
-    from .jets import jet_extract, jet_var
-
-    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
-    order = max(sum(a) for a in alphas) - 1
-    nv = len(coords)
-
-    offsets = np.array([step, -step, step / 2.0, -step / 2.0])
-    seeds = {}
-    for k, name in enumerate(coords):
-        col = np.full(4 * nv, point[k])
-        col[4 * k : 4 * k + 4] = point[k] + offsets
-        seeds[name] = jet_var(k, col, nv, order)
-    j = eval_jet_bindings(expr, seeds)
-    out = np.empty(len(alphas))
-    for n, alpha in enumerate(alphas):
-        i = next(k for k, a in enumerate(alpha) if a > 0)
-        lower = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
-        vals = np.asarray(jet_extract(j, lower))[4 * i : 4 * i + 4]
-        coarse = (vals[0] - vals[1]) / (2.0 * step)
-        fine = (vals[2] - vals[3]) / step
-        out[n] = (4.0 * fine - coarse) / 3.0
-    return out
+    """``telescope_partials`` of one ``telescope_jet`` of order max|alpha| - 1."""
+    order = max(sum(alpha) for alpha in alphas) - 1
+    return telescope_partials(telescope_jet(expr, coords, point, order, step), alphas, step)
 
 
 # -- random generators ------------------------------------------------------------

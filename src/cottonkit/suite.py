@@ -26,7 +26,7 @@ from .catalog import (
     transform,
     transform_grid,
 )
-from .exprlang import eval_array, eval_jet, parse_expr, to_text
+from .exprlang import eval_array, parse_expr, to_text
 from .geometry import (
     MetricSpec,
     _Pipeline,
@@ -39,7 +39,7 @@ from .geometry import (
     metric_values_grid,
     pullback_metric_grid,
 )
-from .jets import jet_extract
+from .jets import JetSpace
 from .kink import (
     _MULTISECTION,
     _RESOLUTION,
@@ -51,7 +51,13 @@ from .kink import (
     sine_gordon_potential,
     solve_kink_ode,
 )
-from .oracles import fd_partial, fd_partial_telescoped, random_safe_expr, random_smooth_metric
+from .oracles import (
+    fd_partial,
+    random_safe_expr,
+    random_smooth_metric,
+    telescope_jet,
+    telescope_partials,
+)
 from .reduction import (
     Lattice2D,
     Lattice3D,
@@ -601,34 +607,32 @@ def check_lattice_3d() -> CheckReport:
 
 def check_jets_fd(n: int = 1000, seed: int = 11) -> CheckReport:
     """Every partial to order 4 of random compositions against
-    Richardson-extrapolated central differences."""
+    Richardson-extrapolated central differences; one jet walk per
+    expression gives the jet side (column 0) and the telescope."""
     rng = np.random.default_rng(seed)
     span = Span()
     worst, worst_case = 0.0, {}
-    for k in range(n):
+    layout = {}  # nv -> every alpha in product order, |alpha| <= 2, rows in an order-4 jet
+    for nv in (1, 2, 3):
+        alphas = np.array([alpha for alpha in product(range(5), repeat=nv) if sum(alpha) <= 4])
+        rows = np.array([JetSpace.get(nv, 4).index[tuple(alpha)] for alpha in alphas])
+        layout[nv] = alphas, alphas.sum(axis=1) <= 2, rows, JetSpace.get(nv, 4)._factorials[rows]
+    for _ in range(n):
         nv = int(rng.integers(1, 4))
         coords = ["t", "x", "y"][:nv]
         expr = random_safe_expr(rng, coords, depth=int(rng.integers(1, 4)))
         point = tuple(rng.uniform(-0.8, 0.8, nv))
-        j = eval_jet(expr, coords, point, {}, 4)
-
-        def f(q):
-            return eval_array(expr, {c: q[:, k] for k, c in enumerate(coords)})
-
-        alphas = [alpha for alpha in product(range(5), repeat=nv) if sum(alpha) <= 4]
-        low = [alpha for alpha in alphas if sum(alpha) <= 2]
-        high = [alpha for alpha in alphas if sum(alpha) > 2]
-        want = dict(zip(low, fd_partial(f, point, low, step=1e-3)))
-        want.update(zip(high, fd_partial_telescoped(expr, coords, point, high, step=1e-3)))
-        resid = []
-        for alpha in alphas:
-            got = float(jet_extract(j, alpha))
-            resid.append(abs(got - want[alpha]) / (1.0 + np.maximum(abs(got), abs(want[alpha]))))
-        value, i = _argworst(resid)
+        alphas, low, rows, factorials = layout[nv]
+        j = telescope_jet(expr, coords, point, 4, step=1e-3)
+        got = j.coeffs[rows, 0] * factorials
+        want = np.empty(len(alphas))
+        want[low] = fd_partial(lambda q: eval_array(expr, dict(zip(coords, q.T))), point, alphas[low], step=1e-3)
+        want[~low] = telescope_partials(j, alphas[~low], step=1e-3)
+        value, i = _argworst(np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want))))
         # the running worst changes only on a strictly larger value or a first NaN
         if _argworst([worst, value])[1] == 1:
             worst = value
-            worst_case = {"expr": to_text(expr), "alpha": list(alphas[i]), "point": list(point)}
+            worst_case = {"expr": to_text(expr), "alpha": alphas[i].tolist(), "point": list(point)}
     return span.report(
         "jets-fd",
         worst,

@@ -131,6 +131,55 @@ def test_run_config_rejects_bad_coupling_exit_two(tmp_path, value):
     assert code == 2 and "error: C must be finite and positive" in err
     assert not (tmp_path / "rep").exists()
 
+def _flat_metric(tmp_path) -> Path:
+    m = tmp_path / "flat.json"
+    m.write_text(json.dumps({
+        "coordinates": ["t", "x", "y"],
+        "components": {"t,t": "1", "x,x": "-1", "y,y": "-1"},
+    }), encoding="utf-8")
+    return m
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_tol_exit_two_before_any_check(tmp_path, monkeypatch, value):
+    # verify ran the whole suite with a NaN tol and then exited 1; cotton
+    # passed every finite residual with an inf tol; a negative tol was taken
+    import cottonkit.cli as cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: pytest.fail("a check ran"))
+    flat = _flat_metric(tmp_path)
+    for args in (
+        ("verify", "--what", "calibration"),
+        ("cotton", "--metric", str(flat)),
+        # a missing fields file shows the tol is refused before any input is read
+        ("killing", "--metric", str(flat), "--fields", str(tmp_path / "absent.json")),
+    ):
+        code, out, err = run_cli(*args, "--tol", value)
+        assert (code, out) == (2, ""), args
+        assert f"error: tol must be finite and non-negative, got {float(value)!r}" in err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tol": "1e-9"}))
+    code, _, err = run_cli("verify", "--config", str(config))
+    assert code == 2 and "error: tol must be finite and non-negative, got '1e-9'" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("t=0:1:3,x=0:1:3,y=0:nan:3", "grid axis 'y=0:nan:3' needs finite bounds"),
+        ("t=0:1:3,x=0:1:3,y=0:1:3,z=0:1:3", "grid spec names axes the metric does not have: ['z']"),
+        ("t=0:1:0,x=0:1:3,y=0:1:3", "grid axis 't=0:1:0' needs finite bounds and at least one point"),
+        ("t=0:1,x=0:1:3,y=0:1:3", "grid axis 't=0:1' is not name=lo:hi:n"),
+        ("t=0:1:3,x=0:1:3,y=0:1:3,t=0:2:3", "grid spec repeats axis 't'"),
+    ],
+)
+def test_malformed_grid_spec_exit_two(tmp_path, spec, message):
+    flat = _flat_metric(tmp_path)
+    code, out, err = run_cli("cotton", "--metric", str(flat), "--grid", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_catalog_export_and_downstream_commands(tmp_path):
     m3 = tmp_path / "c.json"
     fields = tmp_path / "fields.json"

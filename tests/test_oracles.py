@@ -1,9 +1,14 @@
 """The batched FD oracle: one stencil evaluation and one telescope jet per call."""
 
+import math
 from itertools import product
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cottonkit import jets, suite
 from cottonkit.exprlang import eval_array, eval_jet
 from cottonkit.jets import jet_extract
 from cottonkit.oracles import fd_partial, fd_partial_telescoped, random_safe_expr
@@ -58,3 +63,70 @@ def test_every_fd_partial_to_order_four_agrees_with_the_jet():
     got = np.array([float(jet_extract(j, a)) for a in low + high])
     resid = np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want)))
     assert np.all(resid < 1e-7), (low + high)[int(np.argmax(resid))]
+
+
+# -- negative controls and exactness ----------------------------------------------
+
+
+def _tanh_rule_wrong_at(monkeypatch, k, rel=1e-4):
+    """tanh's jet rule with only its order-k Taylor coefficient scaled by
+    1 + rel; every random composition has tanh at its leaves."""
+    real = jets._FUNC_COEFFS["tanh"]
+
+    def wrong(v, n):
+        c = real(v, n)
+        if n >= k:
+            c[k] = c[k] * (1.0 + rel)
+        return c
+
+    monkeypatch.setitem(jets._FUNC_COEFFS, "tanh", wrong)
+
+
+def test_jets_fd_passes_on_the_true_rules():
+    assert suite.check_jets_fd(n=40).passed
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_jets_fd_fails_on_a_rule_wrong_below_order_three(monkeypatch, k):
+    # the value route (fd_partial) sees the error in the jet's own column
+    _tanh_rule_wrong_at(monkeypatch, k)
+    assert not suite.check_jets_fd(n=40).passed
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_jets_fd_fails_on_a_rule_wrong_at_order_three_or_four(monkeypatch, k):
+    # the telescope differences exact lower partials, which the error misses
+    _tanh_rule_wrong_at(monkeypatch, k)
+    assert not suite.check_jets_fd(n=40).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nv=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fd_partial_is_exact_on_quartic_polynomials(nv, seed):
+    # nested central differences at h and h/2 leave only even-power errors
+    # with at least five derivatives of f after the Richardson step, and a
+    # quartic has none: what is left is rounding, about eps / h^|alpha|
+    rng = np.random.default_rng(seed)
+    betas = [b for b in product(range(5), repeat=nv) if sum(b) <= 4]
+    coeffs = rng.uniform(-1.0, 1.0, len(betas))
+    point = rng.uniform(-1.0, 1.0, nv)
+
+    def poly(q):
+        return sum(c * np.prod(q ** np.array(b), axis=-1) for c, b in zip(coeffs, betas))
+
+    def partial(alpha):
+        total = 0.0
+        for c, b in zip(coeffs, betas):
+            if all(x >= a for x, a in zip(b, alpha)):
+                falling = np.prod([math.perm(x, a) for x, a in zip(b, alpha)])
+                total += c * falling * np.prod(point ** (np.array(b) - alpha))
+        return total
+
+    alphas = [a for a in product(range(3), repeat=nv) if sum(a) <= 2]
+    got = fd_partial(poly, point, alphas, step=1e-3)
+    scale = np.sum(np.abs(coeffs)) * 2.0**4
+    for alpha, value in zip(alphas, got):
+        assert abs(value - partial(alpha)) <= 64 * np.finfo(float).eps * scale / 1e-3 ** sum(alpha)
