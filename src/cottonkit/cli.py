@@ -78,8 +78,9 @@ class RunConfig:
 
     def __post_init__(self):
         _require_finite_positive(C=self.C)
-        if self.tol is not None and not (isinstance(self.tol, numbers.Real) and 0 <= self.tol < math.inf):
-            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
+        tol = self.tol
+        if tol is not None and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if self.grid_n < 2:

@@ -614,9 +614,10 @@ def check_jets_fd(n: int = 1000, seed: int = 11) -> CheckReport:
     worst, worst_case = 0.0, {}
     layout = {}  # nv -> every alpha in product order, |alpha| <= 2, rows in an order-4 jet
     for nv in (1, 2, 3):
+        space = JetSpace.get(nv, 4)
         alphas = np.array([alpha for alpha in product(range(5), repeat=nv) if sum(alpha) <= 4])
-        rows = np.array([JetSpace.get(nv, 4).index[tuple(alpha)] for alpha in alphas])
-        layout[nv] = alphas, alphas.sum(axis=1) <= 2, rows, JetSpace.get(nv, 4)._factorials[rows]
+        rows = np.array([space.index[tuple(alpha)] for alpha in alphas])
+        layout[nv] = alphas, alphas.sum(axis=1) <= 2, rows, space._factorials[rows]
     for _ in range(n):
         nv = int(rng.integers(1, 4))
         coords = ["t", "x", "y"][:nv]
