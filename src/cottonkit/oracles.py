@@ -1,15 +1,14 @@
 """Independent oracles: finite differences and random test-case generators.
 
 Derivatives come from Richardson-extrapolated central differences, and
-expression/metric generators emit closed forms in the expression language.
-The engine checks compare these against the jets; they share no derivative
-code.  ``fd_partial`` differences plain values: the nested central
-differences of a multi-index set, at h and h/2, lie on one integer lattice
-in units of h/2, tabled once per set and evaluated in one call.  Partials of
-order 3 and 4 telescope instead: ``telescope_partials`` first-differences
-the exact lower partials of one ``telescope_jet`` on the ±h and ±h/2 offsets
-of the point along every axis, so the jet engine supplies only the order
-already checked one level down; the same walk gives the point's own jet.
+expression/metric generators emit closed forms in the expression language;
+the engine checks compare these against the jets, sharing no derivative
+code.  ``fd_partial`` tables the nested central differences of a
+multi-index set, at h and h/2, on one integer lattice in units of h/2 and
+evaluates them in one call.  Order-3/4 partials telescope: one
+``telescope_jet`` walk on the point and its ±h and ±h/2 offsets gives the
+point's jet, and ``telescope_partials`` first-differences the exact lower
+partials of the offsets, so the jets supply only the order already checked.
 
 Step sizes grow with the derivative order: a fourth derivative divides by
 h^4, so the roundoff floor of an h = 1e-3 stencil is ~1e-4 and would drown

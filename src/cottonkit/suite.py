@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -612,28 +612,29 @@ def check_jets_fd(n: int = 1000, seed: int = 11) -> CheckReport:
     rng = np.random.default_rng(seed)
     span = Span()
     worst, worst_case = 0.0, {}
-    layout = {}  # nv -> every alpha in product order, |alpha| <= 2, rows in an order-4 jet
+    layout = {}  # nv -> alphas in product order, |alpha| <= 2, jet rows and factorials, low and high alphas
     for nv in (1, 2, 3):
         space = JetSpace.get(nv, 4)
-        alphas = np.array([alpha for alpha in product(range(5), repeat=nv) if sum(alpha) <= 4])
-        rows = np.array([space.index[tuple(alpha)] for alpha in alphas])
-        layout[nv] = alphas, alphas.sum(axis=1) <= 2, rows, space._factorials[rows]
+        alphas = [alpha for alpha in product(range(5), repeat=nv) if sum(alpha) <= 4]
+        low = np.array([sum(alpha) <= 2 for alpha in alphas])
+        rows = np.array([space.index[alpha] for alpha in alphas])
+        layout[nv] = alphas, low, rows, space._factorials[rows], [*compress(alphas, low)], [*compress(alphas, ~low)]
     for _ in range(n):
         nv = int(rng.integers(1, 4))
         coords = ["t", "x", "y"][:nv]
         expr = random_safe_expr(rng, coords, depth=int(rng.integers(1, 4)))
         point = tuple(rng.uniform(-0.8, 0.8, nv))
-        alphas, low, rows, factorials = layout[nv]
+        alphas, low, rows, factorials, lows, highs = layout[nv]
         j = telescope_jet(expr, coords, point, 4, step=1e-3)
         got = j.coeffs[rows, 0] * factorials
         want = np.empty(len(alphas))
-        want[low] = fd_partial(lambda q: eval_array(expr, dict(zip(coords, q.T))), point, alphas[low], step=1e-3)
-        want[~low] = telescope_partials(j, alphas[~low], step=1e-3)
+        want[low] = fd_partial(lambda q: eval_array(expr, dict(zip(coords, q.T))), point, lows, step=1e-3)
+        want[~low] = telescope_partials(j, highs, step=1e-3)
         value, i = _argworst(np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want))))
         # the running worst changes only on a strictly larger value or a first NaN
         if _argworst([worst, value])[1] == 1:
             worst = value
-            worst_case = {"expr": to_text(expr), "alpha": alphas[i].tolist(), "point": list(point)}
+            worst_case = {"expr": to_text(expr), "alpha": list(alphas[i]), "point": list(point)}
     return span.report(
         "jets-fd",
         worst,
