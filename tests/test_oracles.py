@@ -127,6 +127,7 @@ def test_fd_partial_is_exact_on_quartic_polynomials(nv, seed):
 
     alphas = [a for a in product(range(3), repeat=nv) if sum(a) <= 2]
     got = fd_partial(poly, point, alphas, step=1e-3)
-    scale = np.sum(np.abs(coeffs)) * 2.0**4
+    # in units of eps * sum |c| (about max |f| on the stencil): 1,500 seeded cases reach 2.9
+    scale = np.finfo(float).eps * np.sum(np.abs(coeffs))
     for alpha, value in zip(alphas, got):
-        assert abs(value - partial(alpha)) <= 64 * np.finfo(float).eps * scale / 1e-3 ** sum(alpha)
+        assert abs(value - partial(alpha)) <= 16 * scale / 1e-3 ** sum(alpha)
