@@ -65,6 +65,16 @@ def test_every_fd_partial_to_order_four_agrees_with_the_jet():
     assert np.all(resid < 1e-7), (low + high)[int(np.argmax(resid))]
 
 
+def test_fd_partial_steps_grow_with_order_when_step_is_none():
+    # one batch mixes lattices of three steps; each alpha keeps its own
+    expr, point = _case()
+    f = _counted(expr, [])
+    mixed = [(1, 0, 0), (0, 2, 1), (2, 1, 1), (0, 1, 0)]
+    batch = fd_partial(f, point, mixed)
+    alone = [fd_partial(f, point, [a], step={1: 1e-3, 3: 5e-3, 4: 2e-2}[sum(a)])[0] for a in mixed]
+    np.testing.assert_array_equal(batch, alone)
+
+
 # -- negative controls and exactness ----------------------------------------------
 
 
