@@ -315,9 +315,14 @@ def cmd_killing(args) -> int:
 
 def cmd_killing_dim(args) -> int:
     m = load_metric(args.metric)
-    base = tuple(float(v) for v in args.point.split(","))
+    try:
+        base = tuple(float(v) for v in args.point.split(","))
+    except ValueError:
+        raise _CliError(f"--point {args.point!r} is not a comma-separated list of numbers") from None
     if len(base) != m.dim:
         raise _CliError(f"--point needs {m.dim} components")
+    if not all(math.isfinite(v) for v in base):
+        raise _CliError(f"--point needs finite components, got {args.point!r}")
     rng = np.random.default_rng(2)
     pts = [base] + [tuple(np.asarray(base) + rng.uniform(-0.15, 0.15, m.dim)) for _ in range(2)]
     est = killing_dimension(m, pts, depth=args.depth)

@@ -15,9 +15,11 @@ finite-differenced.
 
 The lattice checks are the variational evidence: they discretize the reduced
 action (and, in 3D, the connection functional whose metric variation is the
-Cotton tensor), numerically vary field values site by site, and compare the
-discrete gradients against the analytic residual formulas at second order in
-the spacing.
+Cotton tensor) with periodic central differences, take the exact gradient of
+the discrete action with respect to the field value at each varied site (by
+reverse mode, one pass per lattice), and compare it against the analytic
+residual formulas at second order in the spacing.  The tests cross-check
+that gradient against central differences of the action.
 """
 
 from __future__ import annotations
@@ -372,6 +374,15 @@ class Window1D:
     support_radius: float
     compare_radius: Optional[float] = None
 
+    def __post_init__(self):
+        radii = (self.center, self.flat_radius, self.support_radius, self.compare_radius)
+        if not all(math.isfinite(r) for r in radii if r is not None):
+            raise GeometryError(f"window center and radii must be finite, got {radii}")
+        if not self.support_radius > self.flat_radius:
+            raise GeometryError(
+                f"window support_radius {self.support_radius} must exceed flat_radius {self.flat_radius}"
+            )
+
     def profile(self, x: np.ndarray) -> np.ndarray:
         u = (np.abs(x - self.center) - self.flat_radius) / (
             self.support_radius - self.flat_radius
@@ -389,24 +400,61 @@ _METRIC_COMPONENTS = {
 }
 
 
-def _trim(F: np.ndarray, dim: int, k: int = 1, lead: int = 0) -> np.ndarray:
-    """Drop k cells at both ends of the dim spatial axes that follow lead
-    index axes; trailing (batch) axes are kept."""
-    return F[(slice(None),) * lead + (slice(k, -k),) * dim]
+# A lattice block is a dict of field arrays whose last dim axes are
+# periodic spatial axes; any axes before them (index axes of a tensor, a
+# batch axis of patches) are carried along, so spatial axis l of any array
+# is axis l - dim.  A derivative index comes first: dF[l] = d_l F.
+
+def _dp(F: np.ndarray, axis: int, h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Periodic central difference (F[i+1] - F[i-1]) / 2h along an axis.
+
+    One flat shift by the axis stride differences the interior cells of
+    every line at once; the two end cells of each line are then overwritten
+    with their periodic neighbours.  ``out`` must be C-contiguous."""
+    F = np.ascontiguousarray(F)
+    out = np.empty(F.shape) if out is None else out
+    axis %= F.ndim
+    stride = math.prod(F.shape[axis + 1:])
+    flat, flat_out = F.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * stride:], flat[:-2 * stride], out=flat_out[stride:-stride])
+    lead = (slice(None),) * axis
+    np.subtract(F[lead + (1,)], F[lead + (-1,)], out=out[lead + (0,)])
+    np.subtract(F[lead + (0,)], F[lead + (-2,)], out=out[lead + (-1,)])
+    out /= 2.0 * h
+    return out
 
 
-def _d(F: np.ndarray, axis: int, h: float, dim: int) -> np.ndarray:
-    """Central difference (F[i+1] - F[i-1]) / 2h along a spatial axis; the
-    result loses one cell at both ends of every spatial axis."""
-    hi = [slice(1, -1)] * dim
-    lo = [slice(1, -1)] * dim
-    hi[axis], lo[axis] = slice(2, None), slice(None, -2)
-    return (F[tuple(hi)] - F[tuple(lo)]) / (2.0 * h)
+def _diff_all(F: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """dF[l] = d_l F for every spatial axis l."""
+    out = np.empty((dim,) + F.shape)
+    for l in range(dim):
+        _dp(F, l - dim, h, out=out[l])
+    return out
 
 
-def _discrete_christoffel(fields: dict[str, np.ndarray], h: float, dim: int):
-    """Determinant and inverse of the lattice metric, and its Christoffel
-    symbols by central differences (one cell trimmed per spatial axis)."""
+def _diff_adjoint(bar_dF: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """Adjoint of _diff_all: the periodic central difference is
+    antisymmetric, so the adjoint of d_l is -d_l."""
+    out = np.zeros(bar_dF.shape[1:])
+    for l in range(dim):
+        out -= _dp(bar_dF[l], l - dim, h)
+    return out
+
+
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Cellwise matrix product over the two leading index axes, summed in
+    index order."""
+    out = A[:, 0, None] * B[None, 0]
+    for k in range(1, A.shape[1]):
+        out += A[:, k, None] * B[None, k]
+    return out
+
+
+def _christoffel(fields: dict[str, np.ndarray], h: float, dim: int):
+    """Determinant, inverse and Christoffel symbols Gamma^k_{ij} of the
+    lattice metric by central differences, and the combination
+    E[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij (Gamma^k_ij = 1/2 g^kl E_lij)
+    that the adjoint reads."""
     shape = fields["gtt"].shape
     g = np.empty((dim, dim) + shape)
     for c, (i, j) in _METRIC_COMPONENTS[dim].items():
@@ -427,56 +475,94 @@ def _discrete_christoffel(fields: dict[str, np.ndarray], h: float, dim: int):
     for i in range(dim):
         for j in range(dim):
             inv[j, i] = (first[j] if i == 0 else minor(i, j)) * (-1.0 if (i + j) % 2 else 1.0) / det
-    dg = [[None] * dim for _ in range(dim)]
-    for i, j in _METRIC_COMPONENTS[dim].values():
-        dg[i][j] = dg[j][i] = [_d(g[i, j], l, h, dim) for l in range(dim)]
-    inv_c = _trim(inv, dim, lead=2)
-    gam = np.empty((dim, dim, dim) + dg[0][0][0].shape)
-    for k in range(dim):
-        for i in range(dim):
-            for j in range(i, dim):
-                tot = 0.0
-                for l in range(dim):
-                    tot = tot + inv_c[k, l] * (dg[l][j][i] + dg[l][i][j] - dg[i][j][l])
-                gam[k, i, j] = gam[k, j, i] = 0.5 * tot
-    return det, inv, gam
+    dg = _diff_all(g, h, dim)
+    E = np.einsum("ilj...->lij...", dg) + np.einsum("jli...->lij...", dg)
+    E -= dg
+    gam = 0.5 * _mm(inv, E.reshape((dim, dim * dim) + shape)).reshape(E.shape)
+    return det, inv, E, gam
 
 
-def _action_density_2d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
-    """Discrete reduced-action density: central differences throughout.
-    Returns the density two cells in from each end of both spatial axes."""
-    det, inv, gam = _discrete_christoffel(fields, h, 2)
-    dgam = [[[[_d(gam[k, i, j], l, h, 2) for l in range(2)] for j in range(2)] for i in range(2)] for k in range(2)]
-    gam = _trim(gam, 2, lead=3)
-    ric = np.empty((2, 2) + dgam[0][0][0][0].shape)
+def _christoffel_adjoint(det, inv, E, bar_gam, h: float, dim: int, bar_inv=0.0, bar_det=0.0) -> dict:
+    """Pull the adjoints of Gamma (and of the inverse and determinant,
+    where a density reads them) back to the metric fields."""
+    # Gamma^k_ij = 1/2 g^kl E_lij
+    pairs = (dim, dim * dim) + E.shape[3:]
+    bar_gam = bar_gam.reshape(pairs)
+    inv_t = np.swapaxes(inv, 0, 1)
+    bar_inv = bar_inv + 0.5 * _mm(bar_gam, np.swapaxes(E.reshape(pairs), 0, 1))
+    bar_E = _mm(inv_t, bar_gam).reshape(E.shape)
+    bar_E *= 0.5
+    bar_dg = np.einsum("lij...->ilj...", bar_E) + np.einsum("lij...->jli...", bar_E)
+    bar_dg -= bar_E
+    # d(g^-1) = -g^-1 dg g^-1 and d(det) = det g^-1 (transposed) dg
+    bar_g = bar_det * det * inv_t - _mm(inv_t, _mm(bar_inv, inv_t)) + _diff_adjoint(bar_dg, h, dim)
+    # a lattice field fills both g_ij and g_ji
+    return {
+        "g" + c: bar_g[i, j] + bar_g[j, i] if i != j else bar_g[i, i]
+        for c, (i, j) in _METRIC_COMPONENTS[dim].items()
+    }
+
+
+def _action_terms_2d(fields: dict[str, np.ndarray], h: float):
+    """Christoffel data, Ricci tensor, scalar curvature r and field
+    strength F of the discrete reduced action (central differences)."""
+    det, inv, E, gam = _christoffel(fields, h, 2)
+    dgam = _diff_all(gam, h, 2)
+    ric = np.empty_like(inv)
     for s in range(2):
         for m_ in range(2):
             tot = 0.0
             for lam in range(2):
-                tot = tot + dgam[lam][lam][s][m_] - dgam[lam][m_][s][lam]
+                tot = tot + dgam[m_, lam, lam, s] - dgam[lam, lam, m_, s]
                 for rho in range(2):
                     tot = tot + gam[lam, m_, rho] * gam[rho, lam, s]
                     tot = tot - gam[lam, lam, rho] * gam[rho, m_, s]
             ric[s, m_] = tot
-    r = np.einsum("sm...,sm...->...", _trim(inv, 2, k=2, lead=2), ric)
-    F = _trim(_d(fields["ax"], 0, h, 2) - _d(fields["at"], 1, h, 2), 2)
-    return ACTION_COUPLING * (F * r + F ** 3 / (-_trim(det, 2, k=2)))
+    r = (inv * ric).reshape((4,) + ric.shape[2:]).sum(axis=0)
+    F = _dp(fields["ax"], -2, h) - _dp(fields["at"], -1, h)
+    return det, inv, E, gam, ric, r, F
+
+
+def _action_density_2d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
+    """Discrete reduced-action density on a periodic block."""
+    det, _, _, _, _, r, F = _action_terms_2d(fields, h)
+    return ACTION_COUPLING * (F * r + F ** 3 / (-det))
+
+
+def _action_gradient_2d(fields: dict[str, np.ndarray], h: float) -> dict:
+    """Gradient of the summed 2D action density with respect to every
+    field value of a periodic block, by reverse mode."""
+    det, inv, E, gam, ric, r, F = _action_terms_2d(fields, h)
+    bar_F = ACTION_COUPLING * (r + 3.0 * F ** 2 / (-det))
+    bar_r = ACTION_COUPLING * F
+    bar_ric = bar_r * inv
+    bar_gam = np.zeros_like(gam)
+    bar_dgam = np.zeros((2,) + gam.shape)
+    for s in range(2):
+        for m_ in range(2):
+            b = bar_ric[s, m_]
+            for lam in range(2):
+                bar_dgam[m_, lam, lam, s] += b
+                bar_dgam[lam, lam, m_, s] -= b
+                for rho in range(2):
+                    bar_gam[lam, m_, rho] += b * gam[rho, lam, s]
+                    bar_gam[rho, lam, s] += b * gam[lam, m_, rho]
+                    bar_gam[lam, lam, rho] -= b * gam[rho, m_, s]
+                    bar_gam[rho, m_, s] -= b * gam[lam, lam, rho]
+    bar_gam += _diff_adjoint(bar_dgam, h, 2)
+    out = _christoffel_adjoint(
+        det, inv, E, bar_gam, h, 2, bar_inv=bar_r * ric, bar_det=ACTION_COUPLING * F ** 3 / det ** 2
+    )
+    out["at"] = _dp(bar_F, -1, h)
+    out["ax"] = -_dp(bar_F, -2, h)
+    return out
 
 
 def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
     """Discrete density of the 3D connection functional (the one whose
-    metric variation produces the Cotton tensor).  Returns the density two
-    cells in from each end of the three spatial axes."""
-    gam = _discrete_christoffel(fields, h, 3)[2]
-    dgam = {}
-
-    def dG(b, s, gpair):
-        key = (b, s, gpair)
-        if key not in dgam:
-            dgam[key] = _d(gam[s, gpair[0], gpair[1]], b, h, 3)
-        return dgam[key]
-
-    gam_c = _trim(gam, 3, lead=3)
+    metric variation produces the Cotton tensor) on a periodic block."""
+    gam = _christoffel(fields, h, 3)[3]
+    dgam = _diff_all(gam, h, 3)
     dens = 0.0
     eps = _eps3(1)
     for perm in itertools.permutations(range(3)):
@@ -484,36 +570,75 @@ def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
         al, be, ga_ = perm
         for rho in range(3):
             for sig in range(3):
-                dens = dens + sign * 0.5 * gam_c[rho, al, sig] * dG(be, sig, (ga_, rho))
+                dens = dens + sign * 0.5 * gam[rho, al, sig] * dgam[be, sig, ga_, rho]
                 for tau in range(3):
-                    dens = dens + sign * (1.0 / 3.0) * gam_c[rho, al, sig] * gam_c[sig, be, tau] * gam_c[tau, ga_, rho]
+                    dens = dens + sign * (1.0 / 3.0) * gam[rho, al, sig] * gam[sig, be, tau] * gam[tau, ga_, rho]
     return dens / (4.0 * math.pi ** 2)
 
 
-def _patch_gradient(fields: dict, name: str, sites, h: float, density_fn, eps_scale: float = 1e-6) -> np.ndarray:
-    """d(sum density * h^dim)/d(field value at each site) by central
-    differences, recomputing only the stencil neighborhood (radius 4) of a
-    site.  The patches of all sites are gathered by one fancy index and
-    stacked along a trailing batch axis, so the density runs once per sign."""
+def _cs_gradient_3d(fields: dict[str, np.ndarray], h: float) -> dict:
+    """Gradient of the summed 3D connection density with respect to every
+    metric value of a periodic block, by reverse mode.
+
+    With the matrices (A_a)^r_s = Gamma^r_{as} = gam[:, a], the density is
+    eps^{abc} (1/2 tr(A_a d_b A_c) + 1/3 tr(A_a A_b A_c)) / 4 pi^2; the cubic
+    term is cyclic, so its gradient in A_a is the commutator [A_b, A_c]
+    (transposed) for the cyclic successors b, c of a."""
+    det, inv, E, gam = _christoffel(fields, h, 3)
+    bar_gam = np.zeros_like(gam)
+    for al in range(3):
+        be, ga_ = (al + 1) % 3, (al + 2) % 3
+        A_b, A_c = gam[:, be], gam[:, ga_]
+        grad = _mm(A_b, A_c) - _mm(A_c, A_b)
+        grad += 0.5 * (_dp(A_c, be - 3, h) - _dp(A_b, ga_ - 3, h))
+        bar_gam[:, al] += np.swapaxes(grad, 0, 1)
+        # the adjoint of d_b is -d_b
+        half = 0.5 * np.swapaxes(gam[:, al], 0, 1)
+        bar_gam[:, ga_] -= _dp(half, be - 3, h)
+        bar_gam[:, be] += _dp(half, ga_ - 3, h)
+    bar_gam *= 1.0 / (4.0 * math.pi ** 2)
+    return _christoffel_adjoint(det, inv, E, bar_gam, h, 3)
+
+
+# Gathered patches go through in batches of at most this many cells (four
+# 9^3 patches): at its peak the 3D adjoint holds about eight arrays of 27
+# values per cell, 5 MB at this size.
+_PATCH_BATCH_CELLS = 3000
+
+
+def _patch_gradient(fields: dict, sites, h: float, gradient_fn) -> dict:
+    """h^dim times the gradient of the discrete action (the summed density)
+    with respect to every field's value at each site, as {name: array over
+    sites}.
+
+    gradient_fn(block, h) differentiates the action of a periodic block.
+    The block is the whole lattice, or the radius-4 patches of the sites,
+    each taken as a periodic 9^dim block and stacked on a leading batch
+    axis, whichever holds fewer cells.  A site's gradient reads field values
+    within twice the density's stencil radius of 2, and 9 >= 2*4 + 1, so
+    both blocks give the site the same value."""
     sites = np.asarray(sites, dtype=int)
     n, dim = sites.shape
+    shape = fields["gtt"].shape
+    scale = h ** dim
+    if math.prod(shape) <= n * 9 ** dim:
+        grads = gradient_fn(fields, h)
+        return {k: grads[k][tuple(sites.T)] * scale for k in fields}
     offsets = np.arange(-4, 5)
-    at = tuple(
-        (offsets.reshape([9 if a == d else 1 for a in range(dim)] + [1]) + sites[:, d]) % fields[name].shape[d]
-        for d in range(dim)
-    )
-    patch = {k: v[at] for k, v in fields.items()}
-    center = (4,) * dim + (np.arange(n),)
-    base = patch[name][center]
-    eps = eps_scale * (1.0 + np.abs(base))
-    sums = []
-    for value in (base + eps, base - eps):
-        varied = patch[name].copy()
-        varied[center] = value
-        dens = density_fn({**patch, name: varied}, h)
-        # one contiguous row per patch: sums in the order of np.sum over a single core
-        sums.append(np.ascontiguousarray(np.moveaxis(dens, -1, 0)).reshape(n, -1).sum(axis=1))
-    return (sums[0] - sums[1]) / (2.0 * eps) * h ** dim
+    per_batch = max(1, _PATCH_BATCH_CELLS // 9 ** dim)
+    out = {k: np.empty(n) for k in fields}
+    for lo in range(0, n, per_batch):
+        batch = sites[lo:lo + per_batch]
+        # index arrays of shape (len(batch), 9, ..., 9), the batch axis first
+        at = tuple(
+            (batch[:, d].reshape([-1] + [1] * dim) + offsets.reshape([1] + [9 if a == d else 1 for a in range(dim)]))
+            % shape[d]
+            for d in range(dim)
+        )
+        grads = gradient_fn({k: v[at] for k, v in fields.items()}, h)
+        for k in fields:
+            out[k][lo:lo + per_batch] = grads[k][(Ellipsis,) + (4,) * dim] * scale
+    return out
 
 
 def lattice_variation_check_2d(
@@ -525,8 +650,10 @@ def lattice_variation_check_2d(
     check_id: str = "lattice-eom-2d",
     case: Optional[str] = None,
 ) -> CheckReport:
-    """Numeric site-by-site variation of the discretized reduced action
-    against the analytic field-equation residuals.
+    """Variation of the discretized reduced action with respect to the
+    field values at lattice sites, against the analytic field-equation
+    residuals.  The variation is the exact gradient of the discrete action
+    (reverse mode); the tests cross-check it against central differences.
 
     With a window, the closed-form fields are blended to a flat background
     outside the window support (keeping the lattice periodic) and only core
@@ -571,12 +698,10 @@ def lattice_variation_check_2d(
         "gtx": ACTION_COUPLING * sqrtg * eq12_up[0, 1] * 2.0,
         "gxx": ACTION_COUPLING * sqrtg * eq12_up[1, 1],
     }
-    dens = _action_density_2d({k: np.pad(v, 2, mode="wrap") for k, v in fields.items()}, h)
+    dens = _action_density_2d(fields, h)
+    grads = _patch_gradient(fields, sites, h, _action_gradient_2d)
     names = ("at", "ax", "gtt", "gtx", "gxx")
-    resid = np.array([
-        np.abs(_patch_gradient(fields, name, sites, h, _action_density_2d) / h ** 2 - target[name])
-        for name in names
-    ])
+    resid = np.array([np.abs(grads[name] / h ** 2 - target[name]) for name in names])
     per_field = {name: float(np.max(row)) for name, row in zip(names, resid)}
     scale = 1.0 + float(np.max(np.abs(dens))) + max(
         float(np.max(np.abs(v))) for v in target.values()
@@ -619,9 +744,11 @@ def lattice_cotton_variation_check_3d(
     tolerance: Optional[float] = None,
     check_id: str = "lattice-cotton-3d",
 ) -> CheckReport:
-    """Numeric variation of the discretized connection functional w.r.t.
-    metric values at interior lattice sites, against the Cotton tensor
-    density from the exact engine."""
+    """Variation of the discretized connection functional with respect to
+    metric values at lattice sites, against the Cotton tensor density from
+    the exact engine.  The variation is the exact gradient of the discrete
+    functional (reverse mode); the tests cross-check it against central
+    differences."""
     span = Span()
     axes = lattice.axes(h)
     Tg, Xg, Yg = np.meshgrid(*axes, indexing="ij")
@@ -639,9 +766,10 @@ def lattice_cotton_variation_check_3d(
     sqrtg = np.sqrt(np.abs(data["det"]))
     cot = data["cotton"]
     comps = _METRIC_COMPONENTS[3]
+    grads = _patch_gradient(fields, sites, h, _cs_gradient_3d)
     resid = np.array([
         np.abs(
-            _patch_gradient(fields, "g" + c, sites, h, _cs_density_3d) / h ** 3
+            grads["g" + c] / h ** 3
             - COTTON_COUPLING * sqrtg * cot[i, j] * (2.0 if i != j else 1.0)
         )
         for c, (i, j) in comps.items()

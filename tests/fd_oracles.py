@@ -1,20 +1,30 @@
-"""Finite-difference curvature oracles for the tests.
+"""Finite-difference oracles for the tests.
 
-These re-implement the connection, Ricci and Cotton formulas with nested
-Richardson-extrapolated central differences on plain float evaluation --
-no jets anywhere -- so agreement with the engine validates the entire
-derivative path.  Outer levels use larger steps: each nesting divides the
-inner noise by the step, so the step ladder keeps the stack's accuracy
-near 1e-7.
+The curvature oracles re-implement the connection, Ricci and Cotton
+formulas with nested Richardson-extrapolated central differences on plain
+float evaluation -- no jets anywhere -- so agreement with the engine
+validates the entire derivative path.  Outer levels use larger steps: each
+nesting divides the inner noise by the step, so the step ladder keeps the
+stack's accuracy near 1e-7.
+
+The lattice oracles are the discrete densities of ``reduction`` written
+with slicing central differences on a padded block, and their gradient by
++-eps sweeps of each site's radius-4 patch; they are the reference that
+the exact reverse-mode lattice gradient is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
+from cottonkit import reduction
 from cottonkit.exprlang import eval_array
-from cottonkit.geometry import MetricSpec
+from cottonkit.geometry import MetricSpec, _eps3
 from cottonkit.oracles import fd_partial
+from cottonkit.reduction import _METRIC_COMPONENTS, ACTION_COUPLING
 
 
 def metric_fn(m: MetricSpec):
@@ -126,3 +136,144 @@ def cotton_fd(m: MetricSpec, h_outer: float = 1e-2):
         return cot
 
     return cotton
+
+
+# -- lattice densities by slicing, and their gradient by finite differences ------
+
+
+def _trim(F: np.ndarray, dim: int, k: int = 1, lead: int = 0) -> np.ndarray:
+    """Drop k cells at both ends of the dim spatial axes that follow lead
+    index axes; trailing (batch) axes are kept."""
+    return F[(slice(None),) * lead + (slice(k, -k),) * dim]
+
+
+def _d(F: np.ndarray, axis: int, h: float, dim: int) -> np.ndarray:
+    """Central difference (F[i+1] - F[i-1]) / 2h along a spatial axis; the
+    result loses one cell at both ends of every spatial axis."""
+    hi = [slice(1, -1)] * dim
+    lo = [slice(1, -1)] * dim
+    hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+    return (F[tuple(hi)] - F[tuple(lo)]) / (2.0 * h)
+
+
+def discrete_christoffel(fields: dict[str, np.ndarray], h: float, dim: int):
+    """Determinant and inverse of the lattice metric, and its Christoffel
+    symbols by central differences (one cell trimmed per spatial axis)."""
+    shape = fields["gtt"].shape
+    g = np.empty((dim, dim) + shape)
+    for c, (i, j) in _METRIC_COMPONENTS[dim].items():
+        g[i, j] = g[j, i] = fields["g" + c]
+
+    def minor(i, j):
+        r_ = [k for k in range(dim) if k != i]
+        c_ = [k for k in range(dim) if k != j]
+        if dim == 2:
+            return g[r_[0], c_[0]]
+        return g[r_[0], c_[0]] * g[r_[1], c_[1]] - g[r_[0], c_[1]] * g[r_[1], c_[0]]
+
+    first = [minor(0, j) for j in range(dim)]
+    det = g[0, 0] * first[0] - g[0, 1] * first[1]
+    if dim == 3:
+        det = det + g[0, 2] * first[2]
+    inv = np.empty_like(g)
+    for i in range(dim):
+        for j in range(dim):
+            inv[j, i] = (first[j] if i == 0 else minor(i, j)) * (-1.0 if (i + j) % 2 else 1.0) / det
+    dg = [[None] * dim for _ in range(dim)]
+    for i, j in _METRIC_COMPONENTS[dim].values():
+        dg[i][j] = dg[j][i] = [_d(g[i, j], l, h, dim) for l in range(dim)]
+    inv_c = _trim(inv, dim, lead=2)
+    gam = np.empty((dim, dim, dim) + dg[0][0][0].shape)
+    for k in range(dim):
+        for i in range(dim):
+            for j in range(i, dim):
+                tot = 0.0
+                for l in range(dim):
+                    tot = tot + inv_c[k, l] * (dg[l][j][i] + dg[l][i][j] - dg[i][j][l])
+                gam[k, i, j] = gam[k, j, i] = 0.5 * tot
+    return det, inv, gam
+
+
+def action_density_2d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
+    """Discrete reduced-action density: central differences throughout.
+    Returns the density two cells in from each end of both spatial axes."""
+    det, inv, gam = discrete_christoffel(fields, h, 2)
+    dgam = [[[[_d(gam[k, i, j], l, h, 2) for l in range(2)] for j in range(2)] for i in range(2)] for k in range(2)]
+    gam = _trim(gam, 2, lead=3)
+    ric = np.empty((2, 2) + dgam[0][0][0][0].shape)
+    for s in range(2):
+        for m_ in range(2):
+            tot = 0.0
+            for lam in range(2):
+                tot = tot + dgam[lam][lam][s][m_] - dgam[lam][m_][s][lam]
+                for rho in range(2):
+                    tot = tot + gam[lam, m_, rho] * gam[rho, lam, s]
+                    tot = tot - gam[lam, lam, rho] * gam[rho, m_, s]
+            ric[s, m_] = tot
+    r = np.einsum("sm...,sm...->...", _trim(inv, 2, k=2, lead=2), ric)
+    F = _trim(_d(fields["ax"], 0, h, 2) - _d(fields["at"], 1, h, 2), 2)
+    return ACTION_COUPLING * (F * r + F ** 3 / (-_trim(det, 2, k=2)))
+
+
+def cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
+    """Discrete density of the 3D connection functional (the one whose
+    metric variation produces the Cotton tensor).  Returns the density two
+    cells in from each end of the three spatial axes."""
+    gam = discrete_christoffel(fields, h, 3)[2]
+    dgam = {}
+
+    def dG(b, s, gpair):
+        key = (b, s, gpair)
+        if key not in dgam:
+            dgam[key] = _d(gam[s, gpair[0], gpair[1]], b, h, 3)
+        return dgam[key]
+
+    gam_c = _trim(gam, 3, lead=3)
+    dens = 0.0
+    eps = _eps3(1)
+    for perm in itertools.permutations(range(3)):
+        sign = eps[perm]
+        al, be, ga_ = perm
+        for rho in range(3):
+            for sig in range(3):
+                dens = dens + sign * 0.5 * gam_c[rho, al, sig] * dG(be, sig, (ga_, rho))
+                for tau in range(3):
+                    dens = dens + sign * (1.0 / 3.0) * gam_c[rho, al, sig] * gam_c[sig, be, tau] * gam_c[tau, ga_, rho]
+    return dens / (4.0 * math.pi ** 2)
+
+
+def fd_site_gradient(fields: dict, name: str, sites, h: float, density_fn, eps_scale: float = 1e-6) -> np.ndarray:
+    """d(sum density * h^dim)/d(field value at each site) by central
+    differences, recomputing only the stencil neighborhood (radius 4) of a
+    site.  The patches of all sites are gathered by one fancy index and
+    stacked along a trailing batch axis, so the density runs once per sign."""
+    sites = np.asarray(sites, dtype=int)
+    n, dim = sites.shape
+    offsets = np.arange(-4, 5)
+    at = tuple(
+        (offsets.reshape([9 if a == d else 1 for a in range(dim)] + [1]) + sites[:, d]) % fields[name].shape[d]
+        for d in range(dim)
+    )
+    patch = {k: v[at] for k, v in fields.items()}
+    center = (4,) * dim + (np.arange(n),)
+    base = patch[name][center]
+    eps = eps_scale * (1.0 + np.abs(base))
+    sums = []
+    for value in (base + eps, base - eps):
+        varied = patch[name].copy()
+        varied[center] = value
+        dens = density_fn({**patch, name: varied}, h)
+        # one contiguous row per patch: sums in the order of np.sum over a single core
+        sums.append(np.ascontiguousarray(np.moveaxis(dens, -1, 0)).reshape(n, -1).sum(axis=1))
+    return (sums[0] - sums[1]) / (2.0 * eps) * h ** dim
+
+
+def fd_patch_gradient(fields: dict, sites, h: float, gradient_fn) -> dict:
+    """``reduction._patch_gradient`` by finite differences: one batched
+    sweep per field of the slicing reference density that ``gradient_fn``
+    differentiates."""
+    density = {
+        reduction._action_gradient_2d: action_density_2d,
+        reduction._cs_gradient_3d: cs_density_3d,
+    }[gradient_fn]
+    return {name: fd_site_gradient(fields, name, sites, h, density) for name in fields}

@@ -180,6 +180,22 @@ def test_malformed_grid_spec_exit_two(tmp_path, spec, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("nan,0.5,0.5", "--point needs finite components, got 'nan,0.5,0.5'"),
+        ("inf,0,0", "--point needs finite components, got 'inf,0,0'"),
+        ("0.5,abc,0.5", "--point '0.5,abc,0.5' is not a comma-separated list of numbers"),
+    ],
+)
+def test_killing_dim_rejects_bad_point_exit_two(tmp_path, point, message):
+    # a NaN point gave "killing_dimension": 6 and bare NaN in the JSON, with exit 0
+    flat = _flat_metric(tmp_path)
+    code, out, err = run_cli("killing-dim", "--metric", str(flat), "--point", point)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_catalog_export_and_downstream_commands(tmp_path):
     m3 = tmp_path / "c.json"
     fields = tmp_path / "fields.json"

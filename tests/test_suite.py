@@ -85,24 +85,48 @@ def test_argworst_prefers_nan_and_first_maximum():
     assert np.isnan(value) and k == 1
 
 
-def _nan_patch_gradient(fields, name, sites, h, density_fn, eps_scale=1e-6):
-    return np.full(len(sites), np.nan)
+def _nan_patch_gradient(fields, sites, h, gradient_fn):
+    return {name: np.full(len(sites), np.nan) for name in fields}
 
 
-def test_nan_site_gradient_fails_lattice_checks(monkeypatch):
-    monkeypatch.setattr(reduction, "_patch_gradient", _nan_patch_gradient)
-    rd = reduction.ReducedData(
+def _lattice_rd():
+    return reduction.ReducedData(
         g2=MetricSpec.from_components(
             ("t", "x"), {"t,t": "1+0.1*sin(t)*cos(x)", "t,x": "0", "x,x": "-1"}, env={"C": 1.0}
         ),
         a=(parse_expr("0.1*sin(x)"), parse_expr("0")),
     )
-    rep2 = reduction.lattice_variation_check_2d(rd, reduction.Lattice2D(0.0, 0.0, 12, 12), 2 * math.pi / 12)
+
+
+def test_nan_site_gradient_fails_lattice_checks(monkeypatch):
+    monkeypatch.setattr(reduction, "_patch_gradient", _nan_patch_gradient)
+    rep2 = reduction.lattice_variation_check_2d(_lattice_rd(), reduction.Lattice2D(0.0, 0.0, 12, 12), 2 * math.pi / 12)
     rep3 = reduction.lattice_cotton_variation_check_3d(flat_metric(), reduction.Lattice3D(8), 2 * math.pi / 8)
     for rep, per in ((rep2, "per_field"), (rep3, "per_component")):
         assert not rep.passed, rep.line()
         assert np.isnan(rep.max_residual)
         assert all(np.isnan(v) for v in rep.details[per].values())
+
+
+def test_nan_lattice_field_value_fails_lattice_checks(monkeypatch):
+    # one NaN field value at a varied site reaches the gradient unmasked
+    original = reduction.eval_array
+    seen = []
+
+    def nan_at_first_site(expr, bind):
+        out = np.array(original(expr, bind), dtype=float)
+        if not seen:
+            out[(0,) * out.ndim] = np.nan
+        seen.append(expr)
+        return out
+
+    monkeypatch.setattr(reduction, "eval_array", nan_at_first_site)
+    rep2 = reduction.lattice_variation_check_2d(_lattice_rd(), reduction.Lattice2D(0.0, 0.0, 12, 12), 2 * math.pi / 12)
+    seen.clear()
+    rep3 = reduction.lattice_cotton_variation_check_3d(flat_metric(), reduction.Lattice3D(8), 2 * math.pi / 8)
+    for rep in (rep2, rep3):
+        assert not rep.passed, rep.line()
+        assert np.isnan(rep.max_residual)
 
 
 def test_nan_bracket_fails_killing_closure(monkeypatch):
