@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--xmax", type=float, default=8.0)
     p.add_argument("--n", type=int, default=801)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=1e-7, help="reject first-integral drift > 100*tol*max(1, C)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
 

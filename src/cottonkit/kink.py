@@ -18,6 +18,8 @@ integrator's resolution, a bracket 2e-13 C wide: below that width the
 decisions follow the integration error of the classifying orbit, not the
 separatrix.  Both ends are then classified again at the tightest
 tolerance, so a wrong early decision fails the solve instead of moving it.
+The final orbit and the grid-convergence probe share one fixed-step
+Dormand-Prince integrator and its continuous extension.
 
 The flat-space solver integrates the first-order quadrature form
 k' = sqrt(2 V(k)) from the potential's interior maximum, which is the
@@ -40,9 +42,9 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
-from .exprlang import ExprAst, eval_array, parse_expr, substitute
+from .exprlang import ExprAst, eval_array, eval_jet_bindings, parse_expr, substitute
 from .geometry import MetricSpec, _expr_jet, _Pipeline, curvature_grid
-from .jets import Jet, jet_extract, jet_var
+from .jets import Jet, jet_constant, jet_extract, jet_var
 from .report import CheckReport, Span
 
 __all__ = [
@@ -99,15 +101,15 @@ class PotentialSpec:
         """V at phi, a float or an array; an array of phi's shape."""
         return eval_array(self.expr, {self.var: phi, **self.env})
 
-    def derivatives(self, phi: float, order: int = 2) -> list[float]:
-        """[V, V', ..., V^(order)] at phi via a jet."""
-        j = jet_var(0, float(phi), 1, order)
-        from .exprlang import eval_jet_bindings
-
-        val = eval_jet_bindings(self.expr, {self.var: j, **self.env})
-        if not isinstance(val, Jet):
-            return [float(val)] + [0.0] * order
-        return [float(jet_extract(val, (k,))) for k in range(order + 1)]
+    def derivatives(self, phi, order: int = 2) -> list:
+        """[V, V', ..., V^(order)] at phi via a jet: floats for a float phi,
+        arrays of phi's shape for an array."""
+        x = float(phi) if np.ndim(phi) == 0 else np.asarray(phi, dtype=float)
+        val = eval_jet_bindings(self.expr, {self.var: jet_var(0, x, 1, order), **self.env})
+        if not isinstance(val, Jet):  # V is constant
+            val = jet_constant(float(val), 1, order)
+        coeffs = [jet_extract(val, (k,)) for k in range(order + 1)]
+        return [float(c) for c in coeffs] if isinstance(x, float) else [np.full_like(x, c) for c in coeffs]
 
 
 def phi4_potential(C: float = 1.0) -> tuple[PotentialSpec, ExprAst]:
@@ -153,11 +155,13 @@ class KinkProfile:
     boundary_gap: float
 
     def __post_init__(self):
+        columns = (self.x, self.f, self.fprime, self.h, self.eq14_residual, self.first_integral)
+        if not all(np.isfinite(c).all() for c in columns):  # and a NaN fails every test below
+            raise KinkSolverError("profile holds a non-finite value")
         sign = 1.0 if self.shoot_param >= 0 else -1.0
-        df = np.diff(sign * self.f)
-        if np.any(df <= 0):
+        if not np.all(np.diff(sign * self.f) > 0):
             raise KinkSolverError("profile is not strictly monotone")
-        if np.any(self.h <= 0):
+        if not np.all(self.h > 0):
             raise KinkSolverError("h must stay positive")
 
     def csv_rows(self):
@@ -169,15 +173,6 @@ class KinkProfile:
                 self.eq14_residual[k],
                 self.first_integral[k],
             )
-
-
-def _rhs_full(C: float):
-    def rhs(x, y):
-        f, u, h = y
-        du = 0.5 * (f ** 3 - C * f)
-        return (u, du, 2.0 * h * du / u)
-
-    return rhs
 
 
 # DOP853 tableau of scipy's own integrator.  The right-hand side is
@@ -342,11 +337,14 @@ def solve_kink_ode(
     The loop stops at width 2e-13 C (9 rounds), and both bracket ends are
     classified again at 1e-12; a bracket that no longer straddles the
     separatrix raises KinkSolverError.  `iterations` counts the rounds.
-    The final orbit is integrated once with a 4/5-order adaptive pair at
-    tolerance tol/10 and mirrored through the origin (f odd, h even).  The
-    residual columns re-derive the second derivatives from dense output by
-    high-order finite differences, so they measure the integration honestly
-    instead of restating the equations.
+    The final orbit is one `_dopri5_orbit` run at the fixed step
+    delta = 0.02/max(1, sqrt(C)), mirrored through the origin (f odd, h
+    even) and read through its continuous extension; the residual columns
+    re-derive the second derivatives from it by finite differences, so they
+    measure the integration honestly instead of restating the equations.
+    tol only bounds the first-integral drift, 100 tol max(1, C), and buys
+    no accuracy: the drift is the stencils' floor (1.25e-7 at C = 1), which
+    a smaller tol rejects.  A non-finite profile raises KinkSolverError.
     """
     _require_finite_positive(C=C, xmax=xmax, tol=tol)
     if xmax < 5.0 / math.sqrt(C):
@@ -382,37 +380,22 @@ def solve_kink_ode(
     s = 0.5 * (lo + hi)
 
     delta = 0.02 / max(1.0, root)
-    span = xmax + 4 * delta
-    rtol = max(tol / 10.0, 1e-13)
-    sol = solve_ivp(
-        _rhs_full(C),
-        (0.0, span),
-        (0.0, s, 1.0),
-        method="RK45",
-        rtol=rtol,
-        atol=rtol,
-        dense_output=True,
-        max_step=0.02 / max(1.0, root),
-    )
-    if not sol.success:
-        raise KinkSolverError(f"final integration failed: {sol.message}")
+    Y, K = _dopri5_orbit(C, (0.0, s, 1.0), delta, math.ceil((xmax + 4 * delta) / delta))
 
     xg = np.linspace(-xmax, xmax, n)
     ax = np.abs(xg)
-    vals = sol.sol(ax)
-    sgn = np.sign(xg)
-    sgn[sgn == 0.0] = 1.0
-    f_pos, u_pos, h_pos = vals
+    sgn = np.where(xg < 0.0, -1.0, 1.0)
 
     # independent residual route: 4th-order first differences of dense
     # state values (f'' from u, h'' through the state-valued h'), with
-    # f odd / u, h even parity for stencil points reflected through 0
+    # f odd / u, h even parity for stencil points reflected through 0; the
+    # middle stencil row is the grid itself
     offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * delta
     st_x = ax[None, :] + offs[:, None]
-    raw = sol.sol(np.abs(st_x).reshape(-1)).reshape(3, 5, -1)
+    raw = _dopri5_dense(Y, K, delta, np.abs(st_x))
+    f_pos, u_pos, h_pos = raw[:, 2]
+    _, u_st, h_st = raw
     f_st = np.where(st_x < 0.0, -raw[0], raw[0])
-    u_st = raw[1]
-    h_st = raw[2]
     hp_st = h_st * (f_st ** 3 - C * f_st) / u_st  # odd by parity
     d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * delta)
     fpp = np.einsum("s,sk->k", d1, u_st)
@@ -421,8 +404,6 @@ def solve_kink_ode(
     eq14_pos = -fpp - hp / (2.0 * h_pos) * u_pos - C * f_pos + f_pos ** 3
     r_pos = -(hpp / h_pos - hp ** 2 / (2.0 * h_pos ** 2))
     first_int = r_pos + 3.0 * f_pos ** 2
-
-    bgap = abs(float(sol.sol(xmax)[0]) - root)
     profile = KinkProfile(
         C=float(C),
         x=xg,
@@ -435,53 +416,81 @@ def solve_kink_ode(
         iterations=rounds,
         bracket_width=hi - lo,
         max_residual=float(np.max(np.abs(eq14_pos))),
-        boundary_gap=bgap,
+        boundary_gap=abs(float(f_pos[-1]) - root),  # the grid ends at xmax
     )
     drift = float(np.max(np.abs(first_int - C)))
-    if drift > 100.0 * tol * max(1.0, C):
+    if not drift <= 100.0 * tol * max(1.0, C):
         raise KinkSolverError(
             f"first-integral drift {drift:g} exceeds 100*tol; run rejected"
         )
     return profile
 
 
-# -- fixed-step convergence probe -------------------------------------------------
+# -- the fixed-step orbit --------------------------------------------------------
 
-def _dopri5_fixed(rhs, y0, x1: float, h: float) -> np.ndarray:
-    """Classical Dormand-Prince step at fixed h (the 5th-order solution of
-    the embedded 4/5 pair, scipy's RK45 tableau); used only for the
-    grid-convergence study."""
-    y = np.asarray(y0, dtype=float)
-    x = 0.0
-    nsteps = int(round(x1 / h))
-    for _ in range(nsteps):
-        k = [np.asarray(rhs(x, y))]
-        for i in range(1, 6):
-            yi = y + h * sum(a * kk for a, kk in zip(RK45.A[i], k))
-            k.append(np.asarray(rhs(x + h * RK45.C[i], yi)))
-        y = y + h * sum(b * kk for b, kk in zip(RK45.B, k))
-        x += h
-    return y
+# scipy's RK45 (Dormand-Prince 4/5) rows for stages 1..5 and the step's end,
+# each cut to the stages it reads; the right-hand side is autonomous.
+_DP_ROWS = tuple(tuple(map(float, row)) for row in [*(RK45.A[i, :i] for i in range(1, 6)), RK45.B])
+
+
+def _dopri5_orbit(C: float, y0, h: float, nsteps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`nsteps` fixed steps h of the 5th-order Dormand-Prince solution
+    (scipy's RK45 tableau) of the orbit (f, u, h) from y0: Y[n], shape
+    (nsteps + 1, 3), is the state after n steps, K[n], shape (nsteps, 7, 3),
+    the stage slopes of step n, the last at its end (first same as last).
+    Stages sum a_j k_j from 0 in tableau order, so Y is y + h sum(a k) bit
+    for bit; Python floats beat 3-element arrays here.  Rows from a step
+    that overflows or divides by zero on are NaN: callers judge the rows."""
+
+    def slope(f, u, g):
+        du = 0.5 * (f ** 3 - C * f)
+        return (u, du, 2.0 * g * du / u)
+
+    Y = np.full((nsteps + 1, 3), np.nan)
+    K = np.full((nsteps, 7, 3), np.nan)
+    f, u, g = Y[0] = tuple(float(v) for v in y0)
+    try:
+        k = [slope(f, u, g)]
+        for n in range(nsteps):
+            for row in _DP_ROWS:
+                sf = su = sg = 0.0
+                for a, (kf, ku, kg) in zip(row, k):
+                    sf += a * kf
+                    su += a * ku
+                    sg += a * kg
+                stage = (f + h * sf, u + h * su, g + h * sg)
+                k.append(slope(*stage))
+            f, u, g = Y[n + 1] = stage
+            K[n] = k
+            k = [k[-1]]
+    except (ZeroDivisionError, OverflowError):
+        pass  # this step's rows and all later ones stay NaN
+    return Y, K
+
+
+def _dopri5_dense(Y: np.ndarray, K: np.ndarray, h: float, x) -> np.ndarray:
+    """Continuous extension of a `_dopri5_orbit` run at abscissae x >= 0,
+    shape (3, *x.shape): Y[k] + h (K[k]^T P)(theta, ..., theta^4) on step
+    k = floor(x/h), clipped to the last, theta = x/h - k, P scipy's RK45
+    interpolant (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.6)."""
+    t = np.asarray(x, dtype=float) / h
+    k = np.clip(np.floor(t), 0, len(K) - 1).astype(int)
+    powers = np.cumprod(np.broadcast_to(t - k, (4,) + t.shape), axis=0)  # theta, ..., theta^4
+    y = Y[k] + h * np.einsum("...sc,sj,j...->...c", K[k], RK45.P, powers)
+    return np.moveaxis(y, -1, 0)
 
 
 def fixed_step_errors(C: float, xmax: float, steps: Sequence[float]) -> list[float]:
-    """Sup-norm error of the fixed-step integration against the closed-form
-    profile, one entry per step size."""
+    """Sup-norm error against the closed form at the step ends in (0, xmax]
+    of one `_dopri5_orbit` run from u(0) = C/2 per step size (NaN if any
+    step is non-finite)."""
     root = math.sqrt(C)
-    s = 0.5 * C
     errors = []
     for h in steps:
-        nchk = int(round(xmax / h))
-        xs = np.linspace(h, nchk * h, nchk)
-        dev = np.empty(nchk)
-        y = np.array([0.0, s, 1.0])
-        rhs = _rhs_full(C)
-        x = 0.0
-        for n, xt in enumerate(xs):
-            y = _dopri5_fixed(rhs, y, xt - x, h)
-            x = xt
-            dev[n] = y[0] - root * math.tanh(0.5 * root * xt)
-        errors.append(float(np.max(np.abs(dev))))  # a NaN step is the worst
+        nsteps = int(round(xmax / h))
+        Y, _ = _dopri5_orbit(C, (0.0, 0.5 * C, 1.0), h, nsteps)
+        exact = [root * math.tanh(0.5 * root * x) for x in np.linspace(h, nsteps * h, nsteps)]
+        errors.append(float(np.max(np.abs(Y[1:, 0] - exact))))
     return errors
 
 
@@ -607,16 +616,6 @@ def _lift_field_data(lift: LiftedKink, xs: np.ndarray):
     return np.asarray(fj.value), pipe.g[0], hess, box
 
 
-def _potential_derivs_at(p: PotentialSpec, fv: np.ndarray, order: int):
-    from .exprlang import eval_jet_bindings
-
-    j = jet_var(0, fv, 1, order)
-    val = eval_jet_bindings(p.expr, {p.var: j, **p.env})
-    if not isinstance(val, Jet):
-        return [np.full_like(fv, float(val))] + [np.zeros_like(fv)] * order
-    return [np.asarray(jet_extract(val, (k,))) for k in range(order + 1)]
-
-
 def lift_residuals(
     p: PotentialSpec,
     lift: LiftedKink,
@@ -629,7 +628,7 @@ def lift_residuals(
     span = Span()
     xs = np.asarray(grid, dtype=float).reshape(-1)
     fv, g_v, hess, box = _lift_field_data(lift, xs)
-    vp = _potential_derivs_at(p, fv, 1)[1]
+    vp = p.derivatives(fv, 1)[1]
     res_field = np.abs(box + vp)
     traceless = hess - 0.5 * g_v * box
     res_tracefree = np.max(np.abs(traceless), axis=(0, 1))
@@ -663,6 +662,6 @@ def lift_curvature_check(
     pts = np.column_stack([np.zeros_like(xs), xs])
     r = curvature_grid(lift.metric, pts)["scalar"]
     fv = _lift_field_data(lift, xs)[0]
-    vpp = _potential_derivs_at(p, fv, 2)[2]
+    vpp = p.derivatives(fv, 2)[2]
     scale = 1.0 + np.maximum(np.abs(r), np.abs(vpp))
     return span.report(check_id, np.abs(r + vpp) / scale, tolerance, pts, case=case, params=dict(p.env))

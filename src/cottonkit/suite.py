@@ -459,10 +459,10 @@ def check_kink_solver(C_values=(0.25, 1.0, 4.0)) -> list[CheckReport]:
 
 
 def check_kink_convergence(C: float = 1.0) -> CheckReport:
-    """Grid-refinement order of the fixed-step 4/5 pair against the closed
-    form: fitted slope must be at least 4 and halving must cut the error by
-    at least 2^4.  Steps scale with the profile's decay length 1/sqrt(C) so
-    the coarsest one stays inside the stability region at every coupling."""
+    """Grid-refinement order of the solver's fixed-step orbit against the
+    closed form: fitted slope at least 4, halving cuts the error by at least
+    2^4, a NaN step fails.  Steps scale with the profile's decay length
+    1/sqrt(C) so the coarsest one stays stable at every coupling."""
     span = Span()
     root = math.sqrt(C)
     steps = [h / root for h in (0.5, 0.25, 0.125, 0.0625)]

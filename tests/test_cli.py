@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cottonkit.cli import RunConfig, main
@@ -84,6 +86,39 @@ def test_solve_kink_csv(tmp_path):
     row = lines[51].split(",")  # x = 0 by symmetry of the grid
     assert abs(float(row[0])) < 1e-12
     assert abs(float(row[1])) < 1e-9
+
+
+def test_solve_kink_tol_bounds_the_first_integral_drift(tmp_path):
+    # tol sets no step size: the drift at C = 1 is the stencil floor, about
+    # 1.25e-7, which 100*tol = 1e-8 rejects and 1e-5 admits
+    out = tmp_path / "profile.csv"
+    code, _, err = run_cli("solve", "kink", "--tol", "1e-10", "--out", str(out))
+    assert code == 1
+    match = re.search(r"solver error: first-integral drift (\S+) exceeds 100\*tol; run rejected", err)
+    assert match, err
+    assert float(match.group(1)) == pytest.approx(1.25e-7, rel=0.01)
+    assert not out.exists()
+    code, msg, _ = run_cli("solve", "kink", "--tol", "1e-7", "--out", str(out))
+    assert code == 0, msg
+    assert len(out.read_text().splitlines()) == 802
+
+
+def test_solve_kink_non_finite_orbit_exits_one(tmp_path, monkeypatch):
+    import cottonkit.kink as kink
+
+    real = kink._dopri5_orbit
+
+    def nan_past_09(*args):
+        Y, K = real(*args)
+        Y[np.abs(Y[:, 0]) > 0.9] = np.nan
+        return Y, K
+
+    monkeypatch.setattr(kink, "_dopri5_orbit", nan_past_09)
+    out = tmp_path / "profile.csv"
+    code, _, err = run_cli("solve", "kink", "--out", str(out))
+    assert code == 1
+    assert "solver error: profile holds a non-finite value" in err
+    assert not out.exists()
 
 
 def test_lift_csv(tmp_path):

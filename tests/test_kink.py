@@ -110,7 +110,7 @@ def test_solver_rejects_non_finite_input_before_integrating(monkeypatch, kwargs,
     def no_integration(*a, **k):
         raise AssertionError("integrated before validating its input")
 
-    monkeypatch.setattr(kink, "solve_ivp", no_integration)
+    monkeypatch.setattr(kink, "_dopri5_orbit", no_integration)
     monkeypatch.setattr(kink, "_classify_batch", no_integration)
     with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
         solve_kink_ode(**{"C": 1.0, "xmax": 8.0, "tol": 1e-7, **kwargs})
@@ -185,8 +185,8 @@ def test_non_monotone_round_fails_closed(monkeypatch):
 
 def test_integration_count_per_solve(monkeypatch):
     # 9 rounds of 31 points from width C to 2e-13 C, the two bracket ends in
-    # the first round's batch, their re-classification; solve_ivp runs only
-    # the final dense integration
+    # the first round's batch, their re-classification; the final orbit is
+    # a fixed-step run, so solve_ivp never runs
     real = kink.solve_ivp
     methods = []
 
@@ -200,7 +200,7 @@ def test_integration_count_per_solve(monkeypatch):
     assert rep.details["classify_solves"] == 9 * 31 + 4
     assert rep.details["resolution"] == pytest.approx(2e-13)
     assert rep.details["bracket_width"] <= 2e-13
-    assert methods == ["RK45"]
+    assert methods == []
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf])
@@ -306,16 +306,121 @@ def test_scipy_rk45_tableau_is_the_dormand_prince_table():
     assert RK45.B.tolist() == list(_DP_B)
 
 
+def _static_gauge_rhs(C):
+    def rhs(x, y):
+        f, u, h = y
+        du = 0.5 * (f ** 3 - C * f)
+        return (u, du, 2.0 * h * du / u)
+
+    return rhs
+
+
 @pytest.mark.parametrize("C", [0.25, 1.0, 9.0])
 def test_fixed_step_dopri5_bit_equal_to_hand_tableau(C):
     # the right-hand side is autonomous, so the stage nodes do not enter and
-    # every kink-convergence step reproduces the hand-copied tableau exactly
-    rhs = kink._rhs_full(C)
+    # every step state of the orbit reproduces the hand-copied tableau exactly
+    rhs = _static_gauge_rhs(C)
     y0 = np.array([0.0, 0.5 * C, 1.0])
     for h in (0.5, 0.125, 0.0625):
         h /= math.sqrt(C)
-        got = kink._dopri5_fixed(rhs, y0, 8 * h, h)
-        assert got.tobytes() == _dopri5_reference(rhs, y0, 8 * h, h).tobytes()
+        Y, K = kink._dopri5_orbit(C, y0, h, 8)
+        assert Y.shape == (9, 3) and K.shape == (8, 7, 3)
+        for n in range(9):
+            assert Y[n].tobytes() == _dopri5_reference(rhs, y0, n * h, h).tobytes(), n
+
+
+@pytest.mark.parametrize("C", [0.25, 1.0, 9.0])
+def test_dopri5_dense_output_matches_scipy_interpolant(C):
+    from scipy.integrate import RK45
+    from scipy.integrate._ivp.rk import RkDenseOutput
+
+    h = 2.0 ** -5  # k h / h == k exactly, so x = k h lands on step k at theta = 0
+    Y, K = kink._dopri5_orbit(C, (0.0, 0.5 * C, 1.0), h, 40)
+    # the slopes are first same as last, and the seventh is the end state's
+    rhs = _static_gauge_rhs(C)
+    assert K[1:, 0].tobytes() == K[:-1, 6].tobytes()
+    assert K[-1, 6].tobytes() == np.array(rhs(0.0, Y[-1])).tobytes()
+    k = np.arange(40)
+    assert kink._dopri5_dense(Y, K, h, k * h).T.tobytes() == Y[:-1].tobytes()
+    # the two sum the same terms in other orders: a few ulp of the summed
+    # magnitudes |Y| + h (|K|^T |P|) theta^i, which the stage slopes' cancelling
+    # terms put far above the ulp of a value near f = 0
+    theta = np.array([0.1, 0.25, 0.5, 0.7, 0.95])
+    powers = np.cumprod(np.tile(theta, (4, 1)), axis=0)
+    for j in (0, 17, 39, 40):  # 40: past the last step its interpolant extends
+        step = min(j, 39)
+        scipy_step = RkDenseOutput(step * h, (step + 1) * h, Y[step], K[step].T.dot(RK45.P))
+        x = (j + theta) * h
+        want = scipy_step(x)
+        got = kink._dopri5_dense(Y, K, h, x)
+        assert got.shape == want.shape == (3, theta.size)
+        scale = np.abs(Y[step])[:, None] + h * (np.abs(K[step]).T @ np.abs(RK45.P)) @ powers
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale)), j
+
+
+@pytest.mark.parametrize("C", [0.25, 1.0, 4.0, 9.0])
+def test_final_profile_matches_adaptive_reference(C):
+    # an adaptive 8th-order reference from the solver's own u(0), at a
+    # tolerance far below the fixed-step orbit's error
+    xmax = 8.0 / math.sqrt(C)
+    prof = solve_kink_ode(C, xmax, n=801, tol=1e-7)
+    ref = solve_ivp(
+        _static_gauge_rhs(C),
+        (0.0, xmax),
+        (0.0, prof.shoot_param, 1.0),
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-13,
+        dense_output=True,
+    )
+    half = prof.x >= 0.0
+    f, u, h = ref.sol(prof.x[half])
+    assert np.max(np.abs(prof.f[half] - f)) < 1e-9
+    assert np.max(np.abs(prof.fprime[half] - u)) < 1e-9
+    assert np.max(np.abs(prof.h[half] - h)) < 1e-9
+
+
+def test_dopri5_orbit_blow_up_leaves_nan_rows():
+    # an orbit a little above the separatrix overshoots and blows up in
+    # finite x; the overflow ends the run with NaN rows instead of raising
+    Y, K = kink._dopri5_orbit(1.0, (0.0, 0.5 + 1e-6, 1.0), 0.02, 1500)
+    finite = np.isfinite(Y).all(axis=1)
+    first_bad = int(np.argmin(finite))
+    assert 0 < first_bad < 1500 and not finite[first_bad:].any() and finite[:first_bad].all()
+    assert np.isnan(K[first_bad - 1 :]).all() and np.isfinite(K[: first_bad - 1]).all()
+
+
+def _nan_past_09(monkeypatch):
+    """Route the fixed-step orbit through a stub that turns every state with
+    |f| > 0.9, and the slopes of the step ending there, into NaN."""
+    real = kink._dopri5_orbit
+
+    def nan_rows(*args):
+        Y, K = real(*args)
+        bad = np.abs(Y[:, 0]) > 0.9
+        Y[bad] = np.nan
+        K[bad[1:]] = np.nan
+        return Y, K
+
+    monkeypatch.setattr(kink, "_dopri5_orbit", nan_rows)
+
+
+def test_non_finite_orbit_fails_the_solve(monkeypatch):
+    _nan_past_09(monkeypatch)
+    with pytest.raises(KinkSolverError, match="non-finite"):
+        solve_kink_ode(1.0, 8.0, n=201, tol=1e-7)
+
+
+def test_non_finite_profile_is_rejected(profile_c1):
+    # NaN <= 0 is False, so a NaN profile passed the monotonicity and h > 0
+    # tests written as `any(... <= 0)`
+    fields = {name: getattr(profile_c1, name) for name in kink.KinkProfile.__dataclass_fields__}
+    nan = np.full_like(profile_c1.x, np.nan)
+    with pytest.raises(KinkSolverError):
+        kink.KinkProfile(**{**fields, "f": nan, "h": nan})
+    for name in ("x", "fprime", "eq14_residual", "first_integral"):
+        with pytest.raises(KinkSolverError, match="non-finite"):
+            kink.KinkProfile(**{**fields, name: nan})
 
 
 # -- flat kinks -------------------------------------------------------------------

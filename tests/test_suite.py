@@ -66,13 +66,14 @@ def test_nan_residual_fails_check(monkeypatch, check_id, stub_name, stub, run, f
 
 def test_nan_fixed_step_error_fails_kink_convergence(monkeypatch):
     """A NaN integration step makes the refinement order NaN and a FAIL."""
-    original = kink._dopri5_fixed
+    original = kink._dopri5_orbit
 
-    def nan_past_09(rhs, y0, x1, h):
-        y = original(rhs, y0, x1, h)
-        return np.full_like(y, np.nan) if abs(y[0]) > 0.9 else y
+    def nan_past_09(C, y0, h, nsteps):
+        Y, K = original(C, y0, h, nsteps)
+        Y[np.abs(Y[:, 0]) > 0.9] = np.nan
+        return Y, K
 
-    monkeypatch.setattr(kink, "_dopri5_fixed", nan_past_09)
+    monkeypatch.setattr(kink, "_dopri5_orbit", nan_past_09)
     rep = suite.check_kink_convergence(1.0)
     assert not rep.passed, rep.line()
     assert np.isnan(rep.max_residual)
