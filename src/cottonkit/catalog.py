@@ -78,8 +78,8 @@ def canonical_tag(tag: str) -> str:
 class SolutionCase:
     """A catalog branch with its coupling constant.
 
-    C must be positive except for case b, whose homogeneous solution only
-    exists at negative C.
+    C must be finite and positive except for case b, whose homogeneous
+    solution only exists at negative C.
     """
 
     tag: str
@@ -87,6 +87,8 @@ class SolutionCase:
 
     def __post_init__(self):
         object.__setattr__(self, "tag", canonical_tag(self.tag))
+        if not math.isfinite(self.C):
+            raise ValueError(f"C must be finite, got {self.C!r}")
         if self.tag == "b":
             if self.C >= 0:
                 raise ValueError("case b requires C < 0")

@@ -201,6 +201,9 @@ def coordinate_seeds(
     coords: Sequence[str], point: Sequence[Union[float, np.ndarray]], env: Mapping[str, float], order: int
 ) -> dict[str, Union[Jet, float]]:
     """Coordinate jets at the point (or grid), then the parameters as floats."""
+    for k in env:
+        if k in coords:
+            raise ExprEvalError(f"parameter {k!r} shadows a coordinate")
     seeds = {name: jet_var(i, np.asarray(point[i], dtype=float), len(coords), order) for i, name in enumerate(coords)}
     return {**seeds, **{k: float(v) for k, v in env.items()}}
 
@@ -670,9 +673,9 @@ def pullback_metric_grid(
     pts = np.asarray(pts, dtype=float)
     nsrc = len(source_coords)
     seeds = coordinate_seeds(source_coords, tuple(pts[:, a] for a in range(nsrc)), dict(env or {}), order=1)
-    images = [_expr_jet(comp, seeds) for comp in map_components]
+    images = _stack([_expr_jet(comp, seeds) for comp in map_components])
     # jac[mu, a, k] = d_a phi^mu at point k
-    jac = np.array([[img.derivative(a).value for a in range(nsrc)] for img in images])
+    jac = np.swapaxes(_tgrad(images, nsrc)[0], 0, 1)
     # a non-finite Jacobian is rejected before det, which would only warn
     bad = ~np.all(np.isfinite(jac), axis=(0, 1))
     if nsrc == target.dim:
@@ -680,5 +683,5 @@ def pullback_metric_grid(
         bad |= ~(np.abs(det) > _DET_FLOOR)
     if np.any(bad):
         raise GeometryError(f"singular Jacobian at {tuple(float(v) for v in pts[int(np.argmax(bad))])}")
-    g_img = metric_values_grid(target, np.column_stack([img.value for img in images]))
+    g_img = metric_values_grid(target, images[0].T)
     return np.einsum("ma...,nb...,mn...->ab...", jac, jac, g_img)

@@ -24,13 +24,13 @@ that gradient against central differences of the action.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exprlang import (
     ExprAst,
@@ -43,10 +43,10 @@ from .exprlang import (
     to_text,
 )
 from .geometry import (
+    _COFACTORS,
     GeometryError,
     MetricSpec,
     _expr_jet,
-    _eps3,
     _Pipeline,
     cotton_grid,
     curvature_grid,
@@ -459,22 +459,18 @@ def _christoffel(fields: dict[str, np.ndarray], h: float, dim: int):
     g = np.empty((dim, dim) + shape)
     for c, (i, j) in _METRIC_COMPONENTS[dim].items():
         g[i, j] = g[j, i] = fields["g" + c]
-
-    def minor(i, j):
-        r_ = [k for k in range(dim) if k != i]
-        c_ = [k for k in range(dim) if k != j]
-        if dim == 2:
-            return g[r_[0], c_[0]]
-        return g[r_[0], c_[0]] * g[r_[1], c_[1]] - g[r_[0], c_[1]] * g[r_[1], c_[0]]
-
-    first = [minor(0, j) for j in range(dim)]
-    det = g[0, 0] * first[0] - g[0, 1] * first[1]
+    # minors at the upper triangle, row by row (see geometry._cofactor_layout)
+    i, j, sign, factors = _COFACTORS[dim]
+    minors = g[factors[0]]
     if dim == 3:
-        det = det + g[0, 2] * first[2]
+        prod = minors * g[factors[1]]
+        minors = prod[:6] - prod[6:]
+    # expansion along the first row, whose minors come first
+    det = g[0, 0] * minors[0] - g[0, 1] * minors[1]
+    if dim == 3:
+        det = det + g[0, 2] * minors[2]
     inv = np.empty_like(g)
-    for i in range(dim):
-        for j in range(dim):
-            inv[j, i] = (first[j] if i == 0 else minor(i, j)) * (-1.0 if (i + j) % 2 else 1.0) / det
+    inv[i, j] = inv[j, i] = minors * sign.reshape((-1,) + (1,) * len(shape)) / det
     dg = _diff_all(g, h, dim)
     E = np.einsum("ilj...->lij...", dg) + np.einsum("jli...->lij...", dg)
     E -= dg
@@ -508,18 +504,17 @@ def _action_terms_2d(fields: dict[str, np.ndarray], h: float):
     strength F of the discrete reduced action (central differences)."""
     det, inv, E, gam = _christoffel(fields, h, 2)
     dgam = _diff_all(gam, h, 2)
-    ric = np.empty_like(inv)
-    for s in range(2):
-        for m_ in range(2):
-            tot = 0.0
-            for lam in range(2):
-                tot = tot + dgam[m_, lam, lam, s] - dgam[lam, lam, m_, s]
-                for rho in range(2):
-                    tot = tot + gam[lam, m_, rho] * gam[rho, lam, s]
-                    tot = tot - gam[lam, lam, rho] * gam[rho, m_, s]
-            ric[s, m_] = tot
+    # R_sm = d_m Gamma^l_ls - d_l Gamma^l_ms + Gamma^l_mr Gamma^r_ls
+    # - Gamma^l_lr Gamma^r_ms, indexed [s, m], summed term by term over (l, r)
+    ric = 0.0
+    for lam in range(2):
+        ric = ric + np.swapaxes(dgam[:, lam, lam], 0, 1) - np.swapaxes(dgam[lam, lam], 0, 1)
+        for rho in range(2):
+            ric = ric + gam[rho, lam][:, None] * gam[lam, :, rho][None]
+            ric = ric - gam[lam, lam, rho] * np.swapaxes(gam[rho], 0, 1)
     r = (inv * ric).reshape((4,) + ric.shape[2:]).sum(axis=0)
-    F = _dp(fields["ax"], -2, h) - _dp(fields["at"], -1, h)
+    da = _diff_all(np.stack([fields["at"], fields["ax"]]), h, 2)
+    F = da[0, 1] - da[1, 0]
     return det, inv, E, gam, ric, r, F
 
 
@@ -535,45 +530,23 @@ def _action_gradient_2d(fields: dict[str, np.ndarray], h: float) -> dict:
     det, inv, E, gam, ric, r, F = _action_terms_2d(fields, h)
     bar_F = ACTION_COUPLING * (r + 3.0 * F ** 2 / (-det))
     bar_r = ACTION_COUPLING * F
-    bar_ric = bar_r * inv
-    bar_gam = np.zeros_like(gam)
+    b = bar_r * inv  # the adjoint of ric, [s, m]
+    # d_m Gamma^l_ls - d_l Gamma^l_ms: b lands on two diagonal views of bar_dgam
     bar_dgam = np.zeros((2,) + gam.shape)
-    for s in range(2):
-        for m_ in range(2):
-            b = bar_ric[s, m_]
-            for lam in range(2):
-                bar_dgam[m_, lam, lam, s] += b
-                bar_dgam[lam, lam, m_, s] -= b
-                for rho in range(2):
-                    bar_gam[lam, m_, rho] += b * gam[rho, lam, s]
-                    bar_gam[rho, lam, s] += b * gam[lam, m_, rho]
-                    bar_gam[lam, lam, rho] -= b * gam[rho, m_, s]
-                    bar_gam[rho, m_, s] -= b * gam[lam, lam, rho]
+    np.einsum("mlls...->lsm...", bar_dgam)[...] += b
+    np.einsum("llms...->lsm...", bar_dgam)[...] -= b
+    # the products, one einsum per Gamma factor
+    bar_gam = np.einsum("sm...,rls...->lmr...", b, gam) + np.einsum("sm...,lmr...->rls...", b, gam)
+    bar_gam[[0, 1], [0, 1]] -= np.einsum("sm...,rms...->r...", b, gam)
+    bar_gam -= np.einsum("sm...,r...->rms...", b, np.einsum("llr...->r...", gam))
     bar_gam += _diff_adjoint(bar_dgam, h, 2)
     out = _christoffel_adjoint(
         det, inv, E, bar_gam, h, 2, bar_inv=bar_r * ric, bar_det=ACTION_COUPLING * F ** 3 / det ** 2
     )
-    out["at"] = _dp(bar_F, -1, h)
-    out["ax"] = -_dp(bar_F, -2, h)
+    bar_da = np.zeros((2, 2) + F.shape)
+    bar_da[0, 1], bar_da[1, 0] = bar_F, -bar_F
+    out["at"], out["ax"] = _diff_adjoint(bar_da, h, 2)
     return out
-
-
-def _cs_density_3d(fields: dict[str, np.ndarray], h: float) -> np.ndarray:
-    """Discrete density of the 3D connection functional (the one whose
-    metric variation produces the Cotton tensor) on a periodic block."""
-    gam = _christoffel(fields, h, 3)[3]
-    dgam = _diff_all(gam, h, 3)
-    dens = 0.0
-    eps = _eps3(1)
-    for perm in itertools.permutations(range(3)):
-        sign = eps[perm]
-        al, be, ga_ = perm
-        for rho in range(3):
-            for sig in range(3):
-                dens = dens + sign * 0.5 * gam[rho, al, sig] * dgam[be, sig, ga_, rho]
-                for tau in range(3):
-                    dens = dens + sign * (1.0 / 3.0) * gam[rho, al, sig] * gam[sig, be, tau] * gam[tau, ga_, rho]
-    return dens / (4.0 * math.pi ** 2)
 
 
 def _cs_gradient_3d(fields: dict[str, np.ndarray], h: float) -> dict:
@@ -641,6 +614,17 @@ def _patch_gradient(fields: dict, sites, h: float, gradient_fn) -> dict:
     return out
 
 
+def _sample(m: MetricSpec, axes, extra: Mapping[str, ExprAst]) -> dict[str, np.ndarray]:
+    """Lattice fields: the metric components ("g" + key, see
+    _METRIC_COMPONENTS), then each extra expression under its name,
+    evaluated on the mesh of the coordinate axes."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    bind = {**dict(zip(m.coords, mesh)), **{k: float(v) for k, v in m.env.items()}}
+    fields = {"g" + c: eval_array(m.components[i][j], bind) for c, (i, j) in _METRIC_COMPONENTS[m.dim].items()}
+    fields.update((name, eval_array(e, bind)) for name, e in extra.items())
+    return fields
+
+
 def lattice_variation_check_2d(
     rd: ReducedData,
     lattice: Lattice2D,
@@ -662,18 +646,9 @@ def lattice_variation_check_2d(
     """
     span = Span()
     taxis, xaxis = lattice.axes(h)
-    T, X = np.meshgrid(taxis, xaxis, indexing="ij")
-    bind = {rd.coords[0]: T, rd.coords[1]: X, **{k: float(v) for k, v in rd.env.items()}}
-    g = rd.g2.components
-    fields = {
-        "gtt": eval_array(g[0][0], bind),
-        "gtx": eval_array(g[0][1], bind),
-        "gxx": eval_array(g[1][1], bind),
-        "at": eval_array(rd.a[0], bind),
-        "ax": eval_array(rd.a[1], bind),
-    }
+    fields = _sample(rd.g2, (taxis, xaxis), {"at": rd.a[0], "ax": rd.a[1]})
     if window is not None:
-        w = window.profile(X)
+        w = window.profile(xaxis)
         fields["gtt"] = 1.0 + w * (fields["gtt"] - 1.0)
         fields["gxx"] = -1.0 + w * (fields["gxx"] + 1.0)
         fields["gtx"] = w * fields["gtx"]
@@ -724,16 +699,12 @@ def _core_columns(window: Window1D, xaxis: np.ndarray, margin: int, h: float) ->
         radius = window.flat_radius - margin * h
     if radius + margin * h > window.flat_radius + 1e-12:
         raise GeometryError("compare_radius leaves no stencil margin inside the flat zone")
-    flat = np.abs(xaxis - window.center) <= window.flat_radius
-    core = []
-    n = len(xaxis)
-    for i in range(n):
-        if abs(xaxis[i] - window.center) > radius:
-            continue
-        lo, hi = i - margin, i + margin
-        if all(0 <= j < n and flat[j] for j in range(lo, hi + 1)):
-            core.append(i)
-    return core
+    offset = np.abs(xaxis - window.center)
+    # a column is core if its whole stencil lies on the lattice, in the flat
+    # zone; the padding marks the cells off the lattice as not flat
+    flat = np.pad(offset <= window.flat_radius, margin)
+    whole = sliding_window_view(flat, 2 * margin + 1).all(axis=1)
+    return np.flatnonzero(whole & (offset <= radius)).tolist()
 
 
 def lattice_cotton_variation_check_3d(
@@ -751,12 +722,7 @@ def lattice_cotton_variation_check_3d(
     differences."""
     span = Span()
     axes = lattice.axes(h)
-    Tg, Xg, Yg = np.meshgrid(*axes, indexing="ij")
-    bind = {m.coords[0]: Tg, m.coords[1]: Xg, m.coords[2]: Yg,
-            **{k: float(v) for k, v in m.env.items()}}
-    fields = {}
-    for c, (i, j) in _METRIC_COMPONENTS[3].items():
-        fields["g" + c] = eval_array(m.components[i][j], bind)
+    fields = _sample(m, axes, {})
     if sites is None:
         stride = max(1, lattice.n // 4)
         rng = range(0, lattice.n, stride)

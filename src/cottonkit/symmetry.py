@@ -79,13 +79,18 @@ def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray
     pipe = _Pipeline(m, tuple(grid[:, i] for i in range(m.dim)), order=1)
     g = pipe.g[0]
     dg = _tgrad(pipe.g, m.dim)[0]  # [l, a, b] = d_l g_ab
-    xij = _stack([_expr_jet(c, pipe.seeds) for c in xi.components])
+    xij = _field_jet(xi, pipe.seeds)
     dxi = _tgrad(xij, m.dim)[0]  # [a, l] = d_a xi^l
     # L_xi g_ab = d_a xi^l g_lb + d_b xi^l g_al + xi^l d_l g_ab
     flow = np.einsum("al...,lb...->ab...", dxi, g)
     lie = flow + np.swapaxes(flow, 0, 1) + np.einsum("l...,lab...->ab...", xij[0], dg)
     norm = 1.0 + np.max(np.abs(xij[0]), axis=0) * np.max(np.abs(dg), axis=(0, 1, 2))
     return np.max(np.abs(lie), axis=(0, 1)) / norm
+
+
+def _field_jet(xi: VectorFieldSpec, seeds) -> np.ndarray:
+    """The field as one order-1 tensor jet [c, mu, ...] over the seeds' points."""
+    return _stack([_expr_jet(c, seeds) for c in xi.components])
 
 
 def lie_bracket_at(
@@ -98,22 +103,15 @@ def lie_bracket_at(
     dim = len(xi.components)
     if len(eta.components) != dim:
         raise GeometryError("vector fields have different dimensions")
-    return _bracket_values(xi, eta, tuple(float(v) for v in p), dim, env=env)
+    seeds = coordinate_seeds(_infer_coords(xi, eta, dim, env), tuple(float(v) for v in p), env or {}, 1)
+    return _bracket_values(_field_jet(xi, seeds), _field_jet(eta, seeds))
 
 
-def _bracket_values(xi, eta, p, dim, coords: Optional[Sequence[str]] = None, env=None):
-    coords = coords or _infer_coords(xi, eta, dim, env)
-    seeds = coordinate_seeds(coords, p, env or {}, 1)
-    xij = [_expr_jet(c, seeds) for c in xi.components]
-    etj = [_expr_jet(c, seeds) for c in eta.components]
-    out = np.zeros((dim,) + np.shape(np.asarray(xij[0].coeffs[0])))
-    for mu in range(dim):
-        tot = 0.0
-        for l in range(dim):
-            tot = tot + np.asarray(xij[l].coeffs[0]) * np.asarray(etj[mu].derivative(l).coeffs[0])
-            tot = tot - np.asarray(etj[l].coeffs[0]) * np.asarray(xij[mu].derivative(l).coeffs[0])
-        out[mu] = tot
-    return out
+def _bracket_values(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Values [mu, ...] of the bracket of two field jets."""
+    nv = X.shape[1]
+    xdy = np.einsum("l...,lm...->m...", X[0], _tgrad(Y, nv)[0])
+    return xdy - np.einsum("l...,lm...->m...", Y[0], _tgrad(X, nv)[0])
 
 
 _DEFAULT_COORDS = ("t", "x", "y")
@@ -132,15 +130,9 @@ def _infer_coords(xi, eta, dim, env=None) -> tuple[str, ...]:
 def independence_rank(m: MetricSpec, fields: Sequence[VectorFieldSpec], p: Sequence[float]) -> int:
     """Rank of the stacked value + first-derivative matrix at a point."""
     seeds = coordinate_seeds(m.coords, tuple(float(v) for v in p), m.env, 1)
-    rows = []
-    for xi in fields:
-        jets = [_expr_jet(c, seeds) for c in xi.components]
-        row = [float(np.asarray(j.coeffs[0])) for j in jets]
-        for j in jets:
-            for l in range(m.dim):
-                row.append(float(np.asarray(j.derivative(l).coeffs[0])))
-        rows.append(row)
-    return _rank(np.array(rows))
+    jets = [_field_jet(xi, seeds) for xi in fields]
+    # one row per field: its values xi^mu, then its partials d_l xi^mu, mu-major
+    return _rank(np.array([np.concatenate([X[0], _tgrad(X, m.dim)[0].T.ravel()]) for X in jets]))
 
 
 def closure_residual(
@@ -152,21 +144,15 @@ def closure_residual(
     """Worst least-squares residual of expressing pairwise brackets in the
     span of the fields, sampled at the given points."""
     dim = len(fields[0].components)
-    pts = [tuple(float(v) for v in p) for p in points]
-    basis = []
-    for xi in fields:
-        cols = []
-        for p in pts:
-            seeds = coordinate_seeds(coords[:dim], p, env or {}, 1)
-            cols.extend(float(_expr_jet(c, seeds).value) for c in xi.components)
-        basis.append(cols)
-    A = np.array(basis).T  # (dim*npts, nfields)
+    pts = np.asarray(points, dtype=float)
+    seeds = coordinate_seeds(coords[:dim], tuple(pts[:, i] for i in range(dim)), env or {}, 1)
+    jets = [_field_jet(xi, seeds) for xi in fields]
+    # one row per (point, component), point-major; one column per field
+    A = np.array([X[0].T.ravel() for X in jets]).T
     resids = [0.0]
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            b = np.concatenate([
-                _bracket_values(fields[i], fields[j], p, dim, coords[:dim], env=env) for p in pts
-            ])
+            b = _bracket_values(jets[i], jets[j]).T.ravel()
             sol = np.linalg.lstsq(A, b, rcond=None)[0]
             resids.append(np.linalg.norm(A @ sol - b) / (1.0 + np.linalg.norm(b)))
     return _argworst(resids)[0]

@@ -43,6 +43,14 @@ def test_tag_aliases_and_sign_constraints():
         SolutionCase("nope", 1.0)
 
 
+@pytest.mark.parametrize("tag", ["a", "b", "kink+"])
+@pytest.mark.parametrize("C", [math.nan, math.inf])
+def test_non_finite_coupling_rejected(tag, C):
+    # a NaN passed both sign tests of every branch
+    with pytest.raises(ValueError, match="C must be finite"):
+        SolutionCase(tag, C)
+
+
 def test_expected_field_values():
     case = SolutionCase("a", 2.0)
     sol = solution_2d(case)

@@ -297,6 +297,16 @@ def test_catalog_export_case_b_gets_negative_C(tmp_path):
     assert payload["parameters"]["absC"] == 2.0
 
 
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_catalog_export_non_finite_C_exit_two(tmp_path, case):
+    # a NaN coupling was exported as the invalid JSON token NaN, with exit 0
+    out = tmp_path / "case.json"
+    code, _, err = run_cli("catalog", "export", "--case", case, "--what", "metric3d", "--C", "nan", "--out", str(out))
+    assert code == 2
+    assert "error: C must be finite" in err
+    assert not out.exists()
+
+
 def test_complex_valued_metric_component_exit_two(tmp_path):
     # C^(1/3) with C = -8 has no real value; it must not be truncated to a real metric
     m = tmp_path / "m.json"

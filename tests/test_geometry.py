@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fd_oracles import christoffel_fd, cotton_fd
-from cottonkit.exprlang import parse_expr
+from cottonkit.exprlang import ExprEvalError, parse_expr
 from cottonkit.geometry import (
     DegenerateMetricError,
     GeometryError,
@@ -495,6 +495,13 @@ def test_pullback_conformal_factor_value():
     maps = [parse_expr("t*cosh(sqrt(C/2)*y)"), parse_expr("x"), parse_expr("t*sinh(sqrt(C/2)*y)")]
     got = pullback_metric_at(maps, ("t", "x", "y"), target, (1.0, 0.0, 0.0), env={"C": C})
     np.testing.assert_allclose(got, np.diag([2.0, -2.0, -1.0]), atol=1e-14)
+
+
+def test_pullback_parameter_shadowing_a_source_coordinate_is_an_error():
+    # the parameter used to win, so the map's y column differentiated a constant
+    maps = [parse_expr("t"), parse_expr("x"), parse_expr("y")]
+    with pytest.raises(ExprEvalError, match="parameter 'y' shadows a coordinate"):
+        pullback_metric_at(maps, ("t", "x", "y"), flat_metric(), (1.0, 1.0, 1.0), env={"y": 1.0})
 
 
 def test_pullback_singular_jacobian_rejected():

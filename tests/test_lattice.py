@@ -18,7 +18,7 @@ from cottonkit.reduction import (
     lattice_variation_check_2d,
 )
 from cottonkit.suite import check_lattice_2d, check_lattice_3d
-from fd_oracles import action_density_2d, cs_density_3d, fd_patch_gradient, fd_site_gradient
+from fd_oracles import action_density_2d, cs_density_3d, discrete_christoffel, fd_patch_gradient, fd_site_gradient
 
 
 def random_periodic_rd():
@@ -75,6 +75,14 @@ def test_window_needs_margin():
     window = Window1D(center=1.5, flat_radius=0.2, support_radius=0.9, compare_radius=0.2)
     with pytest.raises(Exception):
         lattice_variation_check_2d(rd, Lattice2D(0.0, 0.5, 16, 16), 2.0 / 16, window=window)
+
+
+def test_lattice_narrower_than_the_stencil_has_no_core_sites():
+    # every column is in the flat zone, but no 9-wide stencil fits on 5 columns
+    rd = solution_2d(SolutionCase("c+", 1.0)).rd
+    window = Window1D(center=1.5, flat_radius=1.0, support_radius=1.2)
+    with pytest.raises(GeometryError, match="no comparable core sites"):
+        lattice_variation_check_2d(rd, Lattice2D(0.0, 1.25, 5, 5), 0.125, window=window)
 
 
 def test_3d_flat_metric_both_sides_zero():
@@ -191,11 +199,20 @@ def test_padded_lattice_density_matches_patch_density():
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [8, 11])
 def test_periodic_density_equals_reference_density(dim, n):
+    # the periodic Christoffel data, which both densities and their
+    # gradients read, equals the reference on the fields wrapped by one
+    # cell, and the 2D density the reference on the fields wrapped by two
     fields = _smooth_fields(_NAMES[dim], n, dim, seed=n + dim)
     h = 2 * math.pi / n
-    new = {2: reduction._action_density_2d, 3: reduction._cs_density_3d}[dim](fields, h)
-    padded = {k: np.pad(v, 2, mode="wrap") for k, v in fields.items()}
-    np.testing.assert_array_equal(new, _REFERENCE[dim](padded, h))
+    det, inv, _, gam = reduction._christoffel(fields, h, dim)
+    ref_det, ref_inv, ref_gam = discrete_christoffel({k: np.pad(v, 1, mode="wrap") for k, v in fields.items()}, h, dim)
+    core = (slice(1, -1),) * dim
+    np.testing.assert_array_equal(det, ref_det[core])
+    np.testing.assert_array_equal(inv, ref_inv[(slice(None),) * 2 + core])
+    np.testing.assert_array_equal(gam, ref_gam)
+    if dim == 2:
+        padded = {k: np.pad(v, 2, mode="wrap") for k, v in fields.items()}
+        np.testing.assert_array_equal(reduction._action_density_2d(fields, h), action_density_2d(padded, h))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

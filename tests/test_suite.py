@@ -131,7 +131,7 @@ def test_nan_lattice_field_value_fails_lattice_checks(monkeypatch):
 
 
 def test_nan_bracket_fails_killing_closure(monkeypatch):
-    monkeypatch.setattr(symmetry, "_bracket_values", lambda xi, eta, p, dim, *a, **k: np.full(dim, np.nan))
+    monkeypatch.setattr(symmetry, "_bracket_values", lambda X, Y: np.full(X.shape[1:], np.nan))
     case = SolutionCase("a", 1.0)
     pts = [(0.7, 1.2, 0.4), (1.5, 0.7, -0.8)]
     assert np.isnan(symmetry.closure_residual(killing_fields(case), pts, env=dict(case.env)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cottonkit.catalog import SolutionCase, killing_fields, solution_3d, standard_grid
+from cottonkit.exprlang import ExprEvalError
 from cottonkit.geometry import GeometryError, flat_metric
 from cottonkit.symmetry import (
     VectorFieldSpec,
@@ -136,6 +137,21 @@ def test_closure_of_case_c_algebra():
     fields = killing_fields(case)
     pts = [(0.7, 1.2, 0.4), (1.5, 0.7, -0.8), (-0.3, 2.0, 0.9), (0.2, 0.6, -0.3), (1.1, 1.8, 0.12)]
     assert closure_residual(fields, pts, env=dict(case.env)) < 1e-8
+
+
+def test_closure_fails_on_a_set_that_does_not_close():
+    # [d_t, t d_x] = d_x is not a constant combination of d_t and t d_x
+    fields = [VectorFieldSpec.parse(("1", "0", "0")), VectorFieldSpec.parse(("0", "t", "0"))]
+    pts = [(0.5, 1.0, 0.0), (1.0, -0.3, 0.2), (2.0, 0.4, -0.7)]
+    assert closure_residual(fields, pts) > 0.1
+
+
+def test_parameter_shadowing_a_coordinate_is_an_error():
+    # the parameter used to win: the bracket below came out [5, 0, 0], not [2, 0, 0]
+    with pytest.raises(ExprEvalError, match="parameter 'x' shadows a coordinate"):
+        lie_bracket_at(
+            VectorFieldSpec.parse(("1", "0", "0")), VectorFieldSpec.parse(("x*t", "0", "0")), (0.5, 2.0, 0.0), env={"x": 5.0}
+        )
 
 
 def test_independence_rank_counts():
