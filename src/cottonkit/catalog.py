@@ -95,6 +95,13 @@ class SolutionCase:
         elif self.C <= 0:
             raise ValueError(f"case {self.tag} requires C > 0")
 
+    @classmethod
+    def at(cls, tag: str, C: float) -> "SolutionCase":
+        """The case at coupling magnitude |C|, with the sign its branch needs
+        (C < 0 for case b, C > 0 for every other)."""
+        tag = canonical_tag(tag)
+        return cls(tag, -abs(C) if tag == "b" else abs(C))
+
     @property
     def env(self) -> dict:
         e = {"C": float(self.C)}

@@ -37,7 +37,7 @@ from .kink import (
     lift_flat_kink,
     solve_kink_ode,
 )
-from .report import CheckReport, reports_to_json
+from .report import CheckReport, report_order, reports_to_json
 from .suite import CHECK_NAMES, TOL, run_checks
 from .symmetry import (
     VectorFieldSpec,
@@ -107,16 +107,20 @@ def _reports_json(reports: list[CheckReport], config: RunConfig) -> str:
     return reports_to_json(reports, config=cfg_dict, stable=config.stable_output) + "\n"
 
 
+def _reports_text(reports: list[CheckReport]) -> str:
+    return "\n".join(r.line() for r in report_order(reports)) + "\n"
+
+
 def _emit_reports(reports: list[CheckReport], config: RunConfig) -> int:
     if config.format == "text":
-        body = "\n".join(r.line() for r in sorted(reports, key=lambda r: (r.check_id, r.case or ""))) + "\n"
+        body = _reports_text(reports)
     elif config.format == "csv":
         import io
 
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["check_id", "case", "max_residual", "tolerance", "passed"])
-        for r in sorted(reports, key=lambda r: (r.check_id, r.case or "")):
+        for r in report_order(reports):
             w.writerow([r.check_id, r.case or "", repr(r.max_residual), repr(r.tolerance), r.passed])
         body = buf.getvalue()
     else:
@@ -179,8 +183,7 @@ def cmd_report(args) -> int:
     (outdir / "report.json").write_text(_reports_json(reports, cfg), encoding="utf-8")
     _write_kink_profile_csv(outdir / "kink_profile.csv", cfg.C)
     if cfg.format == "text":
-        for r in sorted(reports, key=lambda r: (r.check_id, r.case or "")):
-            print(r.line())
+        sys.stdout.write(_reports_text(reports))
     failed = sum(0 if r.passed else 1 for r in reports)
     print(f"report.json + kink_profile.csv written to {outdir} ({failed} failed checks)")
     return 0 if failed == 0 else 1
@@ -333,8 +336,7 @@ def cmd_killing_dim(args) -> int:
 def cmd_catalog(args) -> int:
     if args.action != "export":
         raise _CliError("catalog supports only the 'export' action")
-    case = cat.SolutionCase(args.case, -abs(args.C) if cat.canonical_tag(args.case) == "b" else abs(args.C))
-    payload = cat.export_case(case, args.what)
+    payload = cat.export_case(cat.SolutionCase.at(args.case, args.C), args.what)
     body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")

@@ -15,17 +15,19 @@ are the jet-supported set (tanh, cosh, sinh, exp, ln, sqrt, sin, cos,
 arctan).  Parsed trees are immutable; evaluation is generic over jet
 arithmetic, so feeding jets as coordinate values composes maps for free.
 
-There are two evaluators: ``eval_array`` for values (floats or numpy
-arrays) and ``eval_jet``/``eval_jet_bindings`` for jets.  Both follow the
-domain rules of ``jets.py``, so an expression is real-valued and means the
-same thing in either, or raises ExprEvalError with the span of the
-offending sub-expression:
+There is one evaluator, a tree walker whose bindings may be floats, numpy
+arrays or jets: ``eval_array`` runs it on values, ``eval_jet`` on
+coordinates lifted to jets.  It follows the domain rules of ``jets.py``, so
+an expression is real-valued and means the same thing on values and on
+jets, or raises ExprEvalError with the span of the offending
+sub-expression:
 
 * ``ln`` and ``sqrt`` need an argument > 0;
 * a divisor must be nonzero;
 * ``a^b`` needs ``a`` > 0 unless ``b`` is an integer of magnitude at most
   512 (for jets, ``b`` must also not vary with a coordinate);
-* ``0^b`` with a negative integer ``b`` is a division by zero.
+* ``0^b`` with a negative integer ``b`` is a division by zero;
+* a power that overflows is an error, not inf.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ __all__ = [
     "parse_expr",
     "to_text",
     "eval_jet",
-    "eval_jet_bindings",
     "eval_array",
+    "coordinate_seeds",
     "free_symbols",
     "validate_symbols",
     "substitute",
@@ -329,10 +331,13 @@ def substitute(e: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
 
 # -- evaluation ---------------------------------------------------------------
 #
-# Two walkers share one function table and one set of domain guards: the
-# value walker never builds a Jet (the jets-fd check uses it as the
-# independent reference for the jet engine), and the jet walker folds its
-# constant subtrees through the value walker's node rules.
+# One walker evaluates over bindings of floats, arrays or jets, with one
+# function table and one set of domain guards.  A node with no jet operand
+# follows the value rules and folds a scalar result to a Python float, so an
+# evaluation on values alone builds no Jet (the jets-fd check uses it as the
+# independent reference for the jet engine); a node with a jet operand
+# follows the jet rules.  ``coordinate_seeds`` and ``_expr_jet`` are the one
+# way to lift coordinates to jets and a constant result to a constant jet.
 
 _NP_FUNCS = {
     "exp": np.exp,
@@ -374,6 +379,15 @@ def _require_pow_domain(base, exponent, span: Span) -> None:
         raise ExprEvalError("division by zero", span)
 
 
+def _value(v):
+    return v.value if isinstance(v, Jet) else v
+
+
+def _fold(v):
+    # a Python float: a numpy scalar times a Jet detours through object arrays
+    return v if isinstance(v, (Jet, np.ndarray)) else float(v)
+
+
 def _call_values(e: Call, arg):
     fn = _NP_FUNCS.get(e.func)
     if fn is None:
@@ -383,7 +397,25 @@ def _call_values(e: Call, arg):
     return fn(arg)
 
 
-def _binop_values(e: BinOp, left, right):
+def _power(e: BinOp, base, exponent):
+    """``base^exponent`` under the domain rules.  One overflow rule holds for
+    values, arrays and jets: a power that overflows raises ExprEvalError."""
+    try:
+        with np.errstate(over="raise"):
+            if isinstance(exponent, Jet) and np.any(exponent.coeffs[1:] != 0.0):
+                # a varying exponent: exp(exponent * ln(base))
+                _require_positive("pow", _value(base), e.span)
+                if isinstance(base, Jet):
+                    return jet_apply("exp", jet_apply("ln", base) * exponent)
+                return jet_apply("exp", exponent * np.log(base))
+            exponent = _value(exponent)  # a constant-valued jet exponent
+            _require_pow_domain(_value(base), exponent, e.span)
+            return jet_pow(base, exponent) if isinstance(base, Jet) else base**exponent
+    except (OverflowError, FloatingPointError):
+        raise ExprEvalError("overflow in ^", e.span) from None
+
+
+def _binop(e: BinOp, left, right):
     if e.op == "+":
         return left + right
     if e.op == "-":
@@ -391,13 +423,14 @@ def _binop_values(e: BinOp, left, right):
     if e.op == "*":
         return left * right
     if e.op == "/":
-        _require_nonzero_divisor(right, e.span)
+        _require_nonzero_divisor(_value(right), e.span)
         return left / right
-    _require_pow_domain(left, right, e.span)
-    return left ** right
+    return _power(e, left, right)
 
 
-def _eval_values(e: ExprAst, bindings):
+def _eval(e: ExprAst, bindings):
+    """The walker: symbols bound to floats, arrays or jets.  Domain errors
+    raise ExprEvalError with the offending sub-expression's source span."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Sym):
@@ -406,10 +439,16 @@ def _eval_values(e: ExprAst, bindings):
         except KeyError:
             raise ExprEvalError(f"unresolved symbol {e.name!r}", e.span) from None
     if isinstance(e, Neg):
-        return -_eval_values(e.child, bindings)
+        return -_eval(e.child, bindings)
     if isinstance(e, Call):
-        return _call_values(e, _eval_values(e.arg, bindings))
-    return _binop_values(e, _eval_values(e.left, bindings), _eval_values(e.right, bindings))
+        arg = _eval(e.arg, bindings)
+        if not isinstance(arg, Jet):
+            return _fold(_call_values(e, arg))
+        try:
+            return jet_apply(e.func, arg)
+        except ValueError as err:  # unknown function or JetDomainError
+            raise ExprEvalError(str(err), e.span) from err
+    return _fold(_binop(e, _eval(e.left, bindings), _eval(e.right, bindings)))
 
 
 def eval_array(e: ExprAst, bindings: Mapping[str, Union[float, np.ndarray]]) -> np.ndarray:
@@ -420,59 +459,35 @@ def eval_array(e: ExprAst, bindings: Mapping[str, Union[float, np.ndarray]]) -> 
     (0-d when they are all scalars).  A domain error anywhere raises
     ExprEvalError with the offending sub-expression's span.
     """
-    value = np.array(_eval_values(e, bindings), dtype=float)
+    value = np.array(_eval(e, bindings), dtype=float)
     shapes = [v.shape for v in bindings.values() if isinstance(v, np.ndarray) and v.shape != value.shape]
     if shapes:
         value = np.broadcast_to(value, np.broadcast_shapes(value.shape, *shapes)).copy()
     return value
 
 
-def eval_jet_bindings(e: ExprAst, bindings: Mapping[str, Union[Jet, float]]):
-    """Evaluate with symbols bound to jets or plain numbers.
-
-    Constant subtrees fold to floats under the value walker's rules;
-    jet/float mixing is handled by the jet operators.  Domain errors raise
-    ExprEvalError with the offending sub-expression's source span.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Sym):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise ExprEvalError(f"unresolved symbol {e.name!r}", e.span) from None
-    if isinstance(e, Neg):
-        return -eval_jet_bindings(e.child, bindings)
-    if isinstance(e, Call):
-        arg = eval_jet_bindings(e.arg, bindings)
-        if not isinstance(arg, Jet):
-            # a Python float: a numpy scalar times a Jet detours through object arrays
-            return float(_call_values(e, arg))
-        try:
-            return jet_apply(e.func, arg)
-        except ValueError as err:  # unknown function or JetDomainError
-            raise ExprEvalError(str(err), e.span) from err
-    left = eval_jet_bindings(e.left, bindings)
-    right = eval_jet_bindings(e.right, bindings)
-    if isinstance(right, Jet) and e.op == "^":
-        if np.any(right.coeffs[1:] != 0.0):  # a varying exponent: exp(right * ln(left))
-            _require_positive("pow", _value(left), e.span)
-            base = left if isinstance(left, Jet) else right * 0 + left
-            return jet_apply("exp", jet_apply("ln", base) * right)
-        right = right.value  # constant-valued jet exponent
-    if not isinstance(left, Jet) and not isinstance(right, Jet):
-        return _binop_values(e, left, right)
-    if e.op == "/":
-        _require_nonzero_divisor(_value(right), e.span)
-        return left / right
-    if e.op == "^":  # a jet base here
-        _require_pow_domain(left.value, right, e.span)
-        return jet_pow(left, right)
-    return _binop_values(e, left, right)
+def coordinate_seeds(
+    coords: Sequence[str], point: Sequence[Union[float, np.ndarray]], env: Mapping[str, float], order: int
+) -> dict[str, Union[Jet, float]]:
+    """Bindings of the coordinates as jet variables at the point (a float or
+    a grid array per coordinate), then of the parameters as floats."""
+    if not 0 < len(coords) == len(point):
+        raise ValueError(f"need one point value per coordinate of at least one, got {len(point)} for {list(coords)}")
+    for k in env:
+        if k in coords:
+            raise ExprEvalError(f"parameter {k!r} shadows a coordinate")
+    seeds = {name: jet_var(i, np.asarray(point[i], dtype=float), len(coords), order) for i, name in enumerate(coords)}
+    return {**seeds, **{k: float(v) for k, v in env.items()}}
 
 
-def _value(v):
-    return v.value if isinstance(v, Jet) else v
+def _expr_jet(e: ExprAst, seeds) -> Jet:
+    """Jet of an expression over coordinate seeds; a constant becomes a
+    constant jet broadcast to the seeds' grid shape."""
+    val = _eval(e, seeds)
+    if isinstance(val, Jet):
+        return val
+    ref = next(v for v in seeds.values() if isinstance(v, Jet))
+    return jet_constant(np.broadcast_to(val, np.shape(ref.value)), ref.num_vars, ref.order)
 
 
 def eval_jet(
@@ -484,17 +499,4 @@ def eval_jet(
 ) -> Jet:
     """Jet of the expression at a point; coordinates are lifted to jet
     variables, parameters enter as constants."""
-    if len(coords) != len(point):
-        raise ValueError("point dimension does not match coordinate list")
-    nv = len(coords)
-    bindings: dict[str, Union[Jet, float]] = {
-        name: jet_var(i, point[i], nv, order) for i, name in enumerate(coords)
-    }
-    for k, v in env.items():
-        if k in bindings:
-            raise ExprEvalError(f"parameter {k!r} shadows a coordinate")
-        bindings[k] = float(v)
-    result = eval_jet_bindings(e, bindings)
-    if not isinstance(result, Jet):
-        result = jet_constant(result, nv, order)
-    return result
+    return _expr_jet(e, coordinate_seeds(coords, point, env, order))

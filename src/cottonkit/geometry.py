@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,13 +29,15 @@ from .exprlang import (
     ExprAst,
     ExprEvalError,
     Num,
+    _eval,
+    _expr_jet,
+    coordinate_seeds,
     eval_array,
-    eval_jet_bindings,
     parse_expr,
     to_text,
     validate_symbols,
 )
-from .jets import MAX_ORDER, MAX_VARS, Jet, JetSpace, jet_apply, jet_constant, jet_var
+from .jets import MAX_ORDER, MAX_VARS, Jet, JetSpace, jet_apply
 from .report import CheckReport, Span
 
 __all__ = [
@@ -197,27 +199,6 @@ def dump_metric(m: MetricSpec, path) -> None:
 # -- jet pipeline -------------------------------------------------------------
 
 
-def coordinate_seeds(
-    coords: Sequence[str], point: Sequence[Union[float, np.ndarray]], env: Mapping[str, float], order: int
-) -> dict[str, Union[Jet, float]]:
-    """Coordinate jets at the point (or grid), then the parameters as floats."""
-    for k in env:
-        if k in coords:
-            raise ExprEvalError(f"parameter {k!r} shadows a coordinate")
-    seeds = {name: jet_var(i, np.asarray(point[i], dtype=float), len(coords), order) for i, name in enumerate(coords)}
-    return {**seeds, **{k: float(v) for k, v in env.items()}}
-
-
-def _expr_jet(expr: ExprAst, seeds) -> Jet:
-    """Jet of an expression over coordinate seeds; a constant becomes a
-    constant jet broadcast to the seeds' grid shape."""
-    ref = next(v for v in seeds.values() if isinstance(v, Jet))
-    val = eval_jet_bindings(expr, seeds)
-    if isinstance(val, Jet):
-        return val
-    return jet_constant(np.broadcast_to(val, np.shape(ref.value)), ref.num_vars, ref.order)
-
-
 def _check_det(det_value, g_values, point, dim) -> None:
     # the floor scales with the components, as det(lam g) = lam^dim det(g);
     # a NaN determinant or component is degenerate too
@@ -346,7 +327,7 @@ class _Pipeline:
         # constant one sets only coefficient 0
         for i in range(m.dim):
             for j in range(i, m.dim):
-                val = eval_jet_bindings(m.components[i][j], self.seeds)
+                val = _eval(m.components[i][j], self.seeds)
                 if isinstance(val, Jet):
                     self.g[:, i, j] = self.g[:, j, i] = val.coeffs
                 else:

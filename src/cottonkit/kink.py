@@ -42,9 +42,9 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
-from .exprlang import ExprAst, eval_array, eval_jet_bindings, parse_expr, substitute
-from .geometry import MetricSpec, _expr_jet, _Pipeline, curvature_grid
-from .jets import Jet, jet_constant, jet_extract, jet_var
+from .exprlang import ExprAst, _expr_jet, coordinate_seeds, eval_array, parse_expr, substitute
+from .geometry import MetricSpec, _Pipeline, curvature_grid
+from .jets import jet_extract
 from .report import CheckReport, Span
 
 __all__ = [
@@ -105,9 +105,7 @@ class PotentialSpec:
         """[V, V', ..., V^(order)] at phi via a jet: floats for a float phi,
         arrays of phi's shape for an array."""
         x = float(phi) if np.ndim(phi) == 0 else np.asarray(phi, dtype=float)
-        val = eval_jet_bindings(self.expr, {self.var: jet_var(0, x, 1, order), **self.env})
-        if not isinstance(val, Jet):  # V is constant
-            val = jet_constant(float(val), 1, order)
+        val = _expr_jet(self.expr, coordinate_seeds((self.var,), (x,), self.env, order))
         coeffs = [jet_extract(val, (k,)) for k in range(order + 1)]
         return [float(c) for c in coeffs] if isinstance(x, float) else [np.full_like(x, c) for c in coeffs]
 

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import eval_jet_bindings, parse_expr
+from .exprlang import _expr_jet, coordinate_seeds, parse_expr
 from .geometry import MetricSpec
-from .jets import MAX_ORDER, Jet, JetSpace, jet_var
+from .jets import MAX_ORDER, Jet, JetSpace
 
 __all__ = [
     "fd_partial",
@@ -98,7 +98,7 @@ def telescope_jet(expr, coords: Sequence[str], point: Sequence[float], order: in
     cols = np.repeat(np.asarray(point, dtype=float)[:, None], 1 + 4 * nv, axis=1)
     for k in range(nv):
         cols[k, 1 + 4 * k : 5 + 4 * k] += [step, -step, step / 2.0, -step / 2.0]
-    return eval_jet_bindings(expr, {c: jet_var(k, cols[k], nv, order) for k, c in enumerate(coords)})
+    return _expr_jet(expr, coordinate_seeds(coords, cols, {}, order))
 
 
 @lru_cache(maxsize=64)

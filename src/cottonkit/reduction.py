@@ -36,6 +36,8 @@ from .exprlang import (
     ExprAst,
     Neg,
     Num,
+    _expr_jet,
+    _value,
     binop,
     eval_array,
     free_symbols,
@@ -46,14 +48,12 @@ from .geometry import (
     _COFACTORS,
     GeometryError,
     MetricSpec,
-    _expr_jet,
     _Pipeline,
     cotton_grid,
     curvature_grid,
     metric_from_dict,
     metric_to_dict,
 )
-from .jets import Jet
 from .report import CheckReport, Span
 
 __all__ = [
@@ -231,20 +231,16 @@ class _ReducedJets:
         self.f = curl / self.pipe.sqrt_abs_det(curl.order) * rd.g2.orientation
 
 
-def _v(j):
-    return np.asarray(j.coeffs[0]) if isinstance(j, Jet) else np.asarray(j)
-
-
 def field_strength_f(rd: ReducedData, p: Sequence[float]) -> float:
     """Dual field strength f = (d_t a_x - d_x a_t)/sqrt(-det g)."""
     jets = _ReducedJets(rd, tuple(float(v) for v in p), order=1)
-    return float(_v(jets.f))
+    return float(_value(jets.f))
 
 
 def reduced_action_density(rd: ReducedData, p: Sequence[float]) -> ActionDensity:
     jets = _ReducedJets(rd, tuple(float(v) for v in p), order=2)
-    f, r = _v(jets.f), _v(jets.pipe.scalar())
-    dens = ACTION_COUPLING * _v(jets.pipe.sqrt_abs_det(0)) * (f * r + f ** 3)
+    f, r = _value(jets.f), _value(jets.pipe.scalar())
+    dens = ACTION_COUPLING * _value(jets.pipe.sqrt_abs_det(0)) * (f * r + f ** 3)
     theta = r + f ** 2
     return ActionDensity(float(dens), float(theta))
 
@@ -274,12 +270,12 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
     pipe, f = jets.pipe, jets.f
     r = pipe.scalar()
     phi_j = r + 3.0 * (f * f)
-    dphi = np.array([_v(phi_j.derivative(0)), _v(phi_j.derivative(1))])
+    dphi = np.array([_value(phi_j.derivative(0)), _value(phi_j.derivative(1))])
     eq11 = np.max(np.abs(dphi), axis=0)
 
     hessv, boxv = pipe.hessian(f)
-    fv = _v(f)
-    rv = _v(r)
+    fv = _value(f)
+    rv = _value(r)
     gv = pipe.g[0]
     ginvv = pipe.ginv[0]
 
@@ -302,7 +298,7 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
         "r": np.atleast_1d(rv),
         "g": gv,
         "g_inv": ginvv,
-        "sqrt_abs_det": np.atleast_1d(_v(pipe.sqrt_abs_det(0))),
+        "sqrt_abs_det": np.atleast_1d(_value(pipe.sqrt_abs_det(0))),
         "box_f": np.atleast_1d(boxv),
     }
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CheckReport", "Span", "make_report", "reports_to_json", "report_from_dict"]
+__all__ = ["CheckReport", "Span", "make_report", "report_order", "reports_to_json", "report_from_dict"]
 
 SCHEMA = "cottonkit/1"
 
@@ -139,11 +139,17 @@ class Span:
         return make_report(check_id, worst, tolerance, wall_time=wall_time, **fields)
 
 
+def report_order(reports) -> list[CheckReport]:
+    """The output order of every format: by check id, then case; reports
+    sharing both keep their run order."""
+    return sorted(reports, key=lambda r: (r.check_id, r.case or ""))
+
+
 def reports_to_json(reports, config: Optional[dict] = None, stable: bool = False) -> str:
     payload = {
         "schema": SCHEMA,
         "failed": sum(0 if r.passed else 1 for r in reports),
-        "checks": [r.to_dict(stable=stable) for r in sorted(reports, key=lambda r: (r.check_id, r.case or ""))],
+        "checks": [r.to_dict(stable=stable) for r in report_order(reports)],
     }
     if config is not None:
         payload["config"] = config

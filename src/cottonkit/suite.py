@@ -109,10 +109,6 @@ TOL = {
 }
 
 
-def _case(tag: str, C: float) -> SolutionCase:
-    return SolutionCase(tag, -abs(C) if tag == "b" else abs(C))
-
-
 def _shortfall(required: float, observed: float) -> float:
     """Residual of a negative control that needs observed >= required; NaN
     unless observed is finite, so a control cannot pass on NaN or inf."""
@@ -129,7 +125,7 @@ def check_calibration(C_values: Sequence[float] = (0.25, 1.0, 9.0)) -> list[Chec
     relative tolerance, across coupling scales."""
     out = []
     for Cv in C_values:
-        case = _case("a", Cv)
+        case = SolutionCase.at("a", Cv)
         sol = solution_2d(case)
         grid = standard_grid(case, 2)
         span = Span()
@@ -289,8 +285,8 @@ def check_transform(case: SolutionCase, n: int = 7) -> CheckReport:
 def check_transform_limit(C: float = 1.0) -> CheckReport:
     """At large X the kink conformal factor approaches the constant-branch
     factor; checked at X = 50 within 1 percent."""
-    tr_k = transform(_case("kink+", C))
-    tr_c = transform(_case("c+", C))
+    tr_k = transform(SolutionCase.at("kink+", C))
+    tr_c = transform(SolutionCase.at("c+", C))
     span = Span()
     root = math.sqrt(C)
     resid = []
@@ -381,7 +377,7 @@ def check_killing_dimension(case_tag: str, C: float = 1.0, depth: int = 2) -> Ch
         m = flat_metric()
         params = {}
     else:
-        case = _case(case_tag, C)
+        case = SolutionCase.at(case_tag, C)
         case_tag = case.tag
         m = solution_3d(case).metric
         params = case.env
@@ -561,7 +557,7 @@ def check_lattice_2d(kind: str = "random", C: float = 1.0) -> CheckReport:
         lat = lambda n: Lattice2D(0.0, 0.0, n, n)
         h_of = lambda n: 2.0 * math.pi / n
     else:  # windowed symmetry-breaking solution
-        case = _case("c+", C)
+        case = SolutionCase.at("c+", C)
         rd = solution_2d(case).rd
         ns = (24, 32, 48)
         h_of = lambda n: 2.0 / n
@@ -701,14 +697,15 @@ def check_geometry_identities(
 @dataclass(frozen=True)
 class Check:
     """How one named check runs: ``run(C, tag, n)`` gives its reports at
-    coupling C, case tag and n grid points per axis.  A "case" check runs
-    per coupling and per selected case among its ``tags``, a "coupling"
-    check per coupling, a "once" check (it ignores C) at the base C only;
-    the last two keep the default tags and run with tag None."""
+    coupling C, tag and n grid points per axis.  A "case" check runs per
+    coupling and per selected case among its ``tags``, a "coupling" check
+    per coupling and per tag, a "once" check (it ignores C) at the base C
+    only.  Tags in ``base_only`` (they ignore C) run at the base C only."""
 
     run: Callable[[float, Optional[str], int], list[CheckReport]]
     scope: str = "once"
     tags: tuple = (None,)
+    base_only: tuple = ()
 
 
 # the branches with a stored Killing basis
@@ -719,29 +716,30 @@ _KILLING_TAGS = ("a", "b", "c+", "c-")
 # max-symmetry) take the requested points per axis within [3, 5].
 CHECKS = {
     "calibration": Check(lambda *_: check_calibration()),
-    "curvature": Check(lambda C, tag, n: check_curvature(_case(tag, C), n=n), "case", CASE_TAGS),
-    "cotton": Check(lambda C, tag, n: [check_cotton_vanishing(_case(tag, C), n=n)], "case", CASE_TAGS),
+    "curvature": Check(lambda C, tag, n: check_curvature(SolutionCase.at(tag, C), n=n), "case", CASE_TAGS),
+    "cotton": Check(lambda C, tag, n: [check_cotton_vanishing(SolutionCase.at(tag, C), n=n)], "case", CASE_TAGS),
     "cotton-control": Check(lambda *_: [check_cotton_control()]),
     "cotton-identities": Check(lambda *_: [check_cotton_identities()]),
-    "eom": Check(lambda C, tag, n: [check_eom(_case(tag, C), n=n)], "case", CASE_TAGS),
-    "first-integral": Check(lambda C, tag, n: [check_first_integral(_case(tag, C), n=n)], "case", CASE_TAGS),
-    "kk": Check(lambda C, tag, n: [check_kk(_case(tag, C), n=n)], "case", CASE_TAGS),
-    "transform": Check(lambda C, tag, n: [check_transform(_case(tag, C), n=n)], "case", CASE_TAGS),
+    "eom": Check(lambda C, tag, n: [check_eom(SolutionCase.at(tag, C), n=n)], "case", CASE_TAGS),
+    "first-integral": Check(lambda C, tag, n: [check_first_integral(SolutionCase.at(tag, C), n=n)], "case", CASE_TAGS),
+    "kk": Check(lambda C, tag, n: [check_kk(SolutionCase.at(tag, C), n=n)], "case", CASE_TAGS),
+    "transform": Check(lambda C, tag, n: [check_transform(SolutionCase.at(tag, C), n=n)], "case", CASE_TAGS),
     "transform-limit": Check(lambda C, *_: [check_transform_limit(C)], "coupling"),
     "killing": Check(
-        lambda C, tag, n: check_killing_fields(_case(tag, C), n=max(3, min(n, 5))), "case", _KILLING_TAGS
+        lambda C, tag, n: check_killing_fields(SolutionCase.at(tag, C), n=max(3, min(n, 5))), "case", _KILLING_TAGS
     ),
     "killing-dim": Check(
         lambda C, tag, n: [check_killing_dimension(tag, C)], "case", ("flat",) + _KILLING_TAGS
     ),
     "max-symmetry": Check(
-        lambda C, tag, n: [check_max_symmetry(_case(tag, C), n=max(3, min(n, 5)))], "case", CASE_TAGS
+        lambda C, tag, n: [check_max_symmetry(SolutionCase.at(tag, C), n=max(3, min(n, 5)))], "case", CASE_TAGS
     ),
     "kink-solver": Check(lambda *_: check_kink_solver()),
     "kink-convergence": Check(lambda C, *_: [check_kink_convergence(C)], "coupling"),
     "lift": Check(lambda *_: check_lift("phi4") + check_lift("sine-gordon")),
+    # the random ladder's fields and action do not read C
     "lattice-2d": Check(
-        lambda C, *_: [check_lattice_2d("random", C), check_lattice_2d("solution", C)], "coupling"
+        lambda C, kind, n: [check_lattice_2d(kind, C)], "coupling", ("random", "solution"), ("random",)
     ),
     "lattice-3d": Check(lambda *_: [check_lattice_3d()]),
     "jets": Check(lambda *_: [check_jets_fd()]),
@@ -784,7 +782,8 @@ def run_checks(
         plan.append((check, [C] if check.scope == "once" else C_values, tags))
     reports: list[CheckReport] = []
     for check, couplings, tags in plan:
-        for Cv in couplings:
+        for k, Cv in enumerate(couplings):
             for tag in tags:
-                reports.extend(check.run(Cv, tag, grid_n))
+                if k == 0 or tag not in check.base_only:
+                    reports.extend(check.run(Cv, tag, grid_n))
     return reports

@@ -17,16 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exprlang import ExprAst, free_symbols, parse_expr, to_text
-from .geometry import (
-    GeometryError,
-    MetricSpec,
-    _expr_jet,
-    _Pipeline,
-    _stack,
-    _tgrad,
-    coordinate_seeds,
-)
+from .exprlang import ExprAst, _expr_jet, coordinate_seeds, free_symbols, parse_expr, to_text
+from .geometry import GeometryError, MetricSpec, _Pipeline, _stack, _tgrad
 from .report import CheckReport, Span, _argworst
 
 __all__ = [

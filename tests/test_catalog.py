@@ -15,16 +15,14 @@ from cottonkit.catalog import (
     transform,
     transform_grid,
 )
-from cottonkit.exprlang import eval_array, eval_jet_bindings
+from cottonkit.exprlang import _expr_jet, coordinate_seeds, eval_array
 from cottonkit.geometry import (
     MetricSpec,
-    coordinate_seeds,
     curvature_grid,
     metric_from_dict,
     metric_values_grid,
     pullback_metric_at,
 )
-from cottonkit.jets import Jet
 from cottonkit.reduction import assemble_3d_metric, eom_grid, reduced_from_dict
 from cottonkit.symmetry import killing_residual_values
 
@@ -212,7 +210,7 @@ def test_case_c_fields_match_numeric_transport():
     rng = np.random.default_rng(0)
     for p in [(0.7, 1.2, 0.4), (1.5, 0.7, -0.8), (-0.3, 2.0, 0.9)]:
         seeds = coordinate_seeds(tr.source_coords, p, tr.env, 1)
-        imgs = [eval_jet_bindings(c, seeds) for c in tr.components]
+        imgs = [_expr_jet(c, seeds) for c in tr.components]
         J = np.array(
             [[float(np.asarray(im.derivative(a).coeffs[0])) for a in range(3)] for im in imgs]
         )
@@ -222,10 +220,7 @@ def test_case_c_fields_match_numeric_transport():
         )
         catalog_vals = np.array(
             [
-                [
-                    float(v.coeffs[0]) if isinstance(v, Jet) else float(v)
-                    for v in (eval_jet_bindings(c, seeds) for c in xi.components)
-                ]
+                [float(_expr_jet(c, seeds).coeffs[0]) for c in xi.components]
                 for xi in fields
             ]
         )

@@ -198,6 +198,18 @@ def test_bad_tol_exit_two_before_any_check(tmp_path, monkeypatch, value):
     assert code == 2 and "error: tol must be finite and non-negative, got '1e-9'" in err
 
 
+def test_cotton_power_overflow_exit_two(tmp_path):
+    # a constant 10^400 in a component printed a bare OverflowError traceback
+    m = tmp_path / "overflow.json"
+    m.write_text(json.dumps({
+        "coordinates": ["t", "x", "y"],
+        "components": {"t,t": "1+0*10^400*x", "x,x": "-1", "y,y": "-1"},
+    }), encoding="utf-8")
+    code, out, err = run_cli("cotton", "--metric", str(m))
+    assert (code, out) == (2, "")
+    assert err == "error: overflow in ^ (at characters 5..10)\n"
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

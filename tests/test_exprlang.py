@@ -139,11 +139,15 @@ def test_domain_error_carries_source_span():
     assert err.value.span[0] == 3
 
 
-@pytest.mark.parametrize("text, x", [("(0-8)^(1/3)", 0.5), ("ln(x)", -1.0), ("sqrt(x)", 0.0), ("1/x", 0.0), ("x^-1", 0.0)])
+@pytest.mark.parametrize(
+    "text, x",
+    [("(0-8)^(1/3)", 0.5), ("ln(x)", -1.0), ("sqrt(x)", 0.0), ("1/x", 0.0), ("x^-1", 0.0), ("x^400", 10.0)],
+)
 def test_domain_rules_agree_across_evaluators(text, x):
-    """Outside the jets.py domain every evaluator raises with the same span:
-    as values (scalar or array), as jets of a coordinate, and folded as a
-    constant parameter."""
+    """Outside the jets.py domain, or where a power overflows, every kind of
+    evaluation raises with the same span: as values (scalar or array), as
+    jets of a coordinate, and folded as a constant parameter.  A numpy
+    overflow warning would fail the test, as pytest makes it an error."""
     e = parse_expr(text)
     attempts = {
         "scalar": lambda: eval_array(e, {"x": x}),
@@ -232,3 +236,38 @@ def test_property_jet_value_equals_eval_array(seed, nv, depth, order):
     plain = float(eval_array(e, dict(zip(coords, pt))))
     jet = float(eval_jet(e, coords, pt, {}, order).value)
     assert abs(jet - plain) <= 1e-14 * (1.0 + abs(plain))
+
+
+def test_coordinate_seeds_need_one_value_per_coordinate():
+    for coords, point in (([], []), (["x"], [1.0, 2.0]), (["t", "x"], [1.0])):
+        with pytest.raises(ValueError, match="one point value per coordinate"):
+            eval_jet(parse_expr("2+x"), coords, point, {}, 2)
+
+
+def test_value_route_builds_no_jet(monkeypatch):
+    """eval_array builds no Jet on float or array bindings, so the jets-fd
+    check's reference side is independent of the jet engine."""
+    from cottonkit.catalog import CASE_TAGS, SolutionCase, solution_2d, solution_3d, standard_grid
+    from cottonkit.jets import Jet
+
+    rng = np.random.default_rng(11)
+    work = []
+    for nv in (1, 2, 3):
+        coords = ["t", "x", "y"][:nv]
+        for _ in range(20):
+            pts = rng.uniform(-0.9, 0.9, (5, nv))
+            work.append((random_safe_expr(rng, coords, depth=3), coords, pts, {}))
+    for tag in CASE_TAGS:
+        case = SolutionCase.at(tag, 1.0)
+        for m in (solution_2d(case).rd.g2, solution_3d(case).metric):
+            pts = standard_grid(case, m.dim, 3)
+            work += [(c, m.coords, pts, m.env) for row in m.components for c in row]
+
+    def no_jet(self, *args):
+        raise AssertionError("the value route built a Jet")
+
+    monkeypatch.setattr(Jet, "__init__", no_jet)
+    for e, coords, pts, env in work:
+        grid = eval_array(e, {**dict(zip(coords, pts.T)), **env})
+        points = [eval_array(e, {**dict(zip(coords, p)), **env}) for p in pts]
+        np.testing.assert_allclose(points, grid, rtol=1e-12)  # scalar and SIMD libm may differ in ulps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cottonkit import jets
-from cottonkit.exprlang import ExprEvalError, eval_array, eval_jet, eval_jet_bindings, parse_expr
+from cottonkit.exprlang import ExprEvalError, _expr_jet, eval_array, eval_jet, parse_expr
 from cottonkit.jets import (
     Jet,
     JetDomainError,
@@ -308,7 +308,7 @@ def test_zero_divisor_at_one_grid_point_raises():
     e = parse_expr("2+exp(x)/(y-1)")
     bindings = {"x": a, "y": b + 1.0}
     with pytest.raises(ExprEvalError) as err:
-        eval_jet_bindings(e, bindings)
+        _expr_jet(e, bindings)
     # the span of the division, the rule every evaluator shares
     assert "division by zero" in str(err.value) and err.value.span == e.right.span
 

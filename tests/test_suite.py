@@ -251,8 +251,7 @@ _SCHEDULE_THOROUGH = [
     ('kk', 'b', -0.25), ('kk', 'c+', 0.25), ('kk', 'c-', 0.25), ('kk', 'kink+', 0.25), ('kk', 'kink-', 0.25),
     ('kk', 'a', 9.0), ('kk', 'b', -9.0), ('kk', 'c+', 9.0), ('kk', 'c-', 9.0), ('kk', 'kink+', 9.0),
     ('kk', 'kink-', 9.0), ('lattice_2d', 'random', 1.0), ('lattice_2d', 'solution', 1.0),
-    ('lattice_2d', 'random', 0.25), ('lattice_2d', 'solution', 0.25), ('lattice_2d', 'random', 9.0),
-    ('lattice_2d', 'solution', 9.0), ('lattice_3d', None, None), ('lift', 'phi4', None),
+    ('lattice_2d', 'solution', 0.25), ('lattice_2d', 'solution', 9.0), ('lattice_3d', None, None), ('lift', 'phi4', None),
     ('lift', 'sine-gordon', None), ('max_symmetry', 'a', 1.0), ('max_symmetry', 'b', -1.0),
     ('max_symmetry', 'c+', 1.0), ('max_symmetry', 'c-', 1.0), ('max_symmetry', 'kink+', 1.0),
     ('max_symmetry', 'kink-', 1.0), ('max_symmetry', 'a', 0.25), ('max_symmetry', 'b', -0.25),

@@ -209,15 +209,10 @@ def test_maximal_symmetry_tensor_check():
 
 def _bracket_field_jets(xi, eta, seeds, env):
     """[xi, eta] components as order-1 jets from order-2 field jets."""
-    from cottonkit.exprlang import eval_jet_bindings
-    from cottonkit.jets import Jet, jet_constant
+    from cottonkit.exprlang import _expr_jet
 
     def jets_of(field):
-        out = []
-        for comp in field.components:
-            v = eval_jet_bindings(comp, seeds)
-            out.append(v if isinstance(v, Jet) else jet_constant(v, 3, 2))
-        return out
+        return [_expr_jet(comp, seeds) for comp in field.components]
 
     a, b = jets_of(xi), jets_of(eta)
     bracket = []
@@ -233,7 +228,7 @@ def _bracket_field_jets(xi, eta, seeds, env):
 def test_jacobi_cyclic_sum_on_catalog_triples():
     from itertools import combinations
 
-    from cottonkit.geometry import coordinate_seeds
+    from cottonkit.exprlang import _expr_jet, coordinate_seeds
 
     case = SolutionCase("c+", 1.0)
     fields = killing_fields(case)
@@ -246,14 +241,8 @@ def test_jacobi_cyclic_sum_on_catalog_triples():
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = _bracket_field_jets(fields[b], fields[c], seeds, env)
                 # outer bracket with the jet-valued inner field
-                from cottonkit.exprlang import eval_jet_bindings
-                from cottonkit.jets import Jet, jet_constant
-
                 outer_field = []
-                av = []
-                for comp in fields[a].components:
-                    v = eval_jet_bindings(comp, seeds)
-                    av.append(v if isinstance(v, Jet) else jet_constant(v, 3, 2))
+                av = [_expr_jet(comp, seeds) for comp in fields[a].components]
                 for mu in range(3):
                     t = 0.0
                     for l in range(3):
