@@ -83,6 +83,17 @@ class RunConfig:
             raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
+        if not isinstance(self.grid_n, int) or isinstance(self.grid_n, bool):
+            raise ValueError(f"grid_n must be an integer, got {self.grid_n!r}")
+        for name in ("checks", "cases"):
+            v = getattr(self, name)
+            if v is not None and not (isinstance(v, list) and all(isinstance(s, str) for s in v)):
+                raise ValueError(f"{name} must be a list of strings, got {v!r}")
+        for name in ("thorough", "stable_output"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string or null, got {self.out!r}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
 

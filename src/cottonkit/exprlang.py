@@ -17,17 +17,13 @@ arithmetic, so feeding jets as coordinate values composes maps for free.
 
 There is one evaluator, a tree walker whose bindings may be floats, numpy
 arrays or jets: ``eval_array`` runs it on values, ``eval_jet`` on
-coordinates lifted to jets.  It follows the domain rules of ``jets.py``, so
-an expression is real-valued and means the same thing on values and on
-jets, or raises ExprEvalError with the span of the offending
-sub-expression:
-
-* ``ln`` and ``sqrt`` need an argument > 0;
-* a divisor must be nonzero;
-* ``a^b`` needs ``a`` > 0 unless ``b`` is an integer of magnitude at most
-  512 (for jets, ``b`` must also not vary with a coordinate);
-* ``0^b`` with a negative integer ``b`` is a division by zero;
-* a power that overflows is an error, not inf.
+coordinates lifted to jets.  The walker only walks, folds scalar results to
+Python floats and attaches spans: functions, division and powers go through
+``jets.jet_apply``, ``jets.jet_divide`` and ``jets.jet_pow``, which own the
+domain rules (arguments of ``ln`` and ``sqrt``, zero divisors, the domain of
+``^`` and overflow).  So an expression is real-valued and means the same
+thing on values and on jets, or raises ExprEvalError with the span of the
+sub-expression that broke a rule.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import FUNCTION_NAMES, Jet, _integer_exponent, jet_apply, jet_constant, jet_pow, jet_var
+from .jets import FUNCTION_NAMES, Jet, JetDomainError, jet_apply, jet_constant, jet_divide, jet_pow, jet_var
 
 __all__ = [
     "ExprAst",
@@ -57,8 +53,6 @@ __all__ = [
     "free_symbols",
     "validate_symbols",
     "substitute",
-    "num",
-    "binop",
 ]
 
 Span = tuple[int, int]  # 1-based [start, end) character positions
@@ -112,14 +106,6 @@ class Call:
 
 
 ExprAst = Union[Num, Sym, Neg, BinOp, Call]
-
-# convenience constructors for programmatically built trees
-def num(v: float) -> Num:
-    return Num(float(v))
-
-
-def binop(op: str, left: ExprAst, right: ExprAst) -> BinOp:
-    return BinOp(op, left, right)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -331,101 +317,15 @@ def substitute(e: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
 
 # -- evaluation ---------------------------------------------------------------
 #
-# One walker evaluates over bindings of floats, arrays or jets, with one
-# function table and one set of domain guards.  A node with no jet operand
-# follows the value rules and folds a scalar result to a Python float, so an
-# evaluation on values alone builds no Jet (the jets-fd check uses it as the
-# independent reference for the jet engine); a node with a jet operand
-# follows the jet rules.  ``coordinate_seeds`` and ``_expr_jet`` are the one
-# way to lift coordinates to jets and a constant result to a constant jet.
-
-_NP_FUNCS = {
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "arctan": np.arctan,
-}
-
-
-def _any(mask) -> bool:
-    # np.any costs microseconds on the scalar comparisons of pointwise use
-    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _require_positive(func: str, v, span: Span) -> None:
-    if _any(v <= 0.0):
-        raise ExprEvalError(f"{func} applied outside its domain (value {float(np.min(v))!r})", span)
-
-
-def _require_nonzero_divisor(v, span: Span) -> None:
-    if _any(v == 0.0):
-        raise ExprEvalError("division by zero", span)
-
-
-def _require_pow_domain(base, exponent, span: Span) -> None:
-    """jet_pow's rule: a non-integer exponent needs a positive base, and a
-    zero base with a negative integer exponent divides by zero."""
-    nonpositive = base <= 0.0
-    if not _any(nonpositive):
-        return
-    if np.any(nonpositive & ~np.asarray(_integer_exponent(exponent))):
-        _require_positive("pow", base, span)
-    if np.any((base == 0.0) & (exponent < 0.0)):
-        raise ExprEvalError("division by zero", span)
-
-
-def _value(v):
-    return v.value if isinstance(v, Jet) else v
+# An evaluation on values alone builds no Jet: the jets-fd check uses it as
+# the independent reference for the jet engine.  ``coordinate_seeds`` and
+# ``_expr_jet`` are the one way to lift coordinates to jets and a constant
+# result to a constant jet.
 
 
 def _fold(v):
     # a Python float: a numpy scalar times a Jet detours through object arrays
     return v if isinstance(v, (Jet, np.ndarray)) else float(v)
-
-
-def _call_values(e: Call, arg):
-    fn = _NP_FUNCS.get(e.func)
-    if fn is None:
-        raise ExprEvalError(f"unknown function {e.func!r}", e.span)
-    if e.func in ("ln", "sqrt"):
-        _require_positive(e.func, arg, e.span)
-    return fn(arg)
-
-
-def _power(e: BinOp, base, exponent):
-    """``base^exponent`` under the domain rules.  One overflow rule holds for
-    values, arrays and jets: a power that overflows raises ExprEvalError."""
-    try:
-        with np.errstate(over="raise"):
-            if isinstance(exponent, Jet) and np.any(exponent.coeffs[1:] != 0.0):
-                # a varying exponent: exp(exponent * ln(base))
-                _require_positive("pow", _value(base), e.span)
-                if isinstance(base, Jet):
-                    return jet_apply("exp", jet_apply("ln", base) * exponent)
-                return jet_apply("exp", exponent * np.log(base))
-            exponent = _value(exponent)  # a constant-valued jet exponent
-            _require_pow_domain(_value(base), exponent, e.span)
-            return jet_pow(base, exponent) if isinstance(base, Jet) else base**exponent
-    except (OverflowError, FloatingPointError):
-        raise ExprEvalError("overflow in ^", e.span) from None
-
-
-def _binop(e: BinOp, left, right):
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        _require_nonzero_divisor(_value(right), e.span)
-        return left / right
-    return _power(e, left, right)
 
 
 def _eval(e: ExprAst, bindings):
@@ -442,13 +342,21 @@ def _eval(e: ExprAst, bindings):
         return -_eval(e.child, bindings)
     if isinstance(e, Call):
         arg = _eval(e.arg, bindings)
-        if not isinstance(arg, Jet):
-            return _fold(_call_values(e, arg))
         try:
-            return jet_apply(e.func, arg)
+            return _fold(jet_apply(e.func, arg))
         except ValueError as err:  # unknown function or JetDomainError
             raise ExprEvalError(str(err), e.span) from err
-    return _fold(_binop(e, _eval(e.left, bindings), _eval(e.right, bindings)))
+    left, right = _eval(e.left, bindings), _eval(e.right, bindings)
+    if e.op == "+":
+        return _fold(left + right)
+    if e.op == "-":
+        return _fold(left - right)
+    if e.op == "*":
+        return _fold(left * right)
+    try:
+        return _fold(jet_divide(left, right) if e.op == "/" else jet_pow(left, right))
+    except JetDomainError as err:
+        raise ExprEvalError(str(err), e.span) from err
 
 
 def eval_array(e: ExprAst, bindings: Mapping[str, Union[float, np.ndarray]]) -> np.ndarray:

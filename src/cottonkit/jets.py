@@ -17,12 +17,21 @@ when the operands hold few values per coefficient, and shift-accumulates one
 first factor at a time on larger grids (``_GATHER_MAX_ELEMENTS``).  A quotient
 is one pass of the Taylor division recurrence, degree by degree (Griewank
 and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, section 13.2).
+
+This module owns the domain rules.  ``jet_apply``, ``jet_divide`` and
+``jet_pow``, and so the jet operators ``/`` and ``**``, take floats, arrays
+or jets, judge a jet by its value, and raise JetDomainError where a rule is
+broken: ``ln`` and ``sqrt`` need an argument > 0; a divisor must be nonzero,
+and so must the base of a negative integer power; ``a ** b`` needs ``a`` > 0
+unless ``b`` is a constant integer of magnitude at most 512; ``exp``,
+``sinh``, ``cosh`` and ``**`` raise on overflow instead of returning inf.  On
+floats and arrays they compute the numpy call or ``**`` that they guard.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +42,7 @@ __all__ = [
     "jet_var",
     "jet_constant",
     "jet_apply",
+    "jet_divide",
     "jet_extract",
     "jet_pow",
     "FUNCTION_NAMES",
@@ -47,12 +57,13 @@ Scalar = Union[int, float, np.floating, np.ndarray]
 
 
 class JetDomainError(ValueError):
-    """A unary function was applied outside its real domain."""
+    """A domain rule was broken: an argument outside a function's real
+    domain, a zero divisor or an overflow."""
 
-    def __init__(self, func: str, value: float):
+    def __init__(self, func: str, value: float, message: Optional[str] = None):
         self.func = func
         self.value = value
-        super().__init__(f"{func} applied outside its domain (value {value!r})")
+        super().__init__(message or f"{func} applied outside its domain (value {value!r})")
 
 
 def _multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
@@ -268,19 +279,13 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            a, b, _ = self._align(other)
-            return _divide(a.coeffs, b)
-        return Jet(self.space, self.coeffs / other)
+        return jet_divide(self, other)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        return jet_divide(other, self)
 
     def __pow__(self, exponent):
         return jet_pow(self, exponent)
-
-    def _reciprocal(self) -> "Jet":
-        return _divide(None, self)
 
     # -- calculus -----------------------------------------------------------
 
@@ -326,8 +331,7 @@ def _divide(a: Optional[np.ndarray], b: Jet) -> Jet:
     of k of b_i c_j) (1 / b_0), where every c_j has degree below d."""
     sp, b = b.space, b.coeffs
     b0 = b[0]
-    if np.any(b0 == 0.0):
-        raise JetDomainError("reciprocal", 0.0)
+    _require_nonzero_divisor(b0 == 0.0)
     a0 = 1.0 if a is None else a[0]
     c = np.empty((sp.ncoeff,) + np.broadcast_shapes(np.shape(a0), b0.shape))
     c[0] = a0 / b0
@@ -374,16 +378,42 @@ def jet_extract(j: Jet, alpha: Sequence[int]) -> Scalar:
     return j.coeffs[k] * j.space._factorials[k]
 
 
+# -- domain rules: one guard per rule ------------------------------------------
+
+
+def _any(mask) -> bool:
+    # np.any costs microseconds on the scalar comparisons of pointwise use
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _value(x):
+    return x.coeffs[0] if isinstance(x, Jet) else x
+
+
+def _require_positive(func: str, v) -> None:
+    if _any(v <= 0.0):
+        raise JetDomainError(func, float(np.min(v)))
+
+
+def _require_nonzero_divisor(zero) -> None:
+    """The divisor rule, given where the divisor is zero."""
+    if _any(zero):
+        raise JetDomainError("reciprocal", 0.0, "division by zero")
+
+
+def _finite(name: str, fn, *args):
+    """fn(*args), raising a JetDomainError where it overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return fn(*args)
+    except (OverflowError, FloatingPointError):
+        raise JetDomainError(name, math.inf, f"overflow in {name}") from None
+
+
 # -- elementary functions -----------------------------------------------------
 #
 # Each generator returns the univariate Taylor coefficients c_k of the
 # function at the jet's value, vectorized over batched values.
-
-
-def _require_positive(func: str, v: np.ndarray) -> None:
-    if np.any(v <= 0.0):
-        bad = float(np.min(v))
-        raise JetDomainError(func, bad)
 
 
 def _coeffs_exp(v, n):
@@ -394,7 +424,6 @@ def _coeffs_exp(v, n):
 
 
 def _coeffs_ln(v, n):
-    _require_positive("ln", np.asarray(v))
     c = [np.log(v)]
     if n >= 1:
         c.append(1.0 / v)
@@ -404,7 +433,6 @@ def _coeffs_ln(v, n):
 
 
 def _coeffs_sqrt(v, n):
-    _require_positive("sqrt", np.asarray(v))
     c = [np.sqrt(v)]
     for k in range(1, n + 1):
         c.append(c[-1] * (1.5 - k) / (k * v))
@@ -455,61 +483,109 @@ def _coeffs_arctan(v, n):
     return c
 
 
-_FUNC_COEFFS = {
-    "exp": _coeffs_exp,
-    "ln": _coeffs_ln,
-    "sqrt": _coeffs_sqrt,
-    "sin": _coeffs_sin,
-    "cos": _coeffs_cos,
-    "sinh": _coeffs_sinh,
-    "cosh": _coeffs_cosh,
-    "tanh": _coeffs_tanh,
-    "arctan": _coeffs_arctan,
+class _Function(NamedTuple):
+    values: Callable  # the numpy function, on floats and arrays
+    coeffs: Callable  # (value, order) -> Taylor coefficients c_0..c_order
+    rule: Optional[str]  # the argument rule that guards it, if any
+
+
+# only exp, sinh and cosh can overflow from a finite argument
+_POSITIVE, _FINITE = "positive", "finite"
+
+_FUNCTIONS = {
+    "exp": _Function(np.exp, _coeffs_exp, _FINITE),
+    "ln": _Function(np.log, _coeffs_ln, _POSITIVE),
+    "sqrt": _Function(np.sqrt, _coeffs_sqrt, _POSITIVE),
+    "sin": _Function(np.sin, _coeffs_sin, None),
+    "cos": _Function(np.cos, _coeffs_cos, None),
+    "sinh": _Function(np.sinh, _coeffs_sinh, _FINITE),
+    "cosh": _Function(np.cosh, _coeffs_cosh, _FINITE),
+    "tanh": _Function(np.tanh, _coeffs_tanh, None),
+    "arctan": _Function(np.arctan, _coeffs_arctan, None),
 }
 
-FUNCTION_NAMES = frozenset(_FUNC_COEFFS)
+FUNCTION_NAMES = frozenset(_FUNCTIONS)
 
 
-def jet_apply(fn: str, j: Jet) -> Jet:
-    """Jet of ``fn(j)`` for a named elementary function, exact to j.order."""
-    gen = _FUNC_COEFFS.get(fn)
-    if gen is None:
+def _evaluate(f: _Function, x):
+    if isinstance(x, Jet):
+        return x.compose_univariate(f.coeffs(x.coeffs[0], x.order))
+    return f.values(x)
+
+
+def jet_apply(fn: str, x):
+    """``fn(x)`` for a named elementary function under its argument rule:
+    the numpy value for a float or an array, the jet exact to x.order for a
+    Jet."""
+    f = _FUNCTIONS.get(fn)
+    if f is None:
         raise ValueError(f"unknown function {fn!r}; known: {sorted(FUNCTION_NAMES)}")
-    series = gen(j.coeffs[0], j.order)
-    return j.compose_univariate(series)
+    if f.rule == _FINITE:
+        return _finite(fn, _evaluate, f, x)
+    if f.rule == _POSITIVE:
+        _require_positive(fn, _value(x))
+    return _evaluate(f, x)
+
+
+def jet_divide(a, b):
+    """``a / b`` for floats, arrays or jets on either side; a zero divisor
+    raises."""
+    if isinstance(b, Jet):
+        if isinstance(a, Jet):
+            a, b, _ = a._align(b)
+            return _divide(a.coeffs, b)
+        return _divide(None, b) * a
+    _require_nonzero_divisor(b == 0.0)
+    return Jet(a.space, a.coeffs / b) if isinstance(a, Jet) else a / b
 
 
 def _integer_exponent(e):
-    """Whether jet_pow raises to ``e`` by repeated multiplication (an
+    """Whether a jet is raised to ``e`` by repeated multiplication (an
     integer of magnitude at most 512); elementwise for arrays."""
     if isinstance(e, np.ndarray):
         return (np.abs(e) <= 512) & (e == np.round(e))
     return abs(e) <= 512 and e == round(e)
 
 
-def jet_pow(j: Jet, exponent: Scalar) -> Jet:
-    """j**exponent: integer exponents by repeated multiplication, a
-    non-integer one (which needs a positive value) as one composition with
-    the binomial series c_0 = v**e, c_k = c_{k-1} (e - k + 1) / (k v)."""
+def jet_pow(base, exponent):
+    """``base ** exponent`` for floats, arrays or jets on either side; an
+    overflow raises.  A jet exponent that varies gives exp(exponent ln base),
+    which needs a positive base."""
+    return _finite("^", _power, base, exponent)
+
+
+def _power(base, exponent):
+    if isinstance(exponent, Jet):
+        if np.any(exponent.coeffs[1:] != 0.0):
+            _require_positive("pow", _value(base))
+            log = _evaluate(_FUNCTIONS["ln"], base)
+            return _evaluate(_FUNCTIONS["exp"], log * exponent if isinstance(log, Jet) else exponent * log)
+        exponent = exponent.coeffs[0]
+    v = _value(base)
+    if _any(v <= 0.0):  # a non-integer exponent needs v > 0, a negative one v != 0
+        if np.any((v <= 0.0) & ~np.asarray(_integer_exponent(exponent))):
+            _require_positive("pow", v)
+        _require_nonzero_divisor((v == 0.0) & (exponent < 0.0))
+    if not isinstance(base, Jet):
+        return base**exponent
     e = float(exponent)
     if _integer_exponent(e):
+        # integer exponents by repeated multiplication
         n = int(round(e))
         if n == 0:
-            return jet_constant(np.ones_like(j.coeffs[0]), j.num_vars, j.order)
-        base = j if n > 0 else j._reciprocal()
+            return jet_constant(np.ones_like(base.coeffs[0]), base.num_vars, base.order)
+        j = base if n > 0 else _divide(None, base)
         n = abs(n)
         acc = None
         while n:
             if n & 1:
-                acc = base if acc is None else acc * base
+                acc = j if acc is None else acc * j
             n >>= 1
             if n:
-                base = base * base
+                j = j * j
         return acc
-    v = j.coeffs[0]
-    _require_positive("pow", np.asarray(v))
+    # one composition with the binomial series c_k = c_{k-1} (e - k + 1) / (k v)
     series = [v**e]
-    for k in range(1, j.order + 1):
+    for k in range(1, base.order + 1):
         series.append(series[-1] * (e - k + 1) / (k * v))
-    return j.compose_univariate(series)
-
+    return base.compose_univariate(series)

@@ -84,6 +84,7 @@ class PotentialSpec:
     vacua: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
+        coordinate_seeds((self.var,), (0.0,), self.env, 0)  # no parameter may shadow the field variable
         lo, hi = self.vacua
         if not lo < hi:
             raise ValueError("vacua must be ordered")

@@ -33,12 +33,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exprlang import (
+    BinOp,
     ExprAst,
     Neg,
     Num,
     _expr_jet,
-    _value,
-    binop,
     eval_array,
     free_symbols,
     parse_expr,
@@ -178,7 +177,7 @@ def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
         return a
     if _is_zero(a) or _is_zero(b):
         return Num(0.0)
-    return binop("*", a, b)
+    return BinOp("*", a, b)
 
 
 def _sub(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -186,7 +185,7 @@ def _sub(a: ExprAst, b: ExprAst) -> ExprAst:
         return a
     if _is_zero(a):
         return Neg(b)
-    return binop("-", a, b)
+    return BinOp("-", a, b)
 
 
 def assemble_3d_metric(rd: ReducedData, third_coord: str = "y") -> MetricSpec:
@@ -234,13 +233,13 @@ class _ReducedJets:
 def field_strength_f(rd: ReducedData, p: Sequence[float]) -> float:
     """Dual field strength f = (d_t a_x - d_x a_t)/sqrt(-det g)."""
     jets = _ReducedJets(rd, tuple(float(v) for v in p), order=1)
-    return float(_value(jets.f))
+    return float(jets.f.value)
 
 
 def reduced_action_density(rd: ReducedData, p: Sequence[float]) -> ActionDensity:
     jets = _ReducedJets(rd, tuple(float(v) for v in p), order=2)
-    f, r = _value(jets.f), _value(jets.pipe.scalar())
-    dens = ACTION_COUPLING * _value(jets.pipe.sqrt_abs_det(0)) * (f * r + f ** 3)
+    f, r = jets.f.value, jets.pipe.scalar().value
+    dens = ACTION_COUPLING * jets.pipe.sqrt_abs_det(0).value * (f * r + f ** 3)
     theta = r + f ** 2
     return ActionDensity(float(dens), float(theta))
 
@@ -270,12 +269,12 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
     pipe, f = jets.pipe, jets.f
     r = pipe.scalar()
     phi_j = r + 3.0 * (f * f)
-    dphi = np.array([_value(phi_j.derivative(0)), _value(phi_j.derivative(1))])
+    dphi = np.array([phi_j.derivative(0).value, phi_j.derivative(1).value])
     eq11 = np.max(np.abs(dphi), axis=0)
 
     hessv, boxv = pipe.hessian(f)
-    fv = _value(f)
-    rv = _value(r)
+    fv = f.value
+    rv = r.value
     gv = pipe.g[0]
     ginvv = pipe.ginv[0]
 
@@ -298,7 +297,7 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
         "r": np.atleast_1d(rv),
         "g": gv,
         "g_inv": ginvv,
-        "sqrt_abs_det": np.atleast_1d(_value(pipe.sqrt_abs_det(0))),
+        "sqrt_abs_det": np.atleast_1d(pipe.sqrt_abs_det(0).value),
         "box_f": np.atleast_1d(boxv),
     }
 

@@ -210,6 +210,18 @@ def test_cotton_power_overflow_exit_two(tmp_path):
     assert err == "error: overflow in ^ (at characters 5..10)\n"
 
 
+def test_cotton_function_overflow_exit_two(tmp_path):
+    # exp(800) was inf, and 0*inf a NaN component
+    m = tmp_path / "overflow.json"
+    m.write_text(json.dumps({
+        "coordinates": ["t", "x", "y"],
+        "components": {"t,t": "1+0*exp(800)*x", "x,x": "-1", "y,y": "-1"},
+    }), encoding="utf-8")
+    code, out, err = run_cli("cotton", "--metric", str(m))
+    assert (code, out) == (2, "")
+    assert err == "error: overflow in exp (at characters 5..12)\n"
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -374,6 +386,31 @@ def test_config_file_thorough_and_stable_output_kept_without_flags(tmp_path):
     assert doc["config"]["thorough"] is True and doc["config"]["stable_output"] is True
     assert [r["check_id"] for r in doc["checks"]] == ["calibration:C=0.25", "calibration:C=1", "calibration:C=9"]
     assert all("wall_time" not in r for r in doc["checks"])
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # a string or float grid_n was a TypeError traceback
+        ({"grid_n": "7"}, "grid_n must be an integer, got '7'"),
+        ({"grid_n": 7.5}, "grid_n must be an integer, got 7.5"),
+        ({"grid_n": True}, "grid_n must be an integer, got True"),
+        # a string was split into one check per letter
+        ({"checks": "eom"}, "checks must be a list of strings, got 'eom'"),
+        ({"cases": ["c+", 1]}, "cases must be a list of strings, got ['c+', 1]"),
+        ({"thorough": "no"}, "thorough must be true or false, got 'no'"),
+        ({"stable_output": 1}, "stable_output must be true or false, got 1"),
+        ({"out": 5}, "out must be a string or null, got 5"),
+    ],
+)
+def test_config_field_of_the_wrong_type_exit_two(tmp_path, monkeypatch, entry, message):
+    import cottonkit.cli as cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: pytest.fail("a check ran"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entry), encoding="utf-8")
+    code, out, err = run_cli("verify", "--config", str(config))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_runconfig_validation():

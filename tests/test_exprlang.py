@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cottonkit import jets
 from cottonkit.exprlang import (
     BinOp,
     Call,
+    ExprAst,
     ExprEvalError,
     ExprSyntaxError,
     Neg,
@@ -139,10 +143,16 @@ def test_domain_error_carries_source_span():
     assert err.value.span[0] == 3
 
 
-@pytest.mark.parametrize(
-    "text, x",
-    [("(0-8)^(1/3)", 0.5), ("ln(x)", -1.0), ("sqrt(x)", 0.0), ("1/x", 0.0), ("x^-1", 0.0), ("x^400", 10.0)],
-)
+# one case or more for every function of the jets.py table: its own rule, or
+# the rule its value meets in the enclosing operation
+DOMAIN_CASES = [
+    ("(0-8)^(1/3)", 0.5), ("ln(x)", -1.0), ("sqrt(x)", 0.0), ("1/x", 0.0), ("x^-1", 0.0), ("x^400", 10.0),
+    ("exp(x)", 800.0), ("sinh(x)", 800.0), ("sinh(x)", -800.0), ("cosh(x)", 800.0),
+    ("1/sin(x)", 0.0), ("ln(cos(x))", 3.0), ("1/tanh(x)", 0.0), ("1/arctan(x)", 0.0),
+]
+
+
+@pytest.mark.parametrize("text, x", DOMAIN_CASES)
 def test_domain_rules_agree_across_evaluators(text, x):
     """Outside the jets.py domain, or where a power overflows, every kind of
     evaluation raises with the same span: as values (scalar or array), as
@@ -159,6 +169,81 @@ def test_domain_rules_agree_across_evaluators(text, x):
         with pytest.raises(ExprEvalError) as err:
             attempt()
         assert err.value.span == e.span, how
+
+
+def test_domain_cases_cover_the_function_table():
+    called = {name for text, _ in DOMAIN_CASES for name in re.findall(r"([a-z]+)\(", text)}
+    assert called == jets.FUNCTION_NAMES
+
+
+def _outcomes(e: ExprAst, values: dict, coords=None) -> dict:
+    """The expression at the values by four routes, each as the hex form of
+    its float or the span of its ExprEvalError: scalar values, arrays of
+    values, the ``coords`` (by default every name) lifted to jet
+    coordinates, and every name a parameter folded to a constant.  A zero
+    is unsigned: a composed jet's value is a zero plus f's value."""
+    coords = list(values) if coords is None else coords
+    params = {k: v for k, v in values.items() if k not in coords}
+    routes = {
+        "scalar": lambda: eval_array(e, values),
+        "array": lambda: eval_array(e, {k: np.array([1.0, v]) for k, v in values.items()})[1],
+        "coordinate": lambda: eval_jet(e, coords, [values[k] for k in coords], params, 2).value,
+        "constant": lambda: eval_jet(e, ["t"], [0.3], values, 2).value,
+    }
+    out = {}
+    for how, route in routes.items():
+        try:
+            out[how] = (float(route()) + 0.0).hex()
+        except ExprEvalError as err:
+            out[how] = err.span
+    return out
+
+
+# finite floats with 0, both signs and +-800 among them, in magnitudes whose
+# order-2 jets stay finite (ln at 1e-200 has a second coefficient of -1/(2 x^2))
+_arguments = st.one_of(
+    st.sampled_from([0.0, -0.0, 800.0, -800.0, 1.0, -1.0]),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-1e-6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fn=st.sampled_from(sorted(jets.FUNCTION_NAMES)), a=_arguments)
+def test_property_function_routes_agree(fn, a):
+    """Every route gives the same bits, or every route raises with the
+    call's span."""
+    e = parse_expr(f"{fn}(x)")
+    got = set(_outcomes(e, {"x": a}).values())
+    assert len(got) == 1 and (e.span in got or not any(isinstance(v, tuple) for v in got)), got
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_arguments, b=_arguments)
+def test_property_division_routes_agree(a, b):
+    e = parse_expr("x/y")
+    got = set(_outcomes(e, {"x": a, "y": b}).values())
+    assert got == ({e.span} if b == 0.0 else {(a / b + 0.0).hex()}), got
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_arguments, b=st.one_of(st.integers(-40, 40).map(float), st.floats(min_value=-40.0, max_value=40.0)))
+def test_property_power_routes_agree(a, b):
+    """The routes raise together with the span of ``^``, or agree on the
+    value: bit for bit between the scalar and folded routes, which share one
+    ``**``, and to 2 |b| + 2 ulp elsewhere.  An array power may round
+    otherwise than the scalar one (a SIMD ``**``), and a jet raised to an
+    integer n multiplies: the rounding of a reciprocal and of each product
+    grows up to n-fold in the power."""
+    e = parse_expr("x^y")
+    got = _outcomes(e, {"x": a, "y": b}, coords=["x"])
+    if any(isinstance(v, tuple) for v in got.values()):
+        assert set(got.values()) == {e.span}, got
+        return
+    assert got["scalar"] == got["constant"], got
+    want = float.fromhex(got["scalar"])
+    for how in ("array", "coordinate"):
+        assert abs(float.fromhex(got[how]) - want) <= (2 * abs(b) + 2) * np.spacing(abs(want)), (how, got)
 
 
 def test_free_symbols_and_substitute():

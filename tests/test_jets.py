@@ -11,6 +11,7 @@ from cottonkit.jets import (
     JetSpace,
     _divide,
     jet_apply,
+    jet_divide,
     jet_constant,
     jet_extract,
     jet_pow,
@@ -301,7 +302,10 @@ def test_zero_divisor_at_one_grid_point_raises():
     vals = np.linspace(-1.0, 1.0, 9)  # 0.0 at index 4
     b = jet_var(0, vals, 2, 3)
     a = jet_var(1, vals + 2.0, 2, 3)
-    for attempt in (lambda: a / b, lambda: 1.0 / b, lambda: b._reciprocal(), lambda: jet_pow(b, -2)):
+    for attempt in (
+        lambda: a / b, lambda: 1.0 / b, lambda: _divide(None, b), lambda: jet_pow(b, -2),
+        lambda: a / 0.0, lambda: jet_divide(2.0, 0.0),  # a zero value divides as a zero jet does
+    ):
         with pytest.raises(JetDomainError) as err:
             attempt()
         assert err.value.func == "reciprocal"
@@ -311,6 +315,18 @@ def test_zero_divisor_at_one_grid_point_raises():
         _expr_jet(e, bindings)
     # the span of the division, the rule every evaluator shares
     assert "division by zero" in str(err.value) and err.value.span == e.right.span
+
+
+def test_entry_points_give_the_numpy_value_on_values():
+    """On floats and arrays, jet_apply is the table's numpy function and
+    jet_pow and jet_divide are ``**`` and ``/``, bit for bit."""
+    vals = np.linspace(0.1, 3.0, 7)
+    for fn in sorted(jets.FUNCTION_NAMES):
+        values = jets._FUNCTIONS[fn].values
+        assert jet_apply(fn, 0.7) == values(0.7), fn
+        assert jet_apply(fn, vals).tobytes() == values(vals).tobytes(), fn
+    assert jet_pow(0.7, 1.3) == 0.7**1.3 and jet_pow(vals, 3.0).tobytes() == (vals**3.0).tobytes()
+    assert jet_divide(1.0, 0.3) == 1.0 / 0.3 and jet_divide(1.0, vals).tobytes() == (1.0 / vals).tobytes()
 
 
 def test_real_pow_value_is_the_value_walkers_power():

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import cottonkit.kink as kink
-from cottonkit.exprlang import eval_array, parse_expr
+from cottonkit.exprlang import ExprEvalError, eval_array, parse_expr
 from cottonkit.kink import (
     KinkSolverError,
     PotentialSpec,
@@ -41,6 +41,12 @@ def test_potential_invariants_enforced():
         PotentialSpec(parse_expr("-(phi^2-1)^2/4"), "phi", {}, (-1.0, 1.0))
     with pytest.raises(ValueError):  # unordered vacua
         PotentialSpec(parse_expr("(phi^2-1)^2/4"), "phi", {}, (1.0, -1.0))
+
+
+def test_potential_parameter_shadowing_the_field_is_an_error():
+    # the parameter used to win, and V(-1) = 0.140625 failed the vacuum check
+    with pytest.raises(ExprEvalError, match="parameter 'C' shadows a coordinate"):
+        PotentialSpec(parse_expr("(C^2-1)^2/4"), "C", {"C": 0.5}, (-1.0, 1.0))
 
 
 # -- shooting solver ------------------------------------------------------------

@@ -81,15 +81,15 @@ def test_fd_partial_steps_grow_with_order_when_step_is_none():
 def _tanh_rule_wrong_at(monkeypatch, k, rel=1e-4):
     """tanh's jet rule with only its order-k Taylor coefficient scaled by
     1 + rel; every random composition has tanh at its leaves."""
-    real = jets._FUNC_COEFFS["tanh"]
+    real = jets._FUNCTIONS["tanh"]
 
     def wrong(v, n):
-        c = real(v, n)
+        c = real.coeffs(v, n)
         if n >= k:
             c[k] = c[k] * (1.0 + rel)
         return c
 
-    monkeypatch.setitem(jets._FUNC_COEFFS, "tanh", wrong)
+    monkeypatch.setitem(jets._FUNCTIONS, "tanh", real._replace(coeffs=wrong))
 
 
 def test_jets_fd_passes_on_the_true_rules():

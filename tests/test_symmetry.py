@@ -53,7 +53,7 @@ def test_dimension_mismatch_rejected():
 
 
 def test_residual_linear_combination_bound():
-    from cottonkit.exprlang import binop, num
+    from cottonkit.exprlang import BinOp, Num
 
     case = SolutionCase("c+", 1.0)
     m = solution_3d(case).metric
@@ -62,8 +62,8 @@ def test_residual_linear_combination_bound():
     a, b = 2.7, -1.3
     combo = VectorFieldSpec(
         tuple(
-            binop("+", binop("*", num(a), fields[3].components[k]),
-                  binop("*", num(b), fields[5].components[k]))
+            BinOp("+", BinOp("*", Num(a), fields[3].components[k]),
+                  BinOp("*", Num(b), fields[5].components[k]))
             for k in range(3)
         )
     )
