@@ -307,20 +307,24 @@ class Jet:
         """Jet of ``f(self)`` given the Taylor coefficients of f at self.value,
         by Horner's rule in du = self - value with step k at order - k (du^k
         multiplies its accumulator later): each step zero-pads the accumulator
-        by one degree and sums the same terms as a full-order step."""
+        by one degree and sums the same terms as a full-order step.  du has
+        no constant term, so each step sets coefficient 0 to c_k: a product
+        with du never feeds it, and an overflowed higher c_k (inf * 0 = NaN)
+        cannot reach the value."""
         nv, order = self.num_vars, self.order
         if order == 0:
             return jet_constant(series[0], nv, 0)
         du = self.coeffs.copy()
         du[0] = 0.0
-        acc = du[: nv + 1] * series[order]
-        acc[0] += series[order - 1]
+        acc = du[: nv + 1].copy()
+        acc[0] = series[order - 1]
+        acc[1:] *= series[order]
         for k in range(order - 2, -1, -1):
             sp = JetSpace.get(nv, order - k)
             padded = np.zeros((sp.ncoeff,) + acc.shape[1:])
             padded[: len(acc)] = acc
             acc = sp.mul_coeffs(du[: sp.ncoeff], padded)
-            acc[0] += series[k]
+            acc[0] = series[k]
         return Jet(self.space, acc)
 
 

@@ -18,16 +18,18 @@ integrator's resolution, a bracket 2e-13 C wide: below that width the
 decisions follow the integration error of the classifying orbit, not the
 separatrix.  Both ends are then classified again at the tightest
 tolerance, so a wrong early decision fails the solve instead of moving it.
-The final orbit and the grid-convergence probe share one fixed-step
-Dormand-Prince integrator and its continuous extension.
+The final orbit, the grid-convergence probe and the flat kinks share one
+fixed-step Dormand-Prince integrator and its continuous extension.  Both
+tableaux are module constants, so the runtime needs numpy alone.
 
 The flat-space solver integrates the first-order quadrature form
 k' = sqrt(2 V(k)) from the potential's interior maximum, which is the
-profile's inflection value.  The lift sends a flat kink k to the curved
-pair f(x) = k(x/sqrt(2)), g = diag(V(f), -1); the residual and curvature
-checks of that construction are exact-jet evaluations, so the lifting
-theorem is verified at engine precision, with the vanishing-at-the-vacua
-normalization of V as the stated precondition.
+profile's inflection value, in both directions in one orbit.  The lift
+sends a flat kink k to the curved pair f(x) = k(x/sqrt(2)),
+g = diag(V(f), -1); the residual and curvature checks of that
+construction are exact-jet evaluations, so the lifting theorem is verified
+at engine precision, with the vanishing-at-the-vacua normalization of V as
+the stated precondition.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.optimize import brentq
 
 from .exprlang import ExprAst, _expr_jet, coordinate_seeds, eval_array, parse_expr, substitute
 from .geometry import MetricSpec, _Pipeline, curvature_grid
@@ -174,13 +174,45 @@ class KinkProfile:
             )
 
 
-# DOP853 tableau of scipy's own integrator.  The right-hand side is
-# autonomous, so the stage nodes are not needed; the weights B are one more
-# stage row, the one that lands on the step's end.
-_STAGE_ROWS = tuple(np.ascontiguousarray(_dop853.A[k, :k]) for k in range(1, _dop853.N_STAGES)) + (
-    _dop853.B,
+# The Dormand-Prince 8(5,3) tableau (DOP853), as scipy's
+# dop853_coefficients holds it: stage rows 1..11 of A, each cut to the
+# stages it reads, the weights B, and the error rows E5 and E3 over those 12
+# stages and the slope at the step's end.  Hairer, Norsett and Wanner,
+# Solving ODEs I, sec. II.5 and II.10.
+_DOP853_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636),
 )
-_ERROR_ROWS = np.stack([_dop853.E5, _dop853.E3])
+_DOP853_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_DOP853_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+)
+_DOP853_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+)
+# The right-hand side is autonomous, so the stage nodes are not needed; the
+# weights B are one more stage row, the one that lands on the step's end.
+_STAGE_ROWS = tuple(np.array(row) for row in (*_DOP853_A, _DOP853_B))
+_ERROR_ROWS = np.array([_DOP853_E5, _DOP853_E3])
 
 
 def _initial_step(C: float, s: np.ndarray, rtol: np.ndarray, atol: np.ndarray, x_end: float) -> np.ndarray:
@@ -379,7 +411,7 @@ def solve_kink_ode(
     s = 0.5 * (lo + hi)
 
     delta = 0.02 / max(1.0, root)
-    Y, K = _dopri5_orbit(C, (0.0, s, 1.0), delta, math.ceil((xmax + 4 * delta) / delta))
+    Y, K = _dopri5_orbit(_static_gauge_slope(C), (0.0, s, 1.0), delta, math.ceil((xmax + 4 * delta) / delta))
 
     xg = np.linspace(-xmax, xmax, n)
     ax = np.abs(xg)
@@ -427,55 +459,97 @@ def solve_kink_ode(
 
 # -- the fixed-step orbit --------------------------------------------------------
 
-# scipy's RK45 (Dormand-Prince 4/5) rows for stages 1..5 and the step's end,
-# each cut to the stages it reads; the right-hand side is autonomous.
-_DP_ROWS = tuple(tuple(map(float, row)) for row in [*(RK45.A[i, :i] for i in range(1, 6)), RK45.B])
+# The Dormand-Prince 5(4) tableau, as scipy's RK45 holds it: stage rows 1..5
+# of A, each cut to the stages it reads, the weights B as the row of the
+# step's end (the right-hand side is autonomous), and the matrix P of the
+# continuous extension.  Dormand and Prince, J. Comput. Appl. Math. 6 (1980)
+# 19-26; Hairer, Norsett and Wanner, Solving ODEs I, sec. II.5-II.6.
+_RK45_A = (
+    (0.2,),
+    (0.075, 0.225),
+    (0.9777777777777777, -3.7333333333333334, 3.5555555555555554),
+    (2.9525986892242035, -11.595793324188385, 9.822892851699436, -0.2908093278463649),
+    (2.8462752525252526, -10.757575757575758, 8.906422717743473, 0.2784090909090909, -0.2735313036020583),
+)
+_RK45_B = (
+    0.09114583333333333, 0.0, 0.44923629829290207, 0.6510416666666666, -0.322376179245283,
+    0.13095238095238096,
+)
+_RK45_P = np.array(
+    [
+        [1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 4.023133379230305, -6.249321565289, 2.675424484351598],
+        [0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504],
+        [0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912],
+        [0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455],
+        [0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144],
+    ]
+)
+_DP_ROWS = (*_RK45_A, _RK45_B)
 
 
-def _dopri5_orbit(C: float, y0, h: float, nsteps: int) -> tuple[np.ndarray, np.ndarray]:
-    """`nsteps` fixed steps h of the 5th-order Dormand-Prince solution
-    (scipy's RK45 tableau) of the orbit (f, u, h) from y0: Y[n], shape
-    (nsteps + 1, 3), is the state after n steps, K[n], shape (nsteps, 7, 3),
-    the stage slopes of step n, the last at its end (first same as last).
-    Stages sum a_j k_j from 0 in tableau order, so Y is y + h sum(a k) bit
-    for bit; Python floats beat 3-element arrays here.  Rows from a step
-    that overflows or divides by zero on are NaN: callers judge the rows."""
+def _static_gauge_slope(C: float):
+    """(f, u, h)' of the static-gauge orbit, for `_dopri5_orbit`."""
 
-    def slope(f, u, g):
+    def slope(y):
+        f, u, g = y
         du = 0.5 * (f ** 3 - C * f)
         return (u, du, 2.0 * g * du / u)
 
-    Y = np.full((nsteps + 1, 3), np.nan)
-    K = np.full((nsteps, 7, 3), np.nan)
-    f, u, g = Y[0] = tuple(float(v) for v in y0)
+    return slope
+
+
+def _dopri5_orbit(rhs, y0, h: float, nsteps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`nsteps` fixed steps h of the 5th-order Dormand-Prince solution of the
+    autonomous system y' = rhs(y) from y0, rhs taking and giving a sequence
+    of d floats: Y[n], shape (nsteps + 1, d), is the state after n steps,
+    K[n], shape (nsteps, 7, d), the stage slopes of step n, the last at its
+    end (first same as last).  Stages sum a_j k_j from 0 in tableau order,
+    so Y is y + h sum(a k) bit for bit; Python floats beat d-element arrays
+    here.  Rows from a step that overflows or divides by zero on are NaN:
+    callers judge the rows."""
+    y = [float(v) for v in y0]
+    d = len(y)
+    states, slopes = [y], []
     try:
-        k = [slope(f, u, g)]
-        for n in range(nsteps):
+        k = [rhs(y)]
+        for _ in range(nsteps):
             for row in _DP_ROWS:
-                sf = su = sg = 0.0
-                for a, (kf, ku, kg) in zip(row, k):
-                    sf += a * kf
-                    su += a * ku
-                    sg += a * kg
-                stage = (f + h * sf, u + h * su, g + h * sg)
-                k.append(slope(*stage))
-            f, u, g = Y[n + 1] = stage
-            K[n] = k
+                stage = []
+                for c in range(d):
+                    s = 0.0
+                    for a, kj in zip(row, k):
+                        s += a * kj[c]
+                    stage.append(y[c] + h * s)
+                k.append(rhs(stage))
+            y = stage
+            states.append(y)
+            slopes.append(k)
             k = [k[-1]]
     except (ZeroDivisionError, OverflowError):
         pass  # this step's rows and all later ones stay NaN
+    Y = np.full((nsteps + 1, d), np.nan)
+    K = np.full((nsteps, 7, d), np.nan)
+    Y[: len(states)] = np.fromiter(chain.from_iterable(states), float).reshape(-1, d)
+    K[: len(slopes)] = np.fromiter(chain.from_iterable(chain.from_iterable(slopes)), float).reshape(-1, 7, d)
     return Y, K
+
+
+# bench/tracing.py counts the calls of `kink.solve_ivp` as `kink.ivp`; the
+# name now stands for the one integrator that every kink orbit runs on.
+solve_ivp = _dopri5_orbit
 
 
 def _dopri5_dense(Y: np.ndarray, K: np.ndarray, h: float, x) -> np.ndarray:
     """Continuous extension of a `_dopri5_orbit` run at abscissae x >= 0,
-    shape (3, *x.shape): Y[k] + h (K[k]^T P)(theta, ..., theta^4) on step
-    k = floor(x/h), clipped to the last, theta = x/h - k, P scipy's RK45
+    shape (d, *x.shape): Y[k] + h (K[k]^T P)(theta, ..., theta^4) on step
+    k = floor(x/h), clipped to the last, theta = x/h - k, P the RK45
     interpolant (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.6)."""
     t = np.asarray(x, dtype=float) / h
     k = np.clip(np.floor(t), 0, len(K) - 1).astype(int)
     powers = np.cumprod(np.broadcast_to(t - k, (4,) + t.shape), axis=0)  # theta, ..., theta^4
-    y = Y[k] + h * np.einsum("...sc,sj,j...->...c", K[k], RK45.P, powers)
+    y = Y[k] + h * np.einsum("...sc,sj,j...->...c", K[k], _RK45_P, powers)
     return np.moveaxis(y, -1, 0)
 
 
@@ -487,7 +561,7 @@ def fixed_step_errors(C: float, xmax: float, steps: Sequence[float]) -> list[flo
     errors = []
     for h in steps:
         nsteps = int(round(xmax / h))
-        Y, _ = _dopri5_orbit(C, (0.0, 0.5 * C, 1.0), h, nsteps)
+        Y, _ = _dopri5_orbit(_static_gauge_slope(C), (0.0, 0.5 * C, 1.0), h, nsteps)
         exact = [root * math.tanh(0.5 * root * x) for x in np.linspace(h, nsteps * h, nsteps)]
         errors.append(float(np.max(np.abs(Y[1:, 0] - exact))))
     return errors
@@ -502,60 +576,92 @@ class FlatKink:
     x: np.ndarray
     k: np.ndarray
     center_value: float
-    _fwd: object = None
-    _bwd: object = None
+    # (Y, K, step) of the `_dopri5_orbit` run behind the dense output: state
+    # (k(x), k(-x)) at x >= 0
+    _orbit: tuple = None
 
     def __call__(self, x):
         """Dense-output evaluation, clamped to the vacua beyond the solved span."""
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
         lo, hi = self.potential.vacua
-        pos = x >= 0
         xmax = float(self.x[-1])
-        xp = np.clip(x, -xmax, xmax)
-        if np.any(pos):
-            out[pos] = self._fwd.sol(xp[pos])[0]
-        if np.any(~pos):
-            out[~pos] = self._bwd.sol(xp[~pos])[0]
-        out = np.clip(out, lo, hi)
+        both = _dopri5_dense(*self._orbit, np.abs(np.clip(x, -xmax, xmax)))
+        out = np.clip(np.where(x >= 0, both[0], both[1]), lo, hi)
         return out if out.ndim else float(out)
 
 
 def _interior_maximum(p: PotentialSpec) -> float:
+    """The largest of V on a 399-point interior grid, refined by bisecting
+    the sign change of V' between its neighbours, from the grid point itself
+    down to brentq's default tolerance, 1e-14 + 4 eps |x|."""
     lo, hi = p.vacua
     grid = np.linspace(lo, hi, 401)[1:-1]
-    vals = p(grid)
-    k = int(np.argmax(vals))
-    a = grid[max(0, k - 1)]
-    b = grid[min(len(grid) - 1, k + 1)]
+    k = int(np.argmax(p(grid)))
+    a = float(grid[max(0, k - 1)])
+    m = float(grid[k])
+    b = float(grid[min(len(grid) - 1, k + 1)])
 
     def vprime(u):
         return p.derivatives(u, 1)[1]
 
-    if vprime(a) * vprime(b) < 0:
-        return float(brentq(vprime, a, b, xtol=1e-14))
-    return float(grid[k])
+    va = vprime(a)
+    if not va * vprime(b) < 0:
+        return m
+    while b - a > 1e-14 + 4.0 * np.finfo(float).eps * max(abs(a), abs(b)):
+        vm = vprime(m)
+        if vm == 0.0:
+            return m
+        if (vm < 0.0) == (va < 0.0):
+            a, va = m, vm
+        else:
+            b = m
+        m = 0.5 * (a + b)
+    return m
+
+
+# Steps per kink width (hi - lo)/k'(0) of the flat-kink orbit.  Max error of
+# flat_kink_solve(p, 10.0) against the closed forms on its 801-point grid
+# (and on 4001 points, between the grid's):
+#
+#   steps/width   phi^4, tanh(x/sqrt 2)   sine-Gordon, 4 arctan e^x
+#        96         4.8e-12 (5.1e-12)       3.1e-11 (3.2e-11)
+#       108         2.0e-12 (2.9e-12)       1.6e-11 (1.7e-11)
+#       128         1.2e-12 (1.2e-12)       3.9e-12 (7.2e-12)
+#       160         3.9e-13 (4.2e-13)       2.5e-12 (2.5e-12)
+#
+# An adaptive RK45 run at rtol = atol = 1e-12 misses by 1.3e-11 (1.6e-11)
+# and 3.1e-11 (6.0e-11).  108 is the coarsest of these that beats it on
+# both, by a factor near 2 or more; every step costs six evaluations of V,
+# so a finer one costs time in proportion.
+_FLAT_STEPS_PER_WIDTH = 108
 
 
 def flat_kink_solve(p: PotentialSpec, xmax: float, n: int = 801) -> FlatKink:
     """Solve k' = sqrt(2 V(k)) with k(0) at the potential's interior maximum
-    (for an odd well, the midpoint zero); monotone between the vacua."""
+    (for an odd well, the midpoint zero); monotone between the vacua.
+
+    One `_dopri5_orbit` run carries both halves as the state (k(x), k(-x)),
+    x >= 0, so each stage evaluates V once, on two values clamped to the
+    vacua.  The step is the kink width (hi - lo)/k'(0) over
+    `_FLAT_STEPS_PER_WIDTH`, so a potential scaled by lambda^2 takes steps
+    1/lambda as long and keeps its error.  A non-finite orbit raises
+    KinkSolverError."""
     _require_finite_positive(xmax=xmax)
     if n < 2:
         raise ValueError("grid size n must be at least 2")
     k0 = _interior_maximum(p)
     lo, hi = p.vacua
 
-    def rhs(x, y):
-        v = p(float(np.clip(y[0], lo, hi)))
-        return (math.sqrt(max(2.0 * v, 0.0)),)
+    def rhs(z):
+        v_fwd, v_bwd = p(np.array(z).clip(lo, hi)).tolist()
+        return (math.sqrt(max(2.0 * v_fwd, 0.0)), -math.sqrt(max(2.0 * v_bwd, 0.0)))
 
-    fwd = solve_ivp(rhs, (0.0, xmax), (k0,), method="RK45", rtol=1e-12, atol=1e-12, dense_output=True)
-    bwd = solve_ivp(rhs, (0.0, -xmax), (k0,), method="RK45", rtol=1e-12, atol=1e-12, dense_output=True)
-    if not (fwd.success and bwd.success):
+    step = (hi - lo) / (_FLAT_STEPS_PER_WIDTH * math.sqrt(2.0 * p(k0)))
+    Y, K = _dopri5_orbit(rhs, (k0, k0), step, math.ceil(xmax / step))
+    if not (np.isfinite(Y).all() and np.isfinite(K).all()):
         raise KinkSolverError("flat kink integration failed")
     xg = np.linspace(-xmax, xmax, n)
-    flat = FlatKink(potential=p, x=xg, k=np.empty(n), center_value=k0, _fwd=fwd, _bwd=bwd)
+    flat = FlatKink(potential=p, x=xg, k=np.empty(n), center_value=k0, _orbit=(Y, K, step))
     flat.k = flat(xg)
     return flat
 

@@ -1,4 +1,6 @@
+import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +246,22 @@ def test_property_power_routes_agree(a, b):
     want = float.fromhex(got["scalar"])
     for how in ("array", "coordinate"):
         assert abs(float.fromhex(got[how]) - want) <= (2 * abs(b) + 2) * np.spacing(abs(want)), (how, got)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_overflowed_coefficient_leaves_the_value_alone(order):
+    # ln at 1e-200: c_2 = -1/(2 x^2) overflows to -inf, and -inf times du's
+    # zero constant term used to turn the value itself into NaN
+    e = parse_expr("ln(x)")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = eval_jet(e, ["x"], [1e-200], {}, order).value
+    assert float(value) == float(eval_array(e, {"x": 1e-200})) == pytest.approx(-460.517018598809)
+    # the overflow itself still warns where the series is made; the Horner
+    # steps of compose_univariate add no warning of their own
+    lines, first = inspect.getsourcelines(jets.Jet.compose_univariate)
+    own = [w for w in caught if w.filename == jets.__file__ and first <= w.lineno < first + len(lines)]
+    assert own == [], [str(w.message) for w in own]
 
 
 def test_free_symbols_and_substitute():

@@ -131,7 +131,7 @@ def test_flat_kink_rejects_bad_input_before_integrating(monkeypatch, xmax, n, ma
         raise AssertionError("integrated before validating its input")
 
     p, _ = phi4_potential(1.0)
-    monkeypatch.setattr(kink, "solve_ivp", no_integration)
+    monkeypatch.setattr(kink, "_dopri5_orbit", no_integration)
     monkeypatch.setattr(kink, "_classify_batch", no_integration)
     with pytest.raises(ValueError, match=match):
         flat_kink_solve(p, xmax, n=n)
@@ -192,21 +192,21 @@ def test_non_monotone_round_fails_closed(monkeypatch):
 def test_integration_count_per_solve(monkeypatch):
     # 9 rounds of 31 points from width C to 2e-13 C, the two bracket ends in
     # the first round's batch, their re-classification; the final orbit is
-    # a fixed-step run, so solve_ivp never runs
-    real = kink.solve_ivp
-    methods = []
+    # one fixed-step run
+    real = kink._dopri5_orbit
+    runs = []
 
-    def counted(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return real(*args, **kwargs)
+    def counted(*args):
+        runs.append(args[3])
+        return real(*args)
 
-    monkeypatch.setattr(kink, "solve_ivp", counted)
+    monkeypatch.setattr(kink, "_dopri5_orbit", counted)
     (rep,) = check_kink_solver(C_values=(1.0,))
     assert rep.details["iterations"] == 9
     assert rep.details["classify_solves"] == 9 * 31 + 4
     assert rep.details["resolution"] == pytest.approx(2e-13)
     assert rep.details["bracket_width"] <= 2e-13
-    assert methods == []
+    assert runs == [math.ceil((8.0 + 4 * 0.02) / 0.02)]  # to xmax + 4 steps at delta = 0.02
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf])
@@ -304,12 +304,29 @@ def _dopri5_reference(rhs, y0, x1, h):
     return y
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 def test_scipy_rk45_tableau_is_the_dormand_prince_table():
     from scipy.integrate import RK45
+    from scipy.integrate._ivp import dop853_coefficients as dop853
 
     for i, row in enumerate(_DP_A):
         assert RK45.A[i].tolist() == list(row) + [0.0] * (5 - len(row))
     assert RK45.B.tolist() == list(_DP_B)
+    # the module's literal tableaux are scipy's, bit for bit: the rows of A
+    # cut to the stages they read, and nothing in the cut-off part
+    assert len(kink._RK45_A) == 5 and len(kink._DOP853_A) == dop853.N_STAGES - 1
+    for i, row in enumerate(kink._RK45_A, 1):
+        assert _bits(row) == _bits(RK45.A[i, :i]) and not RK45.A[i, i:].any(), i
+    assert _bits(kink._RK45_B) == _bits(RK45.B)
+    assert _bits(kink._RK45_P) == _bits(RK45.P)
+    for k, row in enumerate(kink._DOP853_A, 1):
+        assert _bits(row) == _bits(dop853.A[k, :k]) and not dop853.A[k, k:].any(), k
+    assert _bits(kink._DOP853_B) == _bits(dop853.B)
+    assert _bits(kink._DOP853_E5) == _bits(dop853.E5)
+    assert _bits(kink._DOP853_E3) == _bits(dop853.E3)
 
 
 def _static_gauge_rhs(C):
@@ -329,7 +346,7 @@ def test_fixed_step_dopri5_bit_equal_to_hand_tableau(C):
     y0 = np.array([0.0, 0.5 * C, 1.0])
     for h in (0.5, 0.125, 0.0625):
         h /= math.sqrt(C)
-        Y, K = kink._dopri5_orbit(C, y0, h, 8)
+        Y, K = kink._dopri5_orbit(lambda y: rhs(0.0, y), y0, h, 8)
         assert Y.shape == (9, 3) and K.shape == (8, 7, 3)
         for n in range(9):
             assert Y[n].tobytes() == _dopri5_reference(rhs, y0, n * h, h).tobytes(), n
@@ -341,9 +358,9 @@ def test_dopri5_dense_output_matches_scipy_interpolant(C):
     from scipy.integrate._ivp.rk import RkDenseOutput
 
     h = 2.0 ** -5  # k h / h == k exactly, so x = k h lands on step k at theta = 0
-    Y, K = kink._dopri5_orbit(C, (0.0, 0.5 * C, 1.0), h, 40)
-    # the slopes are first same as last, and the seventh is the end state's
     rhs = _static_gauge_rhs(C)
+    Y, K = kink._dopri5_orbit(lambda y: rhs(0.0, y), (0.0, 0.5 * C, 1.0), h, 40)
+    # the slopes are first same as last, and the seventh is the end state's
     assert K[1:, 0].tobytes() == K[:-1, 6].tobytes()
     assert K[-1, 6].tobytes() == np.array(rhs(0.0, Y[-1])).tobytes()
     k = np.arange(40)
@@ -389,7 +406,7 @@ def test_final_profile_matches_adaptive_reference(C):
 def test_dopri5_orbit_blow_up_leaves_nan_rows():
     # an orbit a little above the separatrix overshoots and blows up in
     # finite x; the overflow ends the run with NaN rows instead of raising
-    Y, K = kink._dopri5_orbit(1.0, (0.0, 0.5 + 1e-6, 1.0), 0.02, 1500)
+    Y, K = kink._dopri5_orbit(kink._static_gauge_slope(1.0), (0.0, 0.5 + 1e-6, 1.0), 0.02, 1500)
     finite = np.isfinite(Y).all(axis=1)
     first_bad = int(np.argmin(finite))
     assert 0 < first_bad < 1500 and not finite[first_bad:].any() and finite[:first_bad].all()
@@ -432,19 +449,58 @@ def test_non_finite_profile_is_rejected(profile_c1):
 # -- flat kinks -------------------------------------------------------------------
 
 
+# The fixed-step orbit at 108 steps per kink width misses the closed forms
+# by 2.0e-12 (phi^4) and 1.6e-11 (sine-Gordon) on the 801-point grid, and by
+# 2.9e-12 and 1.7e-11 between its points; the bounds leave a factor 1.7-2.5.
+_DENSE_X = np.linspace(-10.0, 10.0, 4001)
+
+
 def test_flat_phi4_matches_closed_form():
     p, _ = phi4_potential(1.0)
     fk = flat_kink_solve(p, 10.0)
-    want = np.tanh(fk.x / math.sqrt(2.0))
-    assert np.max(np.abs(fk.k - want)) < 1e-8
+    assert np.max(np.abs(fk.k - np.tanh(fk.x / math.sqrt(2.0)))) < 5e-12
+    assert np.max(np.abs(fk(_DENSE_X) - np.tanh(_DENSE_X / math.sqrt(2.0)))) < 5e-12
+    assert abs(fk.center_value) < 1e-14
 
 
 def test_flat_sine_gordon_matches_closed_form():
     p, _ = sine_gordon_potential()
     fk = flat_kink_solve(p, 10.0)
-    want = 4.0 * np.arctan(np.exp(fk.x))
-    assert fk.center_value == pytest.approx(math.pi, abs=1e-10)
-    assert np.max(np.abs(fk.k - want)) < 1e-8
+    assert fk.center_value == pytest.approx(math.pi, abs=1e-14)
+    assert np.max(np.abs(fk.k - 4.0 * np.arctan(np.exp(fk.x)))) < 3e-11
+    assert np.max(np.abs(fk(_DENSE_X) - 4.0 * np.arctan(np.exp(_DENSE_X)))) < 3e-11
+
+
+@pytest.mark.parametrize(
+    "expr, vacua",
+    [("1-cos(phi)", (0.0, 2.0 * math.pi)), ("(phi^2-1)^2*(phi+2)/8", (-1.0, 1.0)), ("(phi^2-9)^2/4", (-3.0, 3.0))],
+)
+def test_interior_maximum_agrees_with_brentq(expr, vacua):
+    from scipy.optimize import brentq
+
+    p = PotentialSpec(parse_expr(expr), "phi", {}, vacua)
+    grid = np.linspace(*vacua, 401)[1:-1]
+    k = int(np.argmax(p(grid)))
+    want = brentq(lambda u: p.derivatives(u, 1)[1], grid[k - 1], grid[k + 1], xtol=1e-14)
+    assert abs(kink._interior_maximum(p) - want) <= 2e-14
+
+
+def test_flat_kink_is_one_orbit_of_both_halves(monkeypatch):
+    real = kink._dopri5_orbit
+    runs = []
+
+    def counted(rhs, y0, h, nsteps):
+        runs.append((tuple(y0), h, nsteps))
+        return real(rhs, y0, h, nsteps)
+
+    monkeypatch.setattr(kink, "_dopri5_orbit", counted)
+    p, _ = sine_gordon_potential()
+    fk = flat_kink_solve(p, 10.0)
+    step = 2.0 * math.pi / (kink._FLAT_STEPS_PER_WIDTH * 2.0)  # (hi - lo) / k'(0), k'(0) = 2
+    assert runs == [((fk.center_value,) * 2, pytest.approx(step, rel=1e-15), math.ceil(10.0 / step))]
+    # past the solved span the dense output holds the end values, clamped to the vacua
+    assert fk(11.0) == fk(10.0) and fk(-11.0) == fk(-10.0)
+    assert 0.0 <= fk(-10.0) < fk(10.0) <= 2.0 * math.pi
 
 
 def test_flat_kink_scaling_property():
