@@ -634,6 +634,10 @@ def _interior_maximum(p: PotentialSpec) -> float:
 # both, by a factor near 2 or more; every step costs six evaluations of V,
 # so a finer one costs time in proportion.
 _FLAT_STEPS_PER_WIDTH = 108
+# Longest flat-kink orbit, about 900 kink widths each way: a larger xmax
+# raises instead of running for minutes (0.25 ms a step for phi^4) with the
+# whole orbit in memory.
+_FLAT_MAX_STEPS = 100_000
 
 
 def flat_kink_solve(p: PotentialSpec, xmax: float, n: int = 801) -> FlatKink:
@@ -644,7 +648,8 @@ def flat_kink_solve(p: PotentialSpec, xmax: float, n: int = 801) -> FlatKink:
     x >= 0, so each stage evaluates V once, on two values clamped to the
     vacua.  The step is the kink width (hi - lo)/k'(0) over
     `_FLAT_STEPS_PER_WIDTH`, so a potential scaled by lambda^2 takes steps
-    1/lambda as long and keeps its error.  A non-finite orbit raises
+    1/lambda as long and keeps its error.  An xmax that needs more than
+    `_FLAT_MAX_STEPS` steps raises ValueError; a non-finite orbit raises
     KinkSolverError."""
     _require_finite_positive(xmax=xmax)
     if n < 2:
@@ -657,7 +662,10 @@ def flat_kink_solve(p: PotentialSpec, xmax: float, n: int = 801) -> FlatKink:
         return (math.sqrt(max(2.0 * v_fwd, 0.0)), -math.sqrt(max(2.0 * v_bwd, 0.0)))
 
     step = (hi - lo) / (_FLAT_STEPS_PER_WIDTH * math.sqrt(2.0 * p(k0)))
-    Y, K = _dopri5_orbit(rhs, (k0, k0), step, math.ceil(xmax / step))
+    nsteps = math.ceil(xmax / step)
+    if nsteps > _FLAT_MAX_STEPS:
+        raise ValueError(f"xmax = {xmax:g} needs {nsteps} steps of {step:.3g}; at most {_FLAT_MAX_STEPS} are taken")
+    Y, K = _dopri5_orbit(rhs, (k0, k0), step, nsteps)
     if not (np.isfinite(Y).all() and np.isfinite(K).all()):
         raise KinkSolverError("flat kink integration failed")
     xg = np.linspace(-xmax, xmax, n)

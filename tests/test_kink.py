@@ -124,7 +124,13 @@ def test_solver_rejects_non_finite_input_before_integrating(monkeypatch, kwargs,
 
 @pytest.mark.parametrize(
     "xmax, n, match",
-    [(math.nan, 401, "xmax"), (math.inf, 401, "xmax"), (-3.0, 401, "xmax"), (6.0, 1, "grid size n")],
+    [
+        (math.nan, 401, "xmax"),
+        (math.inf, 401, "xmax"),
+        (-3.0, 401, "xmax"),
+        (6.0, 1, "grid size n"),
+        (1e7, 401, "xmax = 1e"),  # too long for the fixed step
+    ],
 )
 def test_flat_kink_rejects_bad_input_before_integrating(monkeypatch, xmax, n, match):
     def no_integration(*a, **k):
