@@ -15,10 +15,14 @@ are the jet-supported set (tanh, cosh, sinh, exp, ln, sqrt, sin, cos,
 arctan).  Parsed trees are immutable; evaluation is generic over jet
 arithmetic, so feeding jets as coordinate values composes maps for free.
 
-There is one evaluator, a tree walker whose bindings may be floats, numpy
-arrays or jets: ``eval_array`` runs it on values, ``eval_jet`` on
-coordinates lifted to jets.  The walker only walks, folds scalar results to
-Python floats and attaches spans: functions, division and powers go through
+There are two walkers.  ``_eval`` walks one tree; its bindings may be
+floats, numpy arrays or jets: ``eval_array`` runs it on values, ``eval_jet``
+on coordinates lifted to jets.  ``Tape`` compiles a forest of trees into one
+node table and walks it level by level, one call per group of like nodes
+across the forest, and equals one ``_eval`` per tree bit for bit; it pays
+off on many small trees at once (the jets-fd oracle), while a single tree
+is faster through ``_eval``.  Both only walk, fold constants to Python floats
+and attach spans: functions, division and powers go through
 ``jets.jet_apply``, ``jets.jet_divide`` and ``jets.jet_pow``, which own the
 domain rules (arguments of ``ln`` and ``sqrt``, zero divisors, the domain of
 ``^`` and overflow).  So an expression is real-valued and means the same
@@ -28,13 +32,25 @@ sub-expression that broke a rule.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .jets import FUNCTION_NAMES, Jet, JetDomainError, jet_apply, jet_constant, jet_divide, jet_pow, jet_var
+from .jets import (
+    _GATHER_MAX_ELEMENTS,
+    FUNCTION_NAMES,
+    Jet,
+    JetDomainError,
+    jet_apply,
+    jet_constant,
+    jet_divide,
+    jet_pow,
+    jet_var,
+)
 
 __all__ = [
     "ExprAst",
@@ -45,6 +61,7 @@ __all__ = [
     "Call",
     "ExprSyntaxError",
     "ExprEvalError",
+    "Tape",
     "parse_expr",
     "to_text",
     "eval_jet",
@@ -324,7 +341,7 @@ def substitute(e: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
 
 
 def _fold(v):
-    # a Python float: a numpy scalar times a Jet detours through object arrays
+    # a scalar result is a Python float, whatever numpy scalar type made it
     return v if isinstance(v, (Jet, np.ndarray)) else float(v)
 
 
@@ -408,3 +425,189 @@ def eval_jet(
     """Jet of the expression at a point; coordinates are lifted to jet
     variables, parameters enter as constants."""
     return _expr_jet(e, coordinate_seeds(coords, point, env, order))
+
+
+# -- forest tape ----------------------------------------------------------------
+#
+# Operation batching across the expressions of a forest (Looks et al., "Deep
+# Learning with Dynamic Computation Graphs", ICLR 2017; Neubig, Goldberg and
+# Dyer, "On-the-fly Operation Batching in Dynamic Computation Graphs", NeurIPS
+# 2017).  Each group computes element by element what ``_eval`` computes for
+# each of its nodes: constants enter as the floats ``_eval`` folds, a ``^``
+# with a constant operand is called once per distinct constant, and on jets a
+# group is walked in runs of at most ``jets._GATHER_MAX_ELEMENTS`` values per
+# coefficient, so that every product takes the path it takes for one
+# expression.  So a forest equals one ``_eval`` per expression bit for bit.
+
+
+class _Fallback(Exception):
+    """A group that one call would not compute as ``_eval`` computes each
+    of its nodes."""
+
+
+def _group_pow(base, exponent):
+    if isinstance(exponent, Jet):
+        # jet_pow takes exp(exponent ln base) when any derivative coefficient
+        # of the exponent is nonzero; every member must take the same path
+        moving = exponent.coeffs[1:] != 0.0
+        if not np.any(moving, axis=(0, *range(2, moving.ndim))).all():
+            raise _Fallback
+    return jet_pow(base, exponent)
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": jet_divide, "^": _group_pow}
+
+
+class Tape:
+    """A forest of expressions compiled into one node table.
+
+    The nodes that read a coordinate are numbered in post-order, each with
+    its operands' ids and its height (one more than its highest such
+    operand); every other subtree is a constant, folded once by ``_eval``
+    when it reads no parameter and at each run when it does.  ``run`` walks
+    the table level by level, one ``jet_apply``, ``jet_divide``,
+    ``jet_pow`` or operator call per group of nodes with the same height,
+    operation and operand kinds, on operands gathered along a leading
+    expression axis.
+    """
+
+    def __init__(self, exprs: Sequence[ExprAst], coords: Sequence[str]):
+        self.exprs = list(exprs)
+        self.coords = list(coords)
+        n = len(self.exprs)
+        first_row = {c: k * n for k, c in enumerate(self.coords)}  # the coordinates fill the first rows
+        heights = [0] * (len(self.coords) * n)  # per row
+        self._consts: list = []  # per slot (folded float or None, subtree)
+        groups: dict = {}  # (height, node type, operator or function, operand kinds) -> (row, operand ids)
+
+        def slot(e: ExprAst) -> int:
+            try:
+                self._consts.append((_eval(e, {}), e))
+            except ExprEvalError:  # it reads a parameter, or raises at each run
+                self._consts.append((None, e))
+            return len(self._consts) - 1
+
+        def add(key, *operands) -> int:
+            heights.append(key[0])
+            groups.setdefault(key, []).append((len(heights) - 1, *operands))
+            return len(heights) - 1
+
+        def visit(e: ExprAst, i: int):
+            """The row of a node of expression i that reads a coordinate,
+            None for a constant."""
+            kind = type(e)
+            if kind is Sym:
+                row = first_row.get(e.name)
+                return None if row is None else row + i
+            if kind is Num:
+                return None
+            if kind is BinOp:
+                a, b = visit(e.left, i), visit(e.right, i)
+                if a is None and b is None:
+                    return None
+                if a is None:
+                    return add((heights[b] + 1, kind, e.op, "cv"), slot(e.left), b)
+                if b is None:
+                    return add((heights[a] + 1, kind, e.op, "vc"), a, slot(e.right))
+                return add((max(heights[a], heights[b]) + 1, kind, e.op, "vv"), a, b)
+            a = visit(e.arg if kind is Call else e.child, i)
+            return None if a is None else add((heights[a] + 1, kind, getattr(e, "func", None), "v"), a)
+
+        roots, lifted = [], ([], [])
+        for i, e in enumerate(self.exprs):
+            row = visit(e, i)
+            if row is None:  # a constant expression fills a row of its own
+                heights.append(0)
+                row = len(heights) - 1
+                lifted[0].append(row)
+                lifted[1].append(slot(e))
+            roots.append(row)
+        self._nrows = len(heights)
+        self._roots = np.array(roots, dtype=np.intp)
+        self._lifted = tuple(np.array(ids, dtype=np.intp) for ids in lifted)
+        self._groups = []
+        for (_, kind, name, roles), members in sorted(groups.items(), key=lambda item: item[0][0]):
+            out, *operands = np.array(members, dtype=np.intp).T
+            self._groups.append((kind, name, roles, out, operands))
+
+    def run(self, bindings: Mapping[str, Union[float, np.ndarray, Jet]]):
+        """The forest's values or jets.  Every coordinate is bound to an
+        array, or every one to a jet, whose leading grid axis is the
+        expression axis (entry i belongs to expression i); parameters are
+        bound to floats.  On arrays the result has shape (expressions, ...)
+        and no Jet is built; on jets it is one Jet whose grid leads with the
+        expression axis, a constant expression lifted to a constant jet.  A
+        group that raises sends the forest through ``_eval`` one expression
+        at a time, so an error has the message and span ``_eval`` gives."""
+        seed = bindings[self.coords[0]]
+        if isinstance(seed, Jet):
+            space, tail = seed.space, seed.coeffs.shape[2:]
+        else:
+            space, tail = None, np.broadcast_shapes(*(np.shape(bindings[c]) for c in self.coords))[1:]
+        try:
+            return self._walk(bindings, space, tail)
+        except (ValueError, ArithmeticError, _Fallback):
+            return self._each(bindings, space, tail)
+
+    def _walk(self, bindings, space, tail):
+        n = len(self.exprs)
+        consts = np.array([_eval(e, bindings) if v is None else v for v, e in self._consts], dtype=float)
+        cshape = (-1,) + (1,) * len(tail)
+        if space is None:
+            buf = np.empty((self._nrows,) + tail)
+            for k, c in enumerate(self.coords):
+                buf[k * n : (k + 1) * n] = bindings[c]
+            buf[self._lifted[0]] = consts[self._lifted[1]].reshape(cshape)
+            get, put = buf.__getitem__, buf.__setitem__
+        else:
+            buf = np.empty((space.ncoeff, self._nrows) + tail)
+            for k, c in enumerate(self.coords):
+                buf[:, k * n : (k + 1) * n] = bindings[c].coeffs
+            buf[:, self._lifted[0]] = 0.0
+            buf[0, self._lifted[0]] = consts[self._lifted[1]].reshape(cshape)
+
+            def get(rows):
+                return Jet(space, buf[:, rows])
+
+            def put(rows, j):
+                if not isinstance(j, Jet):
+                    raise _Fallback
+                buf[:, rows] = j.coeffs
+
+        # on jets, runs of at most `step` members keep every product on the gather path
+        step = self._nrows if space is None else max(1, _GATHER_MAX_ELEMENTS // math.prod(tail))
+        for kind, name, roles, out, operands in self._groups:
+            for lo in range(0, len(out), step):
+                rows, run = out[lo : lo + step], [ids[lo : lo + step] for ids in operands]
+                if kind is Neg:
+                    put(rows, -get(run[0]))
+                elif kind is Call:
+                    put(rows, jet_apply(name, get(run[0])))
+                elif name == "^" and roles != "vv":  # one call per distinct constant, as a float
+                    k = roles.index("c")
+                    values = consts[run[k]]
+                    bits = values.view(np.int64)
+                    for b in dict.fromkeys(bits.tolist()):  # np.unique would import numpy.ma
+                        sel = np.flatnonzero(bits == b)
+                        args = [get(run[1 - k][sel]), float(values[sel[0]])]
+                        put(rows[sel], _group_pow(*args[::-1] if k == 0 else args))
+                else:
+                    args = [get(ids) if role == "v" else consts[ids].reshape(cshape) for role, ids in zip(roles, run)]
+                    put(rows, _BINOPS[name](*args))
+        return buf[self._roots] if space is None else Jet(space, buf[:, self._roots])
+
+    def _each(self, bindings, space, tail):
+        n = len(self.exprs)
+        out = np.empty((n,) + tail) if space is None else np.zeros((space.ncoeff, n) + tail)
+        for i, e in enumerate(self.exprs):
+            own = {
+                c: bindings[c][i] if space is None else Jet(space, bindings[c].coeffs[:, i]) for c in self.coords
+            }
+            value = _eval(e, {**bindings, **own})
+            if space is None:
+                out[i] = value
+            elif isinstance(value, Jet):
+                out[:, i] = value.coeffs
+            else:
+                out[0, i] = value
+        return out if space is None else Jet(space, out)

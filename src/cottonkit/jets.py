@@ -205,6 +205,10 @@ class Jet:
 
     __slots__ = ("space", "coeffs")
 
+    # an ndarray or numpy scalar on the left of an operator defers to the
+    # jet's reflected operator instead of building an object array
+    __array_ufunc__ = None
+
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.coeffs = coeffs
@@ -475,15 +479,15 @@ def _coeffs_tanh(v, n):
 
 
 def _coeffs_arctan(v, n):
-    # (1 + (v+s)^2) y'(s) = 1 with p = (1+v^2, 2v, 1)
-    p0 = 1.0 + v * v
-    p1 = 2.0 * v
+    # (1 + (v+s)^2) y'(s) = 1 with p = (1+v^2, 2v, 1); the value alone needs
+    # no p, whose 1 + v^2 overflows at |v| > 1e154
     c = [np.arctan(v)]
     if n >= 1:
+        p0 = 1.0 + v * v
+        p1 = 2.0 * v
         c.append(1.0 / p0)
-    for k in range(1, n):
-        nxt = (-k * c[k] * p1 - (k - 1) * c[k - 1]) / ((k + 1) * p0)
-        c.append(nxt)
+        for k in range(1, n):
+            c.append((-k * c[k] * p1 - (k - 1) * c[k - 1]) / ((k + 1) * p0))
     return c
 
 
@@ -566,10 +570,17 @@ def _power(base, exponent):
             return _evaluate(_FUNCTIONS["exp"], log * exponent if isinstance(log, Jet) else exponent * log)
         exponent = exponent.coeffs[0]
     v = _value(base)
-    if _any(v <= 0.0):  # a non-integer exponent needs v > 0, a negative one v != 0
-        if np.any((v <= 0.0) & ~np.asarray(_integer_exponent(exponent))):
-            _require_positive("pow", v)
-        _require_nonzero_divisor((v == 0.0) & (exponent < 0.0))
+    # a non-integer exponent needs v > 0 and a negative integer one v != 0; a
+    # constant integer exponent in 0..512 takes any base
+    if isinstance(exponent, np.ndarray):
+        if _any(v <= 0.0):
+            if np.any((v <= 0.0) & ~_integer_exponent(exponent)):
+                _require_positive("pow", v)
+            _require_nonzero_divisor((v == 0.0) & (exponent < 0.0))
+    elif not _integer_exponent(exponent):
+        _require_positive("pow", v)
+    elif exponent < 0.0:
+        _require_nonzero_divisor(v == 0.0)
     if not isinstance(base, Jet):
         return base**exponent
     e = float(exponent)

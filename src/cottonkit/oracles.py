@@ -1,14 +1,18 @@
 """Independent oracles: finite differences and random test-case generators.
 
 Derivatives come from Richardson-extrapolated central differences, and
-expression/metric generators emit closed forms in the expression language;
-the engine checks compare these against the jets, sharing no derivative
-code.  ``fd_partial`` tables the nested central differences of a
+expression/metric generators emit closed forms in the expression language
+(``random_safe_expr`` builds its trees directly, equal to the parse of
+their text); the engine checks compare these against the jets, sharing no
+derivative code.  ``fd_partial`` tables the nested central differences of a
 multi-index set, at h and h/2, on one integer lattice in units of h/2 and
-evaluates them in one call.  Order-3/4 partials telescope: one
-``telescope_jet`` walk on the point and its ±h and ±h/2 offsets gives the
-point's jet, and ``telescope_partials`` first-differences the exact lower
-partials of the offsets, so the jets supply only the order already checked.
+evaluates them in one call.  Order-3/4 partials telescope: one jet on the
+``telescope_seeds`` columns, the point and its ±h and ±h/2 offsets, gives
+the point's jet, and ``telescope_partials`` first-differences the exact
+lower partials of the offsets, so the jets supply only the order already
+checked.  Both take one expression at a time or a forest: ``fd_partial``'s
+``f`` may return one value column per expression, and seeds with a leading
+expression axis drive an ``exprlang.Tape`` walk of the whole forest.
 
 Step sizes grow with the derivative order: a fourth derivative divides by
 h^4, so the roundoff floor of an h = 1e-3 stencil is ~1e-4 and would drown
@@ -18,13 +22,13 @@ and roundoff near 1e-8.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import _expr_jet, coordinate_seeds, parse_expr
+from .exprlang import BinOp, Call, Neg, Num, Sym, _expr_jet, coordinate_seeds
 from .geometry import MetricSpec
 from .jets import MAX_ORDER, Jet, JetSpace
 
@@ -35,6 +39,7 @@ __all__ = [
     "random_smooth_metric",
     "telescope_jet",
     "telescope_partials",
+    "telescope_seeds",
 ]
 
 _STEP_BY_ORDER = {0: 1e-3, 1: 1e-3, 2: 1e-3, 3: 5e-3, 4: 2e-2}
@@ -91,20 +96,27 @@ def fd_partial(
     return (4.0 * fine - coarse) / 3.0
 
 
-def telescope_jet(expr, coords: Sequence[str], point: Sequence[float], order: int, step: float = 1e-3) -> Jet:
-    """One jet of ``expr`` on 1 + 4·nv columns: column 0 is ``point``, then
-    point ± step and point ± step/2 along each axis in turn."""
+def telescope_seeds(coords: Sequence[str], points, order: int, step: float = 1e-3) -> dict:
+    """Coordinate seeds on 1 + 4·nv columns per point: column 0 is the
+    point, then point ± step and point ± step/2 along each axis in turn.
+    ``points`` is one point, shape (nv,), or one per expression of a
+    ``Tape``, shape (expressions, nv), which leads the seeds' grid."""
     nv = len(coords)
-    cols = np.repeat(np.asarray(point, dtype=float)[:, None], 1 + 4 * nv, axis=1)
+    cols = np.repeat(np.asarray(points, dtype=float).T[..., None], 1 + 4 * nv, axis=-1)
     for k in range(nv):
-        cols[k, 1 + 4 * k : 5 + 4 * k] += [step, -step, step / 2.0, -step / 2.0]
-    return _expr_jet(expr, coordinate_seeds(coords, cols, {}, order))
+        cols[k, ..., 1 + 4 * k : 5 + 4 * k] += [step, -step, step / 2.0, -step / 2.0]
+    return coordinate_seeds(coords, cols, {}, order)
+
+
+def telescope_jet(expr, coords: Sequence[str], point: Sequence[float], order: int, step: float = 1e-3) -> Jet:
+    """One jet of ``expr`` on the 1 + 4·nv ``telescope_seeds`` columns."""
+    return _expr_jet(expr, telescope_seeds(coords, point, order, step))
 
 
 @lru_cache(maxsize=64)
 def _telescope_table(alphas: tuple):
     """Per alpha, the row of alpha lowered on its first nonzero axis and the
-    four ``telescope_jet`` columns of that axis."""
+    four telescope columns of that axis."""
     index = JetSpace.get(len(alphas[0]), MAX_ORDER).index
     axes = [next(k for k, a in enumerate(alpha) if a > 0) for alpha in alphas]
     rows = [index[tuple(a - (k == i) for k, a in enumerate(alpha))] for alpha, i in zip(alphas, axes)]
@@ -113,11 +125,14 @@ def _telescope_table(alphas: tuple):
 
 def telescope_partials(j: Jet, alphas: Sequence[Sequence[int]], step: float = 1e-3) -> np.ndarray:
     """Order-3/4 partials, one per multi-index in ``alphas``: the Richardson
-    central first-difference of the exact next-lower partial in a
-    ``telescope_jet`` at ``step`` of order at least max|alpha| - 1.  Nested
-    differences would divide roundoff by h^4; this amplifies it by 1/h."""
+    central first-difference of the exact next-lower partial in a jet on
+    the ``telescope_seeds`` columns (its last grid axis) at ``step``, of
+    order at least max|alpha| - 1; a leading expression axis of the grid
+    trails the result.  Nested differences would divide roundoff by h^4;
+    this amplifies it by 1/h."""
     rows, cols = _telescope_table(tuple(map(tuple, alphas)))
-    vals = j.coeffs[rows, cols] * j.space._factorials[rows]
+    vals = np.moveaxis(j.coeffs, -1, 1)[rows, cols]  # (alphas, 4, expressions...)
+    vals = vals * j.space._factorials[rows].reshape(rows.shape + (1,) * (vals.ndim - 2))
     coarse = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
     fine = (vals[:, 2] - vals[:, 3]) / step
     return (4.0 * fine - coarse) / 3.0
@@ -132,45 +147,68 @@ def fd_partial_telescoped(expr, coords, point, alphas, step: float = 1e-3) -> np
 # -- random generators ------------------------------------------------------------
 
 
+def _number(rng, low, high):
+    """A uniform draw as the six-decimal number a generated expression
+    carries (``round`` gives the float that its ``.6f`` text parses to):
+    the magnitude as a Num, and whether it reads negative."""
+    u = rng.uniform(low, high)
+    return Num(abs(round(u, 6))), u < 0.0
+
+
 def _linear(rng, coords):
-    parts = []
-    for c in coords:
-        parts.append(f"{rng.uniform(-1, 1):.6f}*{c}")
-    parts.append(f"{rng.uniform(-1, 1):.6f}")
-    return "(" + "+".join(parts).replace("+-", "-") + ")"
+    """a_1 c_1 + ... + a_n c_n + b, each sign written as the operator before
+    its term (the first as a negation)."""
+    a, negative = _number(rng, -1, 1)
+    acc = BinOp("*", Neg(a) if negative else a, Sym(coords[0]))
+    for c in coords[1:]:
+        a, negative = _number(rng, -1, 1)
+        acc = BinOp("-" if negative else "+", acc, BinOp("*", a, Sym(c)))
+    b, negative = _number(rng, -1, 1)
+    return BinOp("-" if negative else "+", acc, b)
+
+
+def _product(factors):
+    return reduce(lambda left, right: BinOp("*", left, right), factors)
 
 
 def _bounded(rng, coords, depth):
-    """An expression whose value and low-order derivatives stay O(1)."""
+    """An expression whose value and low-order derivatives stay O(1), as the
+    factors of a left-folded product: ``0.5*`` in front of a product
+    extends its factor list, as the parser reads ``0.5*a*b``."""
     if depth <= 0:
-        return f"tanh({_linear(rng, coords)})"
+        return [Call("tanh", _linear(rng, coords))]
     r = rng.random()
-    inner = lambda: _bounded(rng, coords, depth - 1)
+    inner = lambda: _product(_bounded(rng, coords, depth - 1))
     if r < 0.18:
-        return f"sin({inner()})"
+        return [Call("sin", inner())]
     if r < 0.36:
-        return f"cos({_linear(rng, coords)}+{inner()})"
+        linear = _linear(rng, coords)
+        return [Call("cos", BinOp("+", linear, inner()))]
     if r < 0.5:
-        return f"tanh({inner()})"
+        return [Call("tanh", inner())]
     if r < 0.6:
-        return f"arctan({inner()}+{_linear(rng, coords)})"
+        first = inner()
+        return [Call("arctan", BinOp("+", first, _linear(rng, coords)))]
     if r < 0.68:
-        return f"ln(2.2+{inner()})"
+        return [Call("ln", BinOp("+", Num(2.2), inner()))]
     if r < 0.76:
-        return f"sqrt(2.2+{inner()})"
+        return [Call("sqrt", BinOp("+", Num(2.2), inner()))]
     if r < 0.82:
-        return f"exp(0.5*{inner()})*0.6"
+        return [Call("exp", _product([Num(0.5), *_bounded(rng, coords, depth - 1)])), Num(0.6)]
     if r < 0.88:
-        return f"({inner()})*({inner()})*0.5"
+        first = inner()
+        return [first, inner(), Num(0.5)]
     if r < 0.94:
-        return f"(2.2+{inner()})^1.7*0.2"
-    return f"({inner()}+{inner()})*0.5"
+        return [BinOp("^", BinOp("+", Num(2.2), inner()), Num(1.7)), Num(0.2)]
+    first = inner()
+    return [BinOp("+", first, inner()), Num(0.5)]
 
 
 def random_safe_expr(rng: np.random.Generator, coords: Sequence[str], depth: int = 3):
     """Composition of elementary functions that is smooth with O(1)
-    derivatives in a unit box around any point; safe for FD comparison."""
-    return parse_expr(_bounded(rng, list(coords), depth))
+    derivatives in a unit box around any point; safe for FD comparison.
+    Built as a tree, equal to the parse of its ``to_text`` (without spans)."""
+    return _product(_bounded(rng, list(coords), depth))
 
 
 def random_smooth_metric(

@@ -11,6 +11,11 @@ The lattice oracles are the discrete densities of ``reduction`` written
 with slicing central differences on a padded block, and their gradient by
 +-eps sweeps of each site's radius-4 patch; they are the reference that
 the exact reverse-mode lattice gradient is tested against.
+
+The jets-fd references are the random-expression generator as text that
+``parse_expr`` reads, and ``suite.check_jets_fd`` as one ``_eval`` walk per
+expression on each side; the tree-building generator and the check's
+batched tapes are tested against them.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import math
 import numpy as np
 
 from cottonkit import reduction
-from cottonkit.exprlang import eval_array
+from cottonkit.exprlang import eval_array, parse_expr, to_text
 from cottonkit.geometry import MetricSpec, _eps3
-from cottonkit.oracles import fd_partial
+from cottonkit.jets import JetSpace
+from cottonkit.oracles import fd_partial, telescope_jet, telescope_partials
+from cottonkit.report import _argworst
 from cottonkit.reduction import _METRIC_COMPONENTS, ACTION_COUPLING
 
 
@@ -277,3 +284,73 @@ def fd_patch_gradient(fields: dict, sites, h: float, gradient_fn) -> dict:
         reduction._cs_gradient_3d: cs_density_3d,
     }[gradient_fn]
     return {name: fd_site_gradient(fields, name, sites, h, density) for name in fields}
+
+
+# -- jets-fd references ------------------------------------------------------------
+
+
+def _linear_text(rng, coords):
+    parts = []
+    for c in coords:
+        parts.append(f"{rng.uniform(-1, 1):.6f}*{c}")
+    parts.append(f"{rng.uniform(-1, 1):.6f}")
+    return "(" + "+".join(parts).replace("+-", "-") + ")"
+
+
+def _bounded_text(rng, coords, depth):
+    if depth <= 0:
+        return f"tanh({_linear_text(rng, coords)})"
+    r = rng.random()
+    inner = lambda: _bounded_text(rng, coords, depth - 1)
+    if r < 0.18:
+        return f"sin({inner()})"
+    if r < 0.36:
+        return f"cos({_linear_text(rng, coords)}+{inner()})"
+    if r < 0.5:
+        return f"tanh({inner()})"
+    if r < 0.6:
+        return f"arctan({inner()}+{_linear_text(rng, coords)})"
+    if r < 0.68:
+        return f"ln(2.2+{inner()})"
+    if r < 0.76:
+        return f"sqrt(2.2+{inner()})"
+    if r < 0.82:
+        return f"exp(0.5*{inner()})*0.6"
+    if r < 0.88:
+        return f"({inner()})*({inner()})*0.5"
+    if r < 0.94:
+        return f"(2.2+{inner()})^1.7*0.2"
+    return f"({inner()}+{inner()})*0.5"
+
+
+def random_safe_expr_text(rng, coords, depth=3):
+    """``oracles.random_safe_expr`` as formatted text parsed back."""
+    return parse_expr(_bounded_text(rng, list(coords), depth))
+
+
+def check_jets_fd_per_expression(n=1000, seed=11):
+    """``suite.check_jets_fd`` with one telescope jet walk and one
+    ``eval_array`` stencil walk per expression; (max_residual, details)."""
+    rng = np.random.default_rng(seed)
+    worst, worst_case = 0.0, {}
+    for _ in range(n):
+        nv = int(rng.integers(1, 4))
+        coords = ["t", "x", "y"][:nv]
+        expr = random_safe_expr_text(rng, coords, depth=int(rng.integers(1, 4)))
+        point = tuple(rng.uniform(-0.8, 0.8, nv))
+        space = JetSpace.get(nv, 4)
+        alphas = [alpha for alpha in itertools.product(range(5), repeat=nv) if sum(alpha) <= 4]
+        low = np.array([sum(alpha) <= 2 for alpha in alphas])
+        rows = np.array([space.index[alpha] for alpha in alphas])
+        j = telescope_jet(expr, coords, point, 4, step=1e-3)
+        got = j.coeffs[rows, 0] * space._factorials[rows]
+        want = np.empty(len(alphas))
+        lows = [a for a, keep in zip(alphas, low) if keep]
+        highs = [a for a, keep in zip(alphas, low) if not keep]
+        want[low] = fd_partial(lambda q: eval_array(expr, dict(zip(coords, q.T))), point, lows, step=1e-3)
+        want[~low] = telescope_partials(j, highs, step=1e-3)
+        value, i = _argworst(np.abs(got - want) / (1.0 + np.maximum(np.abs(got), np.abs(want))))
+        if _argworst([worst, value])[1] == 1:
+            worst = value
+            worst_case = {"expr": to_text(expr), "alpha": list(alphas[i]), "point": list(point)}
+    return worst, worst_case

@@ -17,6 +17,7 @@ from cottonkit.exprlang import (
     Neg,
     Num,
     Sym,
+    Tape,
     eval_array,
     eval_jet,
     free_symbols,
@@ -348,8 +349,9 @@ def test_coordinate_seeds_need_one_value_per_coordinate():
 
 
 def test_value_route_builds_no_jet(monkeypatch):
-    """eval_array builds no Jet on float or array bindings, so the jets-fd
-    check's reference side is independent of the jet engine."""
+    """eval_array and a Tape on arrays build no Jet on float or array
+    bindings, so the jets-fd check's reference side is independent of the
+    jet engine."""
     from cottonkit.catalog import CASE_TAGS, SolutionCase, solution_2d, solution_3d, standard_grid
     from cottonkit.jets import Jet
 
@@ -359,18 +361,22 @@ def test_value_route_builds_no_jet(monkeypatch):
         coords = ["t", "x", "y"][:nv]
         for _ in range(20):
             pts = rng.uniform(-0.9, 0.9, (5, nv))
-            work.append((random_safe_expr(rng, coords, depth=3), coords, pts, {}))
+            work.append(([random_safe_expr(rng, coords, depth=3)], coords, pts, {}))
     for tag in CASE_TAGS:
         case = SolutionCase.at(tag, 1.0)
         for m in (solution_2d(case).rd.g2, solution_3d(case).metric):
             pts = standard_grid(case, m.dim, 3)
-            work += [(c, m.coords, pts, m.env) for row in m.components for c in row]
+            work.append(([c for row in m.components for c in row], m.coords, pts, m.env))
 
     def no_jet(self, *args):
         raise AssertionError("the value route built a Jet")
 
     monkeypatch.setattr(Jet, "__init__", no_jet)
-    for e, coords, pts, env in work:
-        grid = eval_array(e, {**dict(zip(coords, pts.T)), **env})
-        points = [eval_array(e, {**dict(zip(coords, p)), **env}) for p in pts]
-        np.testing.assert_allclose(points, grid, rtol=1e-12)  # scalar and SIMD libm may differ in ulps
+    for forest, coords, pts, env in work:
+        # one tape per forest, every expression at every point
+        tape = Tape(forest, coords).run({**{c: np.tile(pts[:, k], (len(forest), 1)) for k, c in enumerate(coords)}, **env})
+        for e, row in zip(forest, tape):
+            grid = eval_array(e, {**dict(zip(coords, pts.T)), **env})
+            np.testing.assert_array_equal(row, grid)
+            points = [eval_array(e, {**dict(zip(coords, p)), **env}) for p in pts]
+            np.testing.assert_allclose(points, grid, rtol=1e-12)  # scalar and SIMD libm may differ in ulps

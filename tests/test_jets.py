@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -381,3 +383,74 @@ def test_compose_bit_equal_full_order_horner(nv, order, shape, monkeypatch):
         want = _full_order_horner(j, seen[-1])
         assert got.coeffs.shape == want.coeffs.shape, fn
         assert got.coeffs.tobytes() == want.coeffs.tobytes(), fn
+
+
+# -- numpy operands on the left, power guards, arctan at large values ----------------
+
+
+@pytest.mark.parametrize("left", [np.array([2.0, 3.0]), np.float64(2.5)], ids=["array", "numpy-scalar"])
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_numpy_left_operand_defers_to_the_jet(left, op):
+    # numpy would otherwise map the operator over the jet as an object array
+    j = jet_var(0, np.array([0.1, 0.2]), 1, 2)
+    got = {"+": lambda: left + j, "-": lambda: left - j, "*": lambda: left * j, "/": lambda: left / j}[op]()
+    want = {"+": j.__radd__, "-": j.__rsub__, "*": j.__rmul__, "/": j.__rtruediv__}[op](left)
+    assert isinstance(got, Jet)
+    np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize(
+    "text, x, message",
+    [
+        ("x^-1", 0.0, "division by zero"),
+        ("x^0.5", -1.0, "pow applied outside its domain (value -1.0)"),
+        ("x^513", -2.0, "pow applied outside its domain (value -2.0)"),
+    ],
+)
+def test_power_rules_without_the_constant_integer_exemption(text, x, message):
+    # 0^-1, (-1)^0.5 and (-2)^513 raise on values and jets as they always did
+    e = parse_expr(text)
+    for attempt in (lambda: eval_array(e, {"x": x}), lambda: eval_jet(e, ["x"], [x], {}, 2)):
+        with pytest.raises(ExprEvalError, match=re.escape(f"{message} (at characters 1..")):
+            attempt()
+
+
+def test_constant_integer_power_takes_any_base_unguarded():
+    base = np.array([-0.5, 0.0, 0.3])
+    np.testing.assert_array_equal(jet_pow(base, 2.0), base**2.0)
+    j = jet_pow(jet_var(0, base, 1, 3), 3.0)
+    x = jet_var(0, base, 1, 3)
+    np.testing.assert_array_equal(j.coeffs, (x * x * x).coeffs)
+
+
+def _guarded_power(base, exponent):
+    """``jets._power`` behind the negative-base guards it ran before
+    constant integer exponents in 0..512 skipped them."""
+    v = jets._value(base)
+    e = exponent.coeffs[0] if isinstance(exponent, Jet) else exponent
+    if jets._any(v <= 0.0):
+        if np.any((v <= 0.0) & ~np.asarray(jets._integer_exponent(e))):
+            jets._require_positive("pow", v)
+        jets._require_nonzero_divisor((v == 0.0) & (e < 0.0))
+    return _power(base, exponent)
+
+
+_power = jets._power
+
+
+def test_lift_csv_is_the_same_with_the_old_power_guards(tmp_path, monkeypatch):
+    from cottonkit.cli import main
+
+    args = ["lift", "--potential", "(phi^2-1)^4/4", "--vacua=-1,1", "--xmax", "20", "--n", "101", "--out"]
+    assert main(args + [str(tmp_path / "new.csv")]) == 0
+    monkeypatch.setattr(jets, "_power", _guarded_power)
+    assert main(args + [str(tmp_path / "old.csv")]) == 0
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_arctan_value_jet_does_not_overflow():
+    # 1 + v^2 enters only the derivative coefficients
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = eval_jet(parse_expr("arctan(x)"), ["x"], [1e200], {}, 0)
+    assert j.coeffs[0] == np.arctan(1e200)

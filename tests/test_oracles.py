@@ -12,6 +12,7 @@ from cottonkit import jets, suite
 from cottonkit.exprlang import eval_array, eval_jet
 from cottonkit.jets import jet_extract
 from cottonkit.oracles import fd_partial, fd_partial_telescoped, random_safe_expr
+from fd_oracles import check_jets_fd_per_expression, random_safe_expr_text
 
 COORDS = ["t", "x", "y"]
 ALPHAS = [a for a in product(range(5), repeat=3) if sum(a) <= 4]
@@ -73,6 +74,42 @@ def test_fd_partial_steps_grow_with_order_when_step_is_none():
     batch = fd_partial(f, point, mixed)
     alone = [fd_partial(f, point, [a], step={1: 1e-3, 3: 5e-3, 4: 2e-2}[sum(a)])[0] for a in mixed]
     np.testing.assert_array_equal(batch, alone)
+
+
+# -- references: the text generator and one walk per expression --------------------
+
+
+def test_tree_generator_equals_the_parsed_text_generator():
+    # 10^4 draws from one stream each: equal trees, and the streams stay in step
+    fast, text = np.random.default_rng(29), np.random.default_rng(29)
+    for _ in range(10_000):
+        nv, depth = int(fast.integers(1, 4)), int(fast.integers(0, 4))
+        text.integers(1, 4), text.integers(0, 4)
+        coords = COORDS[:nv]
+        assert random_safe_expr(fast, coords, depth) == random_safe_expr_text(text, coords, depth)
+    assert fast.random() == text.random()
+
+
+def test_jets_fd_equals_one_walk_per_expression():
+    report = suite.check_jets_fd(n=100)
+    worst, details = check_jets_fd_per_expression(n=100)
+    assert report.max_residual == worst and report.details == details
+
+
+def test_jets_fd_reports_the_first_nan_as_the_loop_does(monkeypatch):
+    # tapes finish out of draw order; the worst is still the loop's first NaN
+    real = jets._FUNCTIONS["tanh"]
+
+    def nan_above(v, n):
+        c = real.coeffs(v, n)
+        if n >= 2:
+            c[2] = np.where(v > 0.5, np.nan, c[2])
+        return c
+
+    monkeypatch.setitem(jets._FUNCTIONS, "tanh", real._replace(coeffs=nan_above))
+    report = suite.check_jets_fd(n=100)
+    worst, details = check_jets_fd_per_expression(n=100)
+    assert math.isnan(report.max_residual) and math.isnan(worst) and report.details == details
 
 
 # -- negative controls and exactness ----------------------------------------------
