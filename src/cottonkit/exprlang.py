@@ -15,14 +15,14 @@ are the jet-supported set (tanh, cosh, sinh, exp, ln, sqrt, sin, cos,
 arctan).  Parsed trees are immutable; evaluation is generic over jet
 arithmetic, so feeding jets as coordinate values composes maps for free.
 
-There are two walkers.  ``_eval`` walks one tree; its bindings may be
-floats, numpy arrays or jets: ``eval_array`` runs it on values, ``eval_jet``
-on coordinates lifted to jets.  ``Tape`` compiles a forest of trees into one
-node table and walks it level by level, one call per group of like nodes
-across the forest, and equals one ``_eval`` per tree bit for bit; it pays
-off on many small trees at once (the jets-fd oracle), while a single tree
-is faster through ``_eval``.  Both only walk, fold constants to Python floats
-and attach spans: functions, division and powers go through
+There are two walkers.  ``_eval`` walks one tree over float, array or jet
+bindings; ``eval_tensor``, its one entry, turns an expression or a nested
+sequence of them into values or a tensor jet.  ``Tape`` compiles a forest
+into one node table and walks it level by level, one call per group of
+like nodes across the forest, and equals one ``_eval`` per tree bit for
+bit; it pays off on many small trees at once (the jets-fd oracle), while a
+single tree is faster through ``_eval``.  Both only walk, fold constants to
+Python floats and attach spans: functions, division and powers go through
 ``jets.jet_apply``, ``jets.jet_divide`` and ``jets.jet_pow``, which own the
 domain rules (arguments of ``ln`` and ``sqrt``, zero divisors, the domain of
 ``^`` and overflow).  So an expression is real-valued and means the same
@@ -46,7 +46,6 @@ from .jets import (
     Jet,
     JetDomainError,
     jet_apply,
-    jet_constant,
     jet_divide,
     jet_pow,
     jet_var,
@@ -66,6 +65,7 @@ __all__ = [
     "to_text",
     "eval_jet",
     "eval_array",
+    "eval_tensor",
     "coordinate_seeds",
     "free_symbols",
     "validate_symbols",
@@ -89,25 +89,25 @@ class ExprEvalError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: float
     span: Span = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
     name: str
     span: Span = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     child: "ExprAst"
     span: Span = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # one of + - * / ^
     left: "ExprAst"
@@ -115,7 +115,7 @@ class BinOp:
     span: Span = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     func: str
     arg: "ExprAst"
@@ -123,6 +123,7 @@ class Call:
 
 
 ExprAst = Union[Num, Sym, Neg, BinOp, Call]
+_NODES = (Num, Sym, Neg, BinOp, Call)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -239,6 +240,8 @@ class _Parser:
 
 def parse_expr(text: str) -> ExprAst:
     """Parse an expression string; raises ExprSyntaxError with a 1-based position."""
+    if not isinstance(text, str):
+        raise ExprSyntaxError(f"expected expression text, got {type(text).__name__} {text!r}", 1)
     return _Parser(text).parse()
 
 
@@ -334,10 +337,11 @@ def substitute(e: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
 
 # -- evaluation ---------------------------------------------------------------
 #
-# An evaluation on values alone builds no Jet: the jets-fd check uses it as
-# the independent reference for the jet engine.  ``coordinate_seeds`` and
-# ``_expr_jet`` are the one way to lift coordinates to jets and a constant
-# result to a constant jet.
+# ``eval_tensor`` is the one evaluator entry: it walks each distinct tree of a
+# nested sequence once with ``_eval`` and lays the results out on the bindings'
+# grid, a constant filling coefficient 0 of a jet.  On values it builds no
+# Jet: the jets-fd check uses that route as the independent reference for the
+# jet engine.  ``coordinate_seeds`` is the one way to lift coordinates to jets.
 
 
 def _fold(v):
@@ -376,19 +380,40 @@ def _eval(e: ExprAst, bindings):
         raise ExprEvalError(str(err), e.span) from err
 
 
+def eval_tensor(exprs, bindings: Mapping[str, Union[float, np.ndarray, Jet]]) -> np.ndarray:
+    """One expression, or a rectangular nested sequence of them, over
+    bindings of floats, arrays or jets; each distinct tree object is walked
+    once.  The grid is the broadcast shape of the bound arrays and jet
+    values.  On floats and arrays the result has shape (*index, *grid) and
+    no Jet is built; when a binding is a jet it is the tensor jet (ncoeff,
+    *index, *grid) in that jet's layout, a constant filling coefficient 0."""
+    trees = np.array(exprs)  # an object array of the nesting's index shape; a ragged one raises
+    space, grid = None, ()
+    for v in bindings.values():
+        if isinstance(v, Jet):
+            space, v = v.space, v.coeffs[0]
+        if isinstance(v, np.ndarray) and v.shape != grid:
+            grid = np.broadcast_shapes(grid, v.shape) if grid else v.shape
+    lead = () if space is None else (space.ncoeff,)
+    out = np.zeros(lead + (trees.size,) + grid)
+    values = out if space is None else out[0]  # where a value or a constant goes
+    walked = {}
+    for k, e in enumerate(trees.ravel().tolist()):
+        value = walked.get(id(e))
+        if value is None:
+            value = walked[id(e)] = _eval(e, bindings)
+        if isinstance(value, Jet):
+            out[:, k] = value.coeffs
+        else:
+            values[k] = value
+    return out.reshape(lead + trees.shape + grid)
+
+
 def eval_array(e: ExprAst, bindings: Mapping[str, Union[float, np.ndarray]]) -> np.ndarray:
     """Values of the expression with symbols bound to floats or arrays (no
-    derivatives).
-
-    Returns a new float array with the broadcast shape of the bound values
-    (0-d when they are all scalars).  A domain error anywhere raises
-    ExprEvalError with the offending sub-expression's span.
-    """
-    value = np.array(_eval(e, bindings), dtype=float)
-    shapes = [v.shape for v in bindings.values() if isinstance(v, np.ndarray) and v.shape != value.shape]
-    if shapes:
-        value = np.broadcast_to(value, np.broadcast_shapes(value.shape, *shapes)).copy()
-    return value
+    derivatives): a new float array with the broadcast shape of the bound
+    values, 0-d when they are all scalars (see ``eval_tensor``)."""
+    return eval_tensor(e, bindings)
 
 
 def coordinate_seeds(
@@ -406,13 +431,8 @@ def coordinate_seeds(
 
 
 def _expr_jet(e: ExprAst, seeds) -> Jet:
-    """Jet of an expression over coordinate seeds; a constant becomes a
-    constant jet broadcast to the seeds' grid shape."""
-    val = _eval(e, seeds)
-    if isinstance(val, Jet):
-        return val
-    ref = next(v for v in seeds.values() if isinstance(v, Jet))
-    return jet_constant(np.broadcast_to(val, np.shape(ref.value)), ref.num_vars, ref.order)
+    """Jet of one expression over coordinate seeds (see ``eval_tensor``)."""
+    return Jet(next(v.space for v in seeds.values() if isinstance(v, Jet)), eval_tensor(e, seeds))
 
 
 def eval_jet(
@@ -547,7 +567,7 @@ class Tape:
         try:
             return self._walk(bindings, space, tail)
         except (ValueError, ArithmeticError, _Fallback):
-            return self._each(bindings, space, tail)
+            return self._each(bindings, space)
 
     def _walk(self, bindings, space, tail):
         n = len(self.exprs)
@@ -596,18 +616,11 @@ class Tape:
                     put(rows, _BINOPS[name](*args))
         return buf[self._roots] if space is None else Jet(space, buf[:, self._roots])
 
-    def _each(self, bindings, space, tail):
-        n = len(self.exprs)
-        out = np.empty((n,) + tail) if space is None else np.zeros((space.ncoeff, n) + tail)
+    def _each(self, bindings, space):
+        rows = []
         for i, e in enumerate(self.exprs):
             own = {
                 c: bindings[c][i] if space is None else Jet(space, bindings[c].coeffs[:, i]) for c in self.coords
             }
-            value = _eval(e, {**bindings, **own})
-            if space is None:
-                out[i] = value
-            elif isinstance(value, Jet):
-                out[:, i] = value.coeffs
-            else:
-                out[0, i] = value
-        return out if space is None else Jet(space, out)
+            rows.append(eval_tensor(e, {**bindings, **own}))
+        return np.stack(rows) if space is None else Jet(space, np.stack(rows, axis=1))

@@ -26,13 +26,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .exprlang import (
+    _NODES,
     ExprAst,
     ExprEvalError,
     Num,
-    _eval,
     _expr_jet,
     coordinate_seeds,
-    eval_array,
+    eval_tensor,
     parse_expr,
     to_text,
     validate_symbols,
@@ -126,7 +126,7 @@ class MetricSpec:
                 i, j = coords.index(a.strip()), coords.index(b.strip())
             else:
                 i, j = key
-            ast = parse_expr(expr) if isinstance(expr, str) else expr
+            ast = expr if isinstance(expr, _NODES) else parse_expr(expr)
             grid[i][j] = ast
             grid[j][i] = ast
         return MetricSpec(
@@ -228,13 +228,6 @@ def _space(ncoeff: int, nv: int) -> JetSpace:
     return JetSpace.get(*_LAYOUTS[ncoeff, nv])
 
 
-def _stack(jets) -> np.ndarray:
-    """Nested lists of same-order scalar jets as one tensor jet."""
-    if isinstance(jets, Jet):
-        return jets.coeffs
-    return np.stack([_stack(j) for j in jets], axis=1)
-
-
 # Products on grids of at most this many points gather every coefficient pair
 # into one call; larger grids loop over the pairs (or columns), which holds no
 # pairs x tensor x grid temporary.  Gather time as a share of loop time for
@@ -311,28 +304,20 @@ def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
 
 
 class _Pipeline:
-    """The jet curvature engine at a chosen jet order.  Every quantity from
-    the metric g on is a tensor jet, its determinant a scalar jet over the
-    same layout, det and g^-1 one order below g (the order of dg, the most
-    any consumer reads).  Each is built on first use and kept."""
+    """The jet curvature engine on a metric's tensor jet g, (ncoeff, dim,
+    dim, *grid), at the jet order of g.  Every quantity from g on is a tensor
+    jet, its determinant a scalar jet over the same layout, det and g^-1 one
+    order below g (the order of dg, the most any consumer reads).  Each is
+    built on first use and kept.  ``orientation`` signs the Cotton tensor's
+    permutation symbol; a degenerate metric error names ``point``."""
 
-    def __init__(self, m: MetricSpec, point, order: int):
-        self.m = m
-        self.dim = m.dim
+    def __init__(self, g: np.ndarray, orientation: int, point):
+        self.g = g
+        self.dim = g.shape[1]
+        self.orientation = orientation
         self.point = point
-        self.seeds = coordinate_seeds(m.coords, point, m.env, order)
-        seed = self.seeds[m.coords[0]]
-        self.g = np.zeros((seed.space.ncoeff, m.dim, m.dim) + np.shape(seed.value))
-        # each component once (components[i][j] is components[j][i]); a
-        # constant one sets only coefficient 0
-        for i in range(m.dim):
-            for j in range(i, m.dim):
-                val = _eval(m.components[i][j], self.seeds)
-                if isinstance(val, Jet):
-                    self.g[:, i, j] = self.g[:, j, i] = val.coeffs
-                else:
-                    self.g[0, i, j] = self.g[0, j, i] = val
-        self._g_low = self.g[: JetSpace.get(m.dim, max(order - 1, 0)).ncoeff]
+        order = _space(len(g), self.dim).order
+        self._g_low = g[: JetSpace.get(self.dim, max(order - 1, 0)).ncoeff]
         self._sqrt_abs_det: dict[int, Jet] = {}
 
     @cached_property
@@ -454,7 +439,7 @@ class _Pipeline:
         if self.dim != 3:
             raise GeometryError("Cotton tensor requires dim = 3")
         # eps^{iab} D_a R^j_b, from R^j_{b;a} indexed [c, j, b, a]
-        curl = np.einsum("iab,cjba...->cij...", _eps3(self.m.orientation), self.ricci_mixed_deriv)
+        curl = np.einsum("iab,cjba...->cij...", _eps3(self.orientation), self.ricci_mixed_deriv)
         # The overall sign makes the tensor the metric variation of the
         # connection functional, delta W = -(1/4 pi^2) int sqrt|g| C^{mn}
         # delta g_{mn}; the lattice variation check pins it.  That is the
@@ -462,6 +447,14 @@ class _Pipeline:
         # no magnitude-based Cotton property is sensitive to.
         half_inv_sqrt = -0.5 / self.sqrt_abs_det(_space(len(curl), 3).order)
         return _tmul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", 3)
+
+
+def _metric_pipeline(m: MetricSpec, point, order: int) -> tuple[_Pipeline, dict]:
+    """The pipeline of a MetricSpec at a point (a float or a grid array per
+    coordinate) and jet order, and the coordinate seeds its tensor jet was
+    walked on."""
+    seeds = coordinate_seeds(m.coords, point, m.env, order)
+    return _Pipeline(eval_tensor(m.components, seeds), m.orientation, point), seeds
 
 
 def _eps3(orientation: int) -> np.ndarray:
@@ -495,13 +488,13 @@ def christoffel_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
     """Connection coefficients, carried at jet order 2 so callers can take
     two more derivatives of Gamma downstream."""
     p = tuple(float(v) for v in p)
-    pipe = _Pipeline(m, p, order=3)
+    pipe = _metric_pipeline(m, p, 3)[0]
     return CurvatureAt(point=p, g=pipe.g[0], g_inv=pipe.ginv[0], gamma=pipe.gamma[0])
 
 
 def curvature_at(m: MetricSpec, p: Sequence[float]) -> CurvatureAt:
     p = tuple(float(v) for v in p)
-    out = _curvature_values(_Pipeline(m, p, order=2))
+    out = _curvature_values(_metric_pipeline(m, p, 2)[0])
     out["scalar"] = float(out["scalar"])
     return CurvatureAt(point=p, **out)
 
@@ -515,7 +508,7 @@ def curvature_grid(m: MetricSpec, pts: np.ndarray, order: int = 2) -> dict:
     if not 2 <= order <= MAX_ORDER:
         raise GeometryError(f"curvature_grid order must be in 2..{MAX_ORDER}, got {order!r}")
     pts = np.asarray(pts, dtype=float)
-    return _curvature_values(_Pipeline(m, tuple(pts[:, i] for i in range(m.dim)), order=order))
+    return _curvature_values(_metric_pipeline(m, tuple(pts[:, i] for i in range(m.dim)), order)[0])
 
 
 def _curvature_values(pipe: _Pipeline) -> dict:
@@ -535,19 +528,13 @@ def _curvature_values(pipe: _Pipeline) -> dict:
 def metric_values_grid(m: MetricSpec, pts: np.ndarray) -> np.ndarray:
     """Component values over pts, shape (dim, dim, npts)."""
     pts = np.asarray(pts, dtype=float)
-    bind = {name: pts[:, i] for i, name in enumerate(m.coords)}
-    bind.update({k: float(v) for k, v in m.env.items()})
-    out = np.empty((m.dim, m.dim, len(pts)))
-    for i in range(m.dim):
-        for j in range(i, m.dim):
-            out[i, j] = out[j, i] = eval_array(m.components[i][j], bind)
-    return out
+    return eval_tensor(m.components, {**dict(zip(m.coords, pts.T)), **{k: float(v) for k, v in m.env.items()}})
 
 
 def cotton_at(m: MetricSpec, p: Sequence[float]) -> CottonAt:
     if m.dim != 3:
         raise GeometryError("Cotton tensor requires a 3-dimensional metric")
-    pipe = _Pipeline(m, tuple(float(v) for v in p), order=3)
+    pipe = _metric_pipeline(m, tuple(float(v) for v in p), 3)[0]
     return CottonAt(point=tuple(float(v) for v in p), c=pipe.cotton()[0])
 
 
@@ -559,7 +546,7 @@ def cotton_grid(m: MetricSpec, pts: np.ndarray, order: int = 3) -> dict:
     if not 3 <= order <= MAX_ORDER:
         raise GeometryError(f"cotton_grid order must be in 3..{MAX_ORDER}, got {order!r}")
     pts = np.asarray(pts, dtype=float)
-    pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=order)
+    pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(3)), order)[0]
     cot = pipe.cotton()
     # the magnitude of the terms that the Cotton assembly cancels: the
     # meaningful scale for a residual of that cancellation
@@ -621,8 +608,8 @@ def covariant_hessian_at(
     m: MetricSpec, s: ExprAst, p: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """(D_a D_b s, g^{ab} D_a D_b s) for a scalar field expression."""
-    pipe = _Pipeline(m, tuple(float(v) for v in p), order=2)
-    hess, box = pipe.hessian(_expr_jet(s, pipe.seeds))
+    pipe, seeds = _metric_pipeline(m, tuple(float(v) for v in p), 2)
+    hess, box = pipe.hessian(_expr_jet(s, seeds))
     return hess, float(box)
 
 
@@ -654,7 +641,7 @@ def pullback_metric_grid(
     pts = np.asarray(pts, dtype=float)
     nsrc = len(source_coords)
     seeds = coordinate_seeds(source_coords, tuple(pts[:, a] for a in range(nsrc)), dict(env or {}), order=1)
-    images = _stack([_expr_jet(comp, seeds) for comp in map_components])
+    images = eval_tensor(map_components, seeds)
     # jac[mu, a, k] = d_a phi^mu at point k
     jac = np.swapaxes(_tgrad(images, nsrc)[0], 0, 1)
     # a non-finite Jacobian is rejected before det, which would only warn

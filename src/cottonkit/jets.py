@@ -369,9 +369,8 @@ def jet_var(index: int, value: Scalar, num_vars: int, order: int) -> Jet:
     if not 0 <= index < num_vars:
         raise IndexError(f"variable index {index} out of range for {num_vars} vars")
     j = jet_constant(value, num_vars, order)
-    if order >= 1:
-        unit = tuple(1 if k == index else 0 for k in range(num_vars))
-        j.coeffs[j.space.index[unit]] = 1.0
+    if order >= 1:  # the linear term in x_index, source of coefficient 0 of d_index
+        j.coeffs[j.space._deriv_src[0, index]] = 1.0
     return j
 
 
@@ -583,6 +582,13 @@ def _power(base, exponent):
         _require_nonzero_divisor(v == 0.0)
     if not isinstance(base, Jet):
         return base**exponent
+    if np.ndim(exponent):  # a grid of constant exponents: one call per distinct one
+        coeffs, exponent = np.broadcast_arrays(base.coeffs, exponent[None])
+        out = np.full(coeffs.shape, np.nan)  # the columns of a NaN exponent, equal to no key
+        for e in dict.fromkeys(exponent[0].ravel().tolist()):
+            at = exponent[0] == e
+            out[:, at] = _power(Jet(base.space, coeffs[:, at]), e).coeffs
+        return Jet(base.space, out)
     e = float(exponent)
     if _integer_exponent(e):
         # integer exponents by repeated multiplication

@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .exprlang import ExprAst, _expr_jet, coordinate_seeds, eval_array, parse_expr, substitute
-from .geometry import MetricSpec, _Pipeline, curvature_grid
+from .geometry import MetricSpec, _metric_pipeline, curvature_grid
 from .jets import jet_extract
 from .report import CheckReport, Span
 
@@ -723,8 +723,8 @@ def lift_flat_kink(
 
 
 def _lift_field_data(lift: LiftedKink, xs: np.ndarray):
-    pipe = _Pipeline(lift.metric, (np.zeros_like(xs), xs), order=2)
-    fj = _expr_jet(lift.f, pipe.seeds)
+    pipe, seeds = _metric_pipeline(lift.metric, (np.zeros_like(xs), xs), 2)
+    fj = _expr_jet(lift.f, seeds)
     hess, box = pipe.hessian(fj)
     return np.asarray(fj.value), pipe.g[0], hess, box
 

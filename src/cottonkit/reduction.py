@@ -37,8 +37,8 @@ from .exprlang import (
     ExprAst,
     Neg,
     Num,
-    _expr_jet,
     eval_array,
+    eval_tensor,
     free_symbols,
     parse_expr,
     to_text,
@@ -47,12 +47,15 @@ from .geometry import (
     _COFACTORS,
     GeometryError,
     MetricSpec,
-    _Pipeline,
+    _metric_pipeline,
+    _space,
+    _tgrad,
     cotton_grid,
     curvature_grid,
     metric_from_dict,
     metric_to_dict,
 )
+from .jets import Jet
 from .report import CheckReport, Span
 
 __all__ = [
@@ -220,13 +223,13 @@ def _neg(e: ExprAst) -> ExprAst:
 
 
 class _ReducedJets:
-    """The 2D metric's curvature pipeline plus jets of the gauge covector a
-    and the dual field strength f at a (possibly batched) point."""
+    """The 2D metric's curvature pipeline plus the jet of the dual field
+    strength f at a (possibly batched) point."""
 
     def __init__(self, rd: ReducedData, point, order: int = 4):
-        self.pipe = _Pipeline(rd.g2, point, order)
-        self.a = [_expr_jet(comp, self.pipe.seeds) for comp in rd.a]
-        curl = self.a[1].derivative(0) - self.a[0].derivative(1)
+        self.pipe, seeds = _metric_pipeline(rd.g2, point, order)
+        da = _tgrad(eval_tensor(rd.a, seeds), 2)  # [c, l, mu] = d_l a_mu
+        curl = Jet(_space(len(da), 2), da[:, 0, 1] - da[:, 1, 0])
         self.f = curl / self.pipe.sqrt_abs_det(curl.order) * rd.g2.orientation
 
 
@@ -615,7 +618,8 @@ def _sample(m: MetricSpec, axes, extra: Mapping[str, ExprAst]) -> dict[str, np.n
     evaluated on the mesh of the coordinate axes."""
     mesh = np.meshgrid(*axes, indexing="ij")
     bind = {**dict(zip(m.coords, mesh)), **{k: float(v) for k, v in m.env.items()}}
-    fields = {"g" + c: eval_array(m.components[i][j], bind) for c, (i, j) in _METRIC_COMPONENTS[m.dim].items()}
+    g = eval_tensor(m.components, bind)
+    fields = {"g" + c: g[i, j] for c, (i, j) in _METRIC_COMPONENTS[m.dim].items()}
     fields.update((name, eval_array(e, bind)) for name, e in extra.items())
     return fields
 

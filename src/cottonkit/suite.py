@@ -26,10 +26,10 @@ from .catalog import (
     transform,
     transform_grid,
 )
-from .exprlang import Tape, eval_array, parse_expr, to_text
+from .exprlang import Tape, eval_array, eval_tensor, parse_expr, to_text
 from .geometry import (
     MetricSpec,
-    _Pipeline,
+    _metric_pipeline,
     _tgrad,
     cotton_grid,
     cotton_identities_check,
@@ -294,14 +294,9 @@ def check_transform_limit(C: float = 1.0) -> CheckReport:
         # source point mapping to X = 50 at this y
         x = (2.0 / root) * math.asinh(50.0 * root * math.cosh(0.5 * root * y))
         p = (0.3, x, y)
-        img = [
-            float(eval_array(comp, {"t": p[0], "x": p[1], "y": p[2], **tr_k.env}))
-            for comp in tr_k.components
-        ]
-        bind = dict(zip(tr_k.target_coords, img))
-        bind.update(tr_k.env)
-        fk = float(eval_array(tr_k.conformal_factor, bind))
-        fc = float(eval_array(tr_c.conformal_factor, bind))
+        img = eval_tensor(tr_k.components, {"t": p[0], "x": p[1], "y": p[2], **tr_k.env}).tolist()
+        bind = {**dict(zip(tr_k.target_coords, img)), **tr_k.env}
+        fk, fc = eval_tensor((tr_k.conformal_factor, tr_c.conformal_factor), bind).tolist()
         resid.append(abs(fk / fc - 1.0))
     return span.report(
         "transform-limit",
@@ -703,7 +698,7 @@ def check_geometry_identities(
         with compatibility:
             m = random_smooth_metric(rng)
             pts = rng.uniform(-1.0, 1.0, (points_per_metric, 3))
-            pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=2)
+            pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(3)), 2)[0]
             gv = pipe.g[0]
             dgv = _tgrad(pipe.g, 3)[0]  # [l, i, j] = d_l g_ij
             gamv = pipe.gamma[0]

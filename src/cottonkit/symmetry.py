@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exprlang import ExprAst, _expr_jet, coordinate_seeds, free_symbols, parse_expr, to_text
-from .geometry import GeometryError, MetricSpec, _Pipeline, _stack, _tgrad
+from .exprlang import ExprAst, coordinate_seeds, eval_tensor, free_symbols, parse_expr, to_text
+from .geometry import GeometryError, MetricSpec, _metric_pipeline, _tgrad
 from .report import CheckReport, Span, _argworst
 
 __all__ = [
@@ -68,21 +68,16 @@ def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray
     if len(xi.components) != m.dim:
         raise GeometryError("vector field dimension does not match the metric")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    pipe = _Pipeline(m, tuple(grid[:, i] for i in range(m.dim)), order=1)
+    pipe, seeds = _metric_pipeline(m, tuple(grid[:, i] for i in range(m.dim)), 1)
     g = pipe.g[0]
     dg = _tgrad(pipe.g, m.dim)[0]  # [l, a, b] = d_l g_ab
-    xij = _field_jet(xi, pipe.seeds)
+    xij = eval_tensor(xi.components, seeds)  # [c, mu, ...]
     dxi = _tgrad(xij, m.dim)[0]  # [a, l] = d_a xi^l
     # L_xi g_ab = d_a xi^l g_lb + d_b xi^l g_al + xi^l d_l g_ab
     flow = np.einsum("al...,lb...->ab...", dxi, g)
     lie = flow + np.swapaxes(flow, 0, 1) + np.einsum("l...,lab...->ab...", xij[0], dg)
     norm = 1.0 + np.max(np.abs(xij[0]), axis=0) * np.max(np.abs(dg), axis=(0, 1, 2))
     return np.max(np.abs(lie), axis=(0, 1)) / norm
-
-
-def _field_jet(xi: VectorFieldSpec, seeds) -> np.ndarray:
-    """The field as one order-1 tensor jet [c, mu, ...] over the seeds' points."""
-    return _stack([_expr_jet(c, seeds) for c in xi.components])
 
 
 def lie_bracket_at(
@@ -96,7 +91,7 @@ def lie_bracket_at(
     if len(eta.components) != dim:
         raise GeometryError("vector fields have different dimensions")
     seeds = coordinate_seeds(_infer_coords(xi, eta, dim, env), tuple(float(v) for v in p), env or {}, 1)
-    return _bracket_values(_field_jet(xi, seeds), _field_jet(eta, seeds))
+    return _bracket_values(eval_tensor(xi.components, seeds), eval_tensor(eta.components, seeds))
 
 
 def _bracket_values(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -122,7 +117,7 @@ def _infer_coords(xi, eta, dim, env=None) -> tuple[str, ...]:
 def independence_rank(m: MetricSpec, fields: Sequence[VectorFieldSpec], p: Sequence[float]) -> int:
     """Rank of the stacked value + first-derivative matrix at a point."""
     seeds = coordinate_seeds(m.coords, tuple(float(v) for v in p), m.env, 1)
-    jets = [_field_jet(xi, seeds) for xi in fields]
+    jets = [eval_tensor(xi.components, seeds) for xi in fields]
     # one row per field: its values xi^mu, then its partials d_l xi^mu, mu-major
     return _rank(np.array([np.concatenate([X[0], _tgrad(X, m.dim)[0].T.ravel()]) for X in jets]))
 
@@ -138,7 +133,7 @@ def closure_residual(
     dim = len(fields[0].components)
     pts = np.asarray(points, dtype=float)
     seeds = coordinate_seeds(coords[:dim], tuple(pts[:, i] for i in range(dim)), env or {}, 1)
-    jets = [_field_jet(xi, seeds) for xi in fields]
+    jets = [eval_tensor(xi.components, seeds) for xi in fields]
     # one row per (point, component), point-major; one column per field
     A = np.array([X[0].T.ravel() for X in jets]).T
     resids = [0.0]
@@ -161,7 +156,7 @@ def killing_dimension_estimate(m: MetricSpec, p: Sequence[float], depth: int = 2
         raise GeometryError("depth must be 1 or 2 (jet order budget)")
     point = tuple(float(v) for v in p)
     order = 3 if depth == 1 else 4
-    pipe = _Pipeline(m, point, order=order)
+    pipe = _metric_pipeline(m, point, order)[0]
     dim = m.dim
     ginv = pipe.ginv[0]
 

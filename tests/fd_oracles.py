@@ -12,6 +12,11 @@ with slicing central differences on a padded block, and their gradient by
 +-eps sweeps of each site's radius-4 patch; they are the reference that
 the exact reverse-mode lattice gradient is tested against.
 
+The metric-jet reference is the per-component loop: one ``_eval`` walk per
+upper-triangle component of a ``MetricSpec``, to which the tensor jet that
+``geometry._metric_pipeline`` builds through ``eval_tensor`` is pinned bit
+for bit.
+
 The jets-fd references are the random-expression generator as text that
 ``parse_expr`` reads, and ``suite.check_jets_fd`` as one ``_eval`` walk per
 expression on each side; the tree-building generator and the check's
@@ -26,9 +31,9 @@ import math
 import numpy as np
 
 from cottonkit import reduction
-from cottonkit.exprlang import eval_array, parse_expr, to_text
+from cottonkit.exprlang import _eval, coordinate_seeds, eval_array, parse_expr, to_text
 from cottonkit.geometry import MetricSpec, _eps3
-from cottonkit.jets import JetSpace
+from cottonkit.jets import Jet, JetSpace
 from cottonkit.oracles import fd_partial, telescope_jet, telescope_partials
 from cottonkit.report import _argworst
 from cottonkit.reduction import _METRIC_COMPONENTS, ACTION_COUPLING
@@ -44,6 +49,23 @@ def metric_fn(m: MetricSpec):
             [[eval_array(m.components[i][j], bind) for j in range(m.dim)] for i in range(m.dim)]
         )
 
+    return g
+
+
+def metric_jet_per_component(m: MetricSpec, point, order: int) -> np.ndarray:
+    """The metric's tensor jet (ncoeff, dim, dim, *grid) from one ``_eval``
+    per upper-triangle component over the coordinate seeds; a constant
+    component sets coefficient 0 only."""
+    seeds = coordinate_seeds(m.coords, point, m.env, order)
+    seed = seeds[m.coords[0]]
+    g = np.zeros((seed.space.ncoeff, m.dim, m.dim) + np.shape(seed.value))
+    for i in range(m.dim):
+        for j in range(i, m.dim):
+            val = _eval(m.components[i][j], seeds)
+            if isinstance(val, Jet):
+                g[:, i, j] = g[:, j, i] = val.coeffs
+            else:
+                g[0, i, j] = g[0, j, i] = val
     return g
 
 

@@ -504,3 +504,21 @@ def test_thorough_mode_repeats_scales():
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4  # header + C = 1, 0.25, 9
+
+
+def test_cotton_non_string_component_exit_two(tmp_path):
+    # a number where a component expression belongs gave an AttributeError traceback
+    m = tmp_path / "numeric.json"
+    m.write_text(json.dumps({"coordinates": ["t", "x", "y"], "components": {"t,t": 1, "x,x": "-1", "y,y": "-1"}}))
+    code, out, err = run_cli("cotton", "--metric", str(m))
+    assert (code, out) == (2, "")
+    assert err == "error: syntax error at position 1: expected expression text, got int 1\n"
+
+
+def test_killing_non_string_field_component_exit_two(tmp_path):
+    # a number in a field gave a TypeError traceback
+    fields = tmp_path / "fields.json"
+    fields.write_text(json.dumps({"fields": [[1, "0", "0"]]}))
+    code, out, err = run_cli("killing", "--metric", str(_flat_metric(tmp_path)), "--fields", str(fields))
+    assert (code, out) == (2, "")
+    assert err == "error: syntax error at position 1: expected expression text, got int 1\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cottonkit import jets
+from cottonkit import exprlang, jets
 from cottonkit.exprlang import (
     BinOp,
     Call,
@@ -18,15 +18,18 @@ from cottonkit.exprlang import (
     Num,
     Sym,
     Tape,
+    _eval,
+    coordinate_seeds,
     eval_array,
     eval_jet,
+    eval_tensor,
     free_symbols,
     parse_expr,
     substitute,
     to_text,
     validate_symbols,
 )
-from cottonkit.jets import jet_extract
+from cottonkit.jets import Jet, JetSpace, jet_extract
 from cottonkit.oracles import random_safe_expr
 
 
@@ -349,7 +352,7 @@ def test_coordinate_seeds_need_one_value_per_coordinate():
 
 
 def test_value_route_builds_no_jet(monkeypatch):
-    """eval_array and a Tape on arrays build no Jet on float or array
+    """eval_array, eval_tensor and a Tape on arrays build no Jet on float or array
     bindings, so the jets-fd check's reference side is independent of the
     jet engine."""
     from cottonkit.catalog import CASE_TAGS, SolutionCase, solution_2d, solution_3d, standard_grid
@@ -380,3 +383,88 @@ def test_value_route_builds_no_jet(monkeypatch):
             np.testing.assert_array_equal(row, grid)
             points = [eval_array(e, {**dict(zip(coords, p)), **env}) for p in pts]
             np.testing.assert_allclose(points, grid, rtol=1e-12)  # scalar and SIMD libm may differ in ulps
+        # and one eval_tensor call on the whole forest, as a (1, n) nesting
+        rows = eval_tensor([forest], {**dict(zip(coords, pts.T)), **env})[0]
+        np.testing.assert_array_equal(rows, tape)
+
+
+def test_ast_nodes_hold_no_dict_and_compare_without_spans():
+    tree = parse_expr("-sin(x)^2/3")
+    nodes = [tree, tree.left, tree.left.child, tree.left.child.left, tree.left.child.left.arg, tree.right]
+    assert [type(n).__name__ for n in nodes] == ["BinOp", "Neg", "BinOp", "Call", "Sym", "Num"]
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        assert node.span != (0, 0)
+    assert tree == BinOp("/", Neg(BinOp("^", Call("sin", Sym("x")), Num(2.0))), Num(3.0))
+
+
+def _entry_reference(e, bindings, space, grid):
+    """One ``_eval`` walk, laid out as ``eval_tensor`` lays out an entry."""
+    value = _eval(e, bindings)
+    if isinstance(value, Jet):
+        return value.coeffs
+    if space is None:
+        out = np.zeros(grid)
+        out[...] = value
+    else:
+        out = np.zeros((space.ncoeff,) + grid)
+        out[0, ...] = value
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nv=st.integers(1, 3),
+    order=st.integers(0, 4),
+    grid=st.sampled_from([(), (1,), (5,), (2, 3)]),
+    on_jets=st.booleans(),
+)
+def test_property_eval_tensor_equals_eval_per_entry(seed, nv, order, grid, on_jets):
+    """Bit for bit, on a (2, 3) nesting that repeats tree objects and mixes
+    coordinate trees, constants and parameter-only trees; each distinct
+    object is walked once."""
+    rng = np.random.default_rng(seed)
+    coords = ["t", "x", "y"][:nv]
+    pool = [random_safe_expr(rng, coords, depth=int(rng.integers(1, 4))) for _ in range(3)]
+    pool += [Num(2.5), Num(-0.0), parse_expr("C^2-1"), parse_expr("sqrt(C)*x" if nv > 1 else "2*C")]
+    nest = [[pool[k] for k in rng.integers(0, len(pool), 3)] for _ in range(2)]
+    pts = rng.uniform(-0.9, 0.9, (nv,) + grid)
+    env = {"C": 0.7}
+    bindings = coordinate_seeds(coords, list(pts), env, order) if on_jets else {**dict(zip(coords, pts)), **env}
+    space = JetSpace.get(nv, order) if on_jets else None
+
+    depth, top = [0], []
+    original = exprlang._eval
+
+    def counting(e, b):
+        if depth[0] == 0:
+            top.append(id(e))
+        depth[0] += 1
+        try:
+            return original(e, b)
+        finally:
+            depth[0] -= 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exprlang, "_eval", counting)
+        got = eval_tensor(nest, bindings)
+    assert sorted(top) == sorted({id(e) for row in nest for e in row})
+    lead = () if space is None else (space.ncoeff,)
+    assert got.shape == lead + (2, 3) + grid
+    for i in range(2):
+        for j in range(3):
+            want = _entry_reference(nest[i][j], bindings, space, grid)
+            entry = got[i, j] if space is None else got[:, i, j]
+            assert entry.tobytes() == want.tobytes(), (to_text(nest[i][j]), i, j)
+    # a single expression is the empty nesting, and eval_array its value route
+    single = eval_tensor(nest[0][0], bindings)
+    assert single.tobytes() == _entry_reference(nest[0][0], bindings, space, grid).tobytes()
+    if not on_jets:
+        assert eval_array(nest[0][0], bindings).tobytes() == single.tobytes()
+
+
+def test_eval_tensor_rejects_a_ragged_nesting():
+    x = parse_expr("x")
+    with pytest.raises(ValueError):
+        eval_tensor([[x, x], [x]], {"x": 1.0})

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from fd_oracles import christoffel_fd, cotton_fd
+from fd_oracles import christoffel_fd, cotton_fd, metric_jet_per_component
 from cottonkit.exprlang import ExprEvalError, parse_expr
 from cottonkit.geometry import (
     DegenerateMetricError,
@@ -71,6 +72,49 @@ def test_degenerate_metric_detected():
     m = MetricSpec.from_components(("t", "x"), {"t,t": "t", "x,x": "-1"})
     with pytest.raises(DegenerateMetricError):
         curvature_at(m, (0.0, 1.0))
+
+
+def test_degenerate_point_is_named_by_the_pipeline_on_a_tensor_jet():
+    # the engine takes the metric's tensor jet and names the point it is given
+    from cottonkit.geometry import _Pipeline
+
+    m = MetricSpec.from_components(("t", "x"), {"t,t": "t", "x,x": "-1"})  # det = -t
+    with pytest.raises(DegenerateMetricError, match=re.escape("metric degenerate at (0.0, 1.0) (det = -0)")):
+        curvature_at(m, (0.0, 1.0))
+    for point, named in (((0.0, 1.0), "(0.0, 1.0)"), ((np.array([0.5, 0.0]), np.array([2.0, 3.0])), "(0.0, 3.0)")):
+        pipe = _Pipeline(metric_jet_per_component(m, point, 2), 1, point)
+        with pytest.raises(DegenerateMetricError, match=re.escape(f"metric degenerate at {named}")):
+            pipe.det
+
+
+def _metric_jet_cases():
+    """Every catalog metric (2D and 3D, C = 1) on 343 points of its standard
+    3D grid, and a random smooth metric in 2D and in 3D."""
+    from cottonkit.catalog import CASE_TAGS, SolutionCase, solution_2d, solution_3d, standard_grid
+
+    out = []
+    for tag in CASE_TAGS:
+        case = SolutionCase.at(tag, 1.0)
+        pts = standard_grid(case, 3, 7)
+        out += [(solution_2d(case).rd.g2, pts[:, :2]), (solution_3d(case).metric, pts)]
+    rng = np.random.default_rng(21)
+    for dim in (2, 3):
+        out.append((random_smooth_metric(rng, dim=dim, amplitude=0.3), rng.uniform(-1.0, 1.0, (343, dim))))
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_pipeline_metric_jet_equals_the_component_loop(order):
+    # the builder's one eval_tensor call gives the per-component loop's g bit for bit
+    from cottonkit.geometry import _metric_pipeline
+
+    for m, pts in _metric_jet_cases():
+        assert len(pts) == 343
+        for point in (tuple(pts[100]), tuple(pts[:, i] for i in range(m.dim))):
+            got = _metric_pipeline(m, point, order)[0].g
+            want = metric_jet_per_component(m, point, order)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (m.coords, m.components[0][0], order)
 
 
 def test_degeneracy_floor_is_relative_to_metric_scale():
@@ -162,12 +206,12 @@ def test_riemann_antisymmetry_and_gamma_symmetry():
 def test_ricci_is_last_slot_contraction_of_riemann(dim):
     # the engine contracts the Riemann formula term by term; it must agree
     # with R_{sm} = R^l_{sml} of the assembled tensor at every jet coefficient
-    from cottonkit.geometry import _Pipeline
+    from cottonkit.geometry import _metric_pipeline
 
     rng = np.random.default_rng(13)
     m = random_smooth_metric(rng, dim=dim, coords=("t", "x", "y")[:dim])
     pts = rng.uniform(-1.0, 1.0, (20, dim))
-    pipe = _Pipeline(m, tuple(pts[:, i] for i in range(dim)), order=3)
+    pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(dim)), 3)[0]
     contracted = np.einsum("clsml...->csm...", pipe.riemann)
     scale = 1.0 + np.max(np.abs(pipe.riemann))
     assert np.max(np.abs(pipe.ricci_lower - contracted)) < 1e-14 * scale
@@ -239,11 +283,11 @@ def test_cotton_identities_check_random_metrics():
 def test_cotton_einstein_form_equivalence():
     # replacing Ricci by the Einstein tensor in the curl leaves the Cotton
     # tensor unchanged; verified numerically rather than assumed
-    from cottonkit.geometry import _Pipeline, _eps3
+    from cottonkit.geometry import _eps3, _metric_pipeline
 
     m = random_smooth_metric(np.random.default_rng(6))
     p = (0.4, 0.1, -0.3)
-    pipe = _Pipeline(m, p, order=3)
+    pipe = _metric_pipeline(m, p, 3)[0]
     ric = pipe.ricci_mixed
     scal = pipe.scalar()
     dim = 3
@@ -268,11 +312,11 @@ def test_cotton_einstein_form_equivalence():
 
 @pytest.mark.parametrize("ups, downs", [(0, 2), (2, 0)])
 def test_metric_and_inverse_are_covariantly_constant(ups, downs):
-    from cottonkit.geometry import _Pipeline, _tgrad
+    from cottonkit.geometry import _metric_pipeline, _tgrad
 
     m = random_smooth_metric(np.random.default_rng(8))
     pts = np.random.default_rng(9).uniform(-1.0, 1.0, (20, 3))
-    pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=2)
+    pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(3)), 2)[0]
     T = pipe.g if downs else pipe.ginv
     d = pipe.cov_deriv(T, ups, downs)[0]
     assert d.shape == (3, 3, 3, 20)
@@ -283,13 +327,13 @@ def test_metric_and_inverse_are_covariantly_constant(ups, downs):
 
 def test_second_bianchi_identity_on_random_metrics():
     # D_l R^r_{smn} + D_m R^r_{snl} + D_n R^r_{slm} = 0, a rank-4 covariant derivative
-    from cottonkit.geometry import _Pipeline
+    from cottonkit.geometry import _metric_pipeline
 
     rng = np.random.default_rng(12)
     for _ in range(3):
         m = random_smooth_metric(rng)
         pts = rng.uniform(-1.0, 1.0, (20, 3))
-        pipe = _Pipeline(m, tuple(pts[:, i] for i in range(3)), order=3)
+        pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(3)), 3)[0]
         dR = pipe.cov_deriv(pipe.riemann, 1, 3)[0]  # [r, s, m, n, l] = D_l R^r_{smn}
         cyc = dR + np.einsum("rsnlm...->rsmnl...", dR) + np.einsum("rslmn...->rsmnl...", dR)
         scale = np.max(np.abs(dR))
@@ -393,13 +437,13 @@ def _reference_det_and_inverse(g, dim, order):
 def test_det_and_inverse_bit_equal_scalar_jet_cofactors(dim, order, npts):
     # det and g^-1 are built one order below g, as the prefix of the
     # full-order scalar-jet expansion
-    from cottonkit.geometry import _Pipeline
+    from cottonkit.geometry import _metric_pipeline
 
     rng = np.random.default_rng(10 * dim + npts)
     m = random_smooth_metric(rng, dim=dim, amplitude=0.3)
     pts = rng.uniform(-1.0, 1.0, (npts, dim))
     point = tuple(pts[0]) if npts == 1 else tuple(pts[:, i] for i in range(dim))
-    pipe = _Pipeline(m, point, order)
+    pipe = _metric_pipeline(m, point, order)[0]
     det, inv = _reference_det_and_inverse(pipe.g, dim, order)
     n = math.comb(dim + order - 1, dim)
     assert len(pipe.ginv) == len(pipe.det.coeffs) == n

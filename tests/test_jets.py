@@ -454,3 +454,18 @@ def test_arctan_value_jet_does_not_overflow():
         warnings.simplefilter("error")
         j = eval_jet(parse_expr("arctan(x)"), ["x"], [1e200], {}, 0)
     assert j.coeffs[0] == np.arctan(1e200)
+
+
+@pytest.mark.parametrize(
+    "text, order", [("t^(x+1)", 0), ("t^(2*x-3.5)", 0), ("(t+2)^(0*x)", 2), ("(t+1)^(0*x-0.5)", 2), ("t^(0*x+1.5)", 4)]
+)
+def test_power_with_a_grid_of_constant_jet_exponents(text, order):
+    # a jet exponent with no nonzero derivative coefficient is a constant per
+    # point; on a grid those constants differ, and each point takes its own power
+    e = parse_expr(text)
+    t, x = np.array([0.3, 0.4, 0.3]), np.array([0.5, 0.6, 0.5])
+    j = eval_jet(e, ["t", "x"], [t, x], {}, order)
+    assert j.value.tobytes() == eval_array(e, {"t": t, "x": x}).tobytes()
+    for k in range(len(t)):
+        own = eval_jet(e, ["t", "x"], [float(t[k]), float(x[k])], {}, order)
+        np.testing.assert_allclose(j.coeffs[:, k], own.coeffs, rtol=1e-14, atol=1e-15)

@@ -111,17 +111,17 @@ def test_nan_site_gradient_fails_lattice_checks(monkeypatch):
 
 def test_nan_lattice_field_value_fails_lattice_checks(monkeypatch):
     # one NaN field value at a varied site reaches the gradient unmasked
-    original = reduction.eval_array
+    original = reduction.eval_tensor
     seen = []
 
-    def nan_at_first_site(expr, bind):
-        out = np.array(original(expr, bind), dtype=float)
+    def nan_at_first_site(exprs, bind):
+        out = np.array(original(exprs, bind), dtype=float)
         if not seen:
-            out[(0,) * out.ndim] = np.nan
-        seen.append(expr)
+            out[(0,) * out.ndim] = np.nan  # g_tt at the first site
+        seen.append(exprs)
         return out
 
-    monkeypatch.setattr(reduction, "eval_array", nan_at_first_site)
+    monkeypatch.setattr(reduction, "eval_tensor", nan_at_first_site)
     rep2 = reduction.lattice_variation_check_2d(_lattice_rd(), reduction.Lattice2D(0.0, 0.0, 12, 12), 2 * math.pi / 12)
     seen.clear()
     rep3 = reduction.lattice_cotton_variation_check_3d(flat_metric(), reduction.Lattice3D(8), 2 * math.pi / 8)
