@@ -49,7 +49,7 @@ from .reduction import (
     lattice_variation_check_2d,
     reduced_action_density,
 )
-from .report import CheckReport, make_report
+from .report import CheckReport
 from .symmetry import (
     VectorFieldSpec,
     killing_dimension_estimate,

@@ -1,10 +1,12 @@
-"""Command-line surface and machine-readable reporting.
+"""Command-line surface: argument parsing and file writing.
 
 Commands: verify, report, solve, lift, cotton, killing, killing-dim,
 catalog.  Exit codes: 0 when every check passes, 1 when any check fails,
-2 for configuration or parse errors.  JSON output is deterministic; with
---stable-output the wall-time field is dropped so identical runs are
-byte-identical.
+2 for configuration or parse errors.  Report bodies come from
+``report.render``, so JSON output is deterministic; with --stable-output
+the wall-time field is dropped so identical runs are byte-identical.  The
+numeric CSVs (solve, lift and report's kink profile) write each value as
+its repr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +39,7 @@ from .kink import (
     lift_flat_kink,
     solve_kink_ode,
 )
-from .report import CheckReport, report_order, reports_to_json
+from .report import CheckReport, render
 from .suite import CHECK_NAMES, TOL, run_checks
 from .symmetry import (
     VectorFieldSpec,
@@ -48,19 +50,6 @@ from .symmetry import (
 __all__ = ["main", "RunConfig"]
 
 _FORMATS = ("json", "text", "csv")
-
-_CONFIG_KEYS = {
-    "C",
-    "tol",
-    "checks",
-    "cases",
-    "grid_n",
-    "format",
-    "out",
-    "thorough",
-    "stable_output",
-}
-
 
 @dataclass
 class RunConfig:
@@ -99,7 +88,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "RunConfig":
-        unknown = set(obj) - _CONFIG_KEYS
+        unknown = set(obj) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return RunConfig(**obj)
@@ -112,34 +101,25 @@ class _CliError(Exception):
     pass
 
 
-def _reports_json(reports: list[CheckReport], config: RunConfig) -> str:
-    cfg_dict = config.to_dict()
-    cfg_dict.pop("out", None)  # self-referential, breaks byte-stable output
-    return reports_to_json(reports, config=cfg_dict, stable=config.stable_output) + "\n"
+def _write(body: str, out: Optional[str]) -> None:
+    if out:
+        Path(out).write_text(body, encoding="utf-8")
+    else:
+        sys.stdout.write(body)
 
 
-def _reports_text(reports: list[CheckReport]) -> str:
-    return "\n".join(r.line() for r in report_order(reports)) + "\n"
+def _write_columns(path, columns: dict) -> None:
+    """CSV with a header of column names and one row per index, each value
+    written as the repr of its float."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(zip(*([repr(float(v)) for v in col] for col in columns.values())))
 
 
 def _emit_reports(reports: list[CheckReport], config: RunConfig) -> int:
-    if config.format == "text":
-        body = _reports_text(reports)
-    elif config.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["check_id", "case", "max_residual", "tolerance", "passed"])
-        for r in report_order(reports):
-            w.writerow([r.check_id, r.case or "", repr(r.max_residual), repr(r.tolerance), r.passed])
-        body = buf.getvalue()
-    else:
-        body = _reports_json(reports, config)
-    if config.out:
-        Path(config.out).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    reports = _apply_tol_override(reports, config.tol)
+    _write(render(reports, config.format, config.to_dict(), config.stable_output), config.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -162,6 +142,11 @@ def _config_from_args(args) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+def _output_config(args) -> RunConfig:
+    """The run config of a command that takes only the output options."""
+    return RunConfig(tol=args.tol, format=args.format or "json", out=args.out, stable_output=args.stable_output)
+
+
 def _apply_tol_override(reports: list[CheckReport], tol: Optional[float]) -> list[CheckReport]:
     if tol is not None:
         for r in reports:
@@ -181,7 +166,6 @@ def cmd_verify(args) -> int:
         thorough=cfg.thorough,
         grid_n=cfg.grid_n,
     )
-    reports = _apply_tol_override(reports, cfg.tol)
     return _emit_reports(reports, cfg)
 
 
@@ -191,10 +175,10 @@ def cmd_report(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     reports = run_checks(C=cfg.C, thorough=cfg.thorough, grid_n=cfg.grid_n)
     reports = _apply_tol_override(reports, cfg.tol)
-    (outdir / "report.json").write_text(_reports_json(reports, cfg), encoding="utf-8")
+    (outdir / "report.json").write_text(render(reports, "json", cfg.to_dict(), cfg.stable_output), encoding="utf-8")
     _write_kink_profile_csv(outdir / "kink_profile.csv", cfg.C)
     if cfg.format == "text":
-        sys.stdout.write(_reports_text(reports))
+        sys.stdout.write(render(reports, "text"))
     failed = sum(0 if r.passed else 1 for r in reports)
     print(f"report.json + kink_profile.csv written to {outdir} ({failed} failed checks)")
     return 0 if failed == 0 else 1
@@ -203,28 +187,20 @@ def cmd_report(args) -> int:
 def _write_kink_profile_csv(path: Path, C: float) -> None:
     """Numerical profile columns plus the closed-form curvature curves
     (exact-jet evaluation of the catalog kink) for plotting."""
-    root = math.sqrt(C)
-    prof = solve_kink_ode(C, 8.0 / root, n=401, tol=1e-7)
+    prof = solve_kink_ode(C, 8.0 / math.sqrt(C), n=401, tol=1e-7)
     case = cat.SolutionCase("kink+", C)
-    sol2 = cat.solution_2d(case)
-    sol3 = cat.solution_3d(case)
-    r_curve = eval_array(sol2.r_expected, {"x": prof.x, **case.env})
-    R_curve = eval_array(sol3.R_expected, {"x": prof.x, **case.env})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "f", "h", "r", "R", "residual_eq14", "first_integral"])
-        for k in range(len(prof.x)):
-            w.writerow(
-                [
-                    repr(float(prof.x[k])),
-                    repr(float(prof.f[k])),
-                    repr(float(prof.h[k])),
-                    repr(float(r_curve[k])),
-                    repr(float(R_curve[k])),
-                    repr(float(prof.eq14_residual[k])),
-                    repr(float(prof.first_integral[k])),
-                ]
-            )
+    _write_columns(
+        path,
+        {
+            "x": prof.x,
+            "f": prof.f,
+            "h": prof.h,
+            "r": eval_array(cat.solution_2d(case).r_expected, {"x": prof.x, **case.env}),
+            "R": eval_array(cat.solution_3d(case).R_expected, {"x": prof.x, **case.env}),
+            "residual_eq14": prof.eq14_residual,
+            "first_integral": prof.first_integral,
+        },
+    )
 
 
 def cmd_solve(args) -> int:
@@ -232,11 +208,10 @@ def cmd_solve(args) -> int:
         raise _CliError(f"unknown system {args.system!r}; only 'kink' is available")
     prof = solve_kink_ode(args.C, args.xmax, n=args.n, tol=args.tol)
     out = args.out or "profile.csv"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "f", "h", "residual_eq14", "first_integral"])
-        for row in prof.csv_rows():
-            w.writerow([repr(float(v)) for v in row])
+    _write_columns(
+        out,
+        {"x": prof.x, "f": prof.f, "h": prof.h, "residual_eq14": prof.eq14_residual, "first_integral": prof.first_integral},
+    )
     print(
         f"{out}: {len(prof.x)} rows; f'(0) = {prof.shoot_param!r}, "
         f"{prof.iterations} rounds, max |eq14| = {prof.max_residual:.3e}"
@@ -252,18 +227,8 @@ def cmd_lift(args) -> int:
     flat = flat_kink_solve(p, xmax=args.xmax, n=args.n)
     lifted = lift_flat_kink(p, flat)
     out = args.out or "lift.csv"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "k", "f", "g_tt"])
-        for k in range(len(lifted.x)):
-            w.writerow(
-                [
-                    repr(float(lifted.x[k])),
-                    repr(float(flat(lifted.x[k] / math.sqrt(2.0)))),
-                    repr(float(lifted.f[k])),
-                    repr(float(lifted.g_tt[k])),
-                ]
-            )
+    k = [flat(x / math.sqrt(2.0)) for x in lifted.x]
+    _write_columns(out, {"x": lifted.x, "k": k, "f": lifted.f, "g_tt": lifted.g_tt})
     print(f"{out}: {len(lifted.x)} rows; k(0) = {flat.center_value!r}")
     return 0
 
@@ -271,12 +236,11 @@ def cmd_lift(args) -> int:
 def _parse_grid_spec(spec: str, coords: Sequence[str]) -> np.ndarray:
     """Axis specs like 't=0.5:4:5,x=0.25:4:5,y=-1:1:5'; 'default' covers a
     box that dodges the catalog singular loci."""
+    axes = {}
     if spec == "default":
-        axes = {}
         for c in coords:
             axes[c] = np.linspace(-1.0, 1.0, 5) if c == "y" else np.linspace(0.6, 2.4, 5)
     else:
-        axes = {}
         for part in spec.split(","):
             name, _, bounds = part.partition("=")
             name = name.strip()
@@ -301,18 +265,18 @@ def _parse_grid_spec(spec: str, coords: Sequence[str]) -> np.ndarray:
 
 
 def cmd_cotton(args) -> int:
-    cfg = RunConfig(tol=args.tol, format=args.format or "json", out=args.out, stable_output=args.stable_output)
+    cfg = _output_config(args)
     m = load_metric(args.metric)
     grid = _parse_grid_spec(args.grid, m.coords)
     reports = [
         cotton_vanishing_check(m, grid, tolerance=TOL["cotton"]),
         cotton_identities_check(m, grid, tolerance=TOL["cotton-identities"]),
     ]
-    return _emit_reports(_apply_tol_override(reports, cfg.tol), cfg)
+    return _emit_reports(reports, cfg)
 
 
 def cmd_killing(args) -> int:
-    cfg = RunConfig(tol=args.tol, format=args.format or "json", out=args.out, stable_output=args.stable_output)
+    cfg = _output_config(args)
     m = load_metric(args.metric)
     with open(args.fields, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -324,7 +288,7 @@ def cmd_killing(args) -> int:
     for k, comps in enumerate(payload["fields"]):
         xi = VectorFieldSpec.parse(comps)
         reports.append(killing_residual(m, xi, grid, tolerance=TOL["killing"], check_id=f"killing:field{k}"))
-    return _emit_reports(_apply_tol_override(reports, cfg.tol), cfg)
+    return _emit_reports(reports, cfg)
 
 
 def cmd_killing_dim(args) -> int:
@@ -348,27 +312,28 @@ def cmd_catalog(args) -> int:
     if args.action != "export":
         raise _CliError("catalog supports only the 'export' action")
     payload = cat.export_case(cat.SolutionCase.at(args.case, args.C), args.what)
-    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--C", type=float, default=None, help="coupling constant (default 1.0)")
+def _add_output(p: argparse.ArgumentParser) -> None:
+    """The options of every command that writes check reports."""
     p.add_argument("--tol", type=float, default=None, help="tolerance override for all checks")
-    p.add_argument("--grid", type=int, default=None, help="points per grid axis")
     p.add_argument("--format", choices=_FORMATS, default=None)
     p.add_argument("--out", default=None, help="output path (stdout by default)")
-    p.add_argument("--thorough", action="store_true", help="repeat case checks at C = 0.25 and 9")
     p.add_argument("--stable-output", action="store_true", dest="stable_output",
                    help="omit wall-time so identical runs are byte-identical")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--C", type=float, default=None, help="coupling constant (default 1.0)")
+    p.add_argument("--grid", type=int, default=None, help="points per grid axis")
+    p.add_argument("--thorough", action="store_true", help="repeat case checks at C = 0.25 and 9")
     p.add_argument("--config", default=None, help="JSON config file (strict keys)")
+    _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,20 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cotton", help="Cotton vanishing + identities for a metric file")
     p.add_argument("--metric", required=True)
     p.add_argument("--grid", default="default")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=_FORMATS, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--stable-output", action="store_true", dest="stable_output")
+    _add_output(p)
     p.set_defaults(fn=cmd_cotton)
 
     p = sub.add_parser("killing", help="Killing residuals of fields against a metric")
     p.add_argument("--metric", required=True)
     p.add_argument("--fields", required=True)
     p.add_argument("--grid", default="default")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=_FORMATS, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--stable-output", action="store_true", dest="stable_output")
+    _add_output(p)
     p.set_defaults(fn=cmd_killing)
 
     p = sub.add_parser("killing-dim", help="pointwise Killing-algebra dimension estimate")

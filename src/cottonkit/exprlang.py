@@ -420,13 +420,17 @@ def coordinate_seeds(
     coords: Sequence[str], point: Sequence[Union[float, np.ndarray]], env: Mapping[str, float], order: int
 ) -> dict[str, Union[Jet, float]]:
     """Bindings of the coordinates as jet variables at the point (a float or
-    a grid array per coordinate), then of the parameters as floats."""
+    a grid array per coordinate, broadcast to one grid), then of the
+    parameters as floats."""
     if not 0 < len(coords) == len(point):
         raise ValueError(f"need one point value per coordinate of at least one, got {len(point)} for {list(coords)}")
     for k in env:
         if k in coords:
             raise ExprEvalError(f"parameter {k!r} shadows a coordinate")
-    seeds = {name: jet_var(i, np.asarray(point[i], dtype=float), len(coords), order) for i, name in enumerate(coords)}
+    values = [np.asarray(v, dtype=float) for v in point]
+    if len({v.shape for v in values}) > 1:
+        values = np.broadcast_arrays(*values)
+    seeds = {name: jet_var(i, values[i], len(coords), order) for i, name in enumerate(coords)}
     return {**seeds, **{k: float(v) for k, v in env.items()}}
 
 

@@ -163,16 +163,6 @@ class KinkProfile:
         if not np.all(self.h > 0):
             raise KinkSolverError("h must stay positive")
 
-    def csv_rows(self):
-        for k in range(len(self.x)):
-            yield (
-                self.x[k],
-                self.f[k],
-                self.h[k],
-                self.eq14_residual[k],
-                self.first_integral[k],
-            )
-
 
 # The Dormand-Prince 8(5,3) tableau (DOP853), as scipy's
 # dop853_coefficients holds it: stage rows 1..11 of A, each cut to the
@@ -249,18 +239,14 @@ def _classify_batch(C: float, s, x_class: float, rtol) -> np.ndarray:
     quadratic.  A decided orbit leaves the batch.  A non-finite state or
     error estimate, or a step below 10 ulp of x, raises KinkSolverError.
 
-    Row k of the work array Z holds stage k as [f, u, w], w = f (f^2 - C) =
-    2 u': its first two thirds are the stage state, its last two the stage
-    derivative with u' doubled, which the halved u-part of the step and the
-    doubled u-part of the error scale undo exactly.  Row 0 is the current
-    state, the last row the step's end.
+    Row k of the work array Z holds stage k as [f, u, u']: its first two
+    thirds are the stage state, its last two the stage derivative.  Row 0 is
+    the current state, the last row the step's end.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     m = s.size
     rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (m,))
     atol = rtol * min(1.0, 0.5 * C)
-    rtol2 = np.concatenate((rtol, 2.0 * rtol))
-    atol2 = np.concatenate((atol, 2.0 * atol))
     root = math.sqrt(C)
     side = np.zeros(m, dtype=int)
     live = np.arange(m)  # index into s of each orbit still in the batch
@@ -283,13 +269,14 @@ def _classify_batch(C: float, s, x_class: float, rtol) -> np.ndarray:
             while not done.any():
                 t_new = np.minimum(t + h, x_class)
                 h = t_new - t
-                h2 = np.concatenate((h, 0.5 * h))
-                for a, derivs, state, fk, wk in stages:
+                h2 = np.tile(h, 2)
+                for a, derivs, state, fk, uk in stages:
                     np.add(y, h2 * (a @ derivs), out=state)
-                    np.multiply(fk, fk * fk - C, out=wk)
-                e = (_ERROR_ROWS @ Z[:, m:]) / (atol2 + np.maximum(np.abs(y), np.abs(y_new)) * rtol2)
+                    np.multiply(0.5 * fk, fk * fk - C, out=uk)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)).reshape(2, m) * rtol
+                e = (_ERROR_ROWS @ Z[:, m:]).reshape(2, 2, m) / scale
                 e *= e
-                e5, e3 = e[:, :m] + e[:, m:]
+                e5, e3 = e.sum(axis=1)
                 err = h * e5 / np.sqrt(2.0 * np.maximum(e5 + 0.01 * e3, 1e-300))
                 if not err.max() < math.inf:
                     raise KinkSolverError("non-finite orbit state in the classification batch")
@@ -312,7 +299,7 @@ def _classify_batch(C: float, s, x_class: float, rtol) -> np.ndarray:
             keep = ~done
             live, t, h, rejected = live[keep], t[keep], h[keep], rejected[keep]
             row0 = Z[0].reshape(3, m)[:, keep].reshape(-1)
-            rtol2, atol2 = (v.reshape(2, m)[:, keep].reshape(-1) for v in (rtol2, atol2))
+            rtol, atol = rtol[keep], atol[keep]
             m = live.size
     return side
 

@@ -28,16 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import BinOp, Call, Neg, Num, Sym, _expr_jet, coordinate_seeds
+from .exprlang import BinOp, Call, Neg, Num, Sym, coordinate_seeds
 from .geometry import MetricSpec
 from .jets import MAX_ORDER, Jet, JetSpace
 
 __all__ = [
     "fd_partial",
-    "fd_partial_telescoped",
     "random_safe_expr",
     "random_smooth_metric",
-    "telescope_jet",
     "telescope_partials",
     "telescope_seeds",
 ]
@@ -108,11 +106,6 @@ def telescope_seeds(coords: Sequence[str], points, order: int, step: float = 1e-
     return coordinate_seeds(coords, cols, {}, order)
 
 
-def telescope_jet(expr, coords: Sequence[str], point: Sequence[float], order: int, step: float = 1e-3) -> Jet:
-    """One jet of ``expr`` on the 1 + 4·nv ``telescope_seeds`` columns."""
-    return _expr_jet(expr, telescope_seeds(coords, point, order, step))
-
-
 @lru_cache(maxsize=64)
 def _telescope_table(alphas: tuple):
     """Per alpha, the row of alpha lowered on its first nonzero axis and the
@@ -136,12 +129,6 @@ def telescope_partials(j: Jet, alphas: Sequence[Sequence[int]], step: float = 1e
     coarse = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
     fine = (vals[:, 2] - vals[:, 3]) / step
     return (4.0 * fine - coarse) / 3.0
-
-
-def fd_partial_telescoped(expr, coords, point, alphas, step: float = 1e-3) -> np.ndarray:
-    """``telescope_partials`` of one ``telescope_jet`` of order max|alpha| - 1."""
-    order = max(sum(alpha) for alpha in alphas) - 1
-    return telescope_partials(telescope_jet(expr, coords, point, order, step), alphas, step)
 
 
 # -- random generators ------------------------------------------------------------

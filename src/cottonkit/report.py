@@ -1,16 +1,20 @@
-"""Check reports: the universal output record of every verification.
+"""Check reports: the universal output record of every verification, and
+its three output formats.
 
 A report is a named residual measurement: what was checked, over which
 grid, the worst offender, the tolerance it was held to, and whether it
 passed.  ``Span.report`` is the one constructor every check uses: it finds
-the worst point, writes the grid text and records its measured wall time.
-Serialization is deterministic (sorted keys, repr floats) so two identical
-runs produce byte-identical JSON; wall time is the one field excluded in
-stable-output mode.
+the worst point, writes the grid text, records its measured wall time and
+holds the residual to tolerance.  ``render`` is the one renderer: the JSON,
+text or CSV body of a list of reports.  Serialization is deterministic
+(sorted keys, repr floats) so two identical runs produce byte-identical
+output; wall time is the one field excluded in stable-output mode.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -18,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CheckReport", "Span", "make_report", "report_order", "reports_to_json", "report_from_dict"]
+__all__ = ["CheckReport", "Span", "render", "report_from_dict"]
 
 SCHEMA = "cottonkit/1"
 
@@ -68,36 +72,6 @@ def _argworst(values) -> tuple[float, int]:
     return float(vals[k]), k
 
 
-def make_report(
-    check_id: str,
-    max_residual: float,
-    tolerance: float,
-    case: Optional[str] = None,
-    params: Optional[dict] = None,
-    grid: str = "",
-    worst_point=None,
-    worst_value=None,
-    wall_time: float = 0.0,
-    details: Optional[dict] = None,
-) -> CheckReport:
-    max_residual = float(max_residual)
-    if worst_value is None:
-        worst_value = max_residual
-    return CheckReport(
-        check_id=check_id,
-        max_residual=max_residual,
-        tolerance=float(tolerance),
-        passed=False,
-        case=case,
-        params=dict(params or {}),
-        grid=grid,
-        worst_point=None if worst_point is None else [float(v) for v in worst_point],
-        worst_value=None if worst_value is None else float(worst_value),
-        wall_time=float(wall_time),
-        details=dict(details or {}),
-    ).hold_to(tolerance)
-
-
 class Span:
     """Measured wall time of one report.
 
@@ -118,55 +92,80 @@ class Span:
         self._t0 = None
 
     def report(
-        self, check_id: str, residual, tolerance: float, points=None, solution=None, **fields
+        self,
+        check_id: str,
+        residual,
+        tolerance: float,
+        points=None,
+        solution=None,
+        *,
+        case: Optional[str] = None,
+        params: Optional[dict] = None,
+        grid: Optional[str] = None,
+        worst_point=None,
+        worst_value=None,
+        details: Optional[dict] = None,
     ) -> CheckReport:
         """The report of a residual held to tolerance.
 
         The residual is a scalar or an array whose last axis runs over the
-        points; its largest value, or its first NaN, is the max residual.
-        Points give the default grid text and, for an array residual, the
-        worst point.  A solution case (``catalog.SolutionCase``) gives the
-        report's case tag and params; other fields, such as a plain ``case``
-        tag, go to ``make_report`` as they are."""
+        points; its largest value, or its first NaN, is the max residual and,
+        unless given, the worst value.  Points give the default grid text
+        and, for an array residual, the default worst point.  A solution
+        case (``catalog.SolutionCase``) gives the report's case tag and
+        params; otherwise a plain ``case`` tag and ``params`` are taken as
+        they are."""
         wall_time = self._spent + (0.0 if self._t0 is None else time.perf_counter() - self._t0)
         worst, k = _argworst(residual)
         if points is not None:
-            fields.setdefault("grid", f"{len(points)} points")
-            if np.ndim(residual):
-                fields.setdefault("worst_point", points[k % len(points)])
+            grid = f"{len(points)} points" if grid is None else grid
+            if worst_point is None and np.ndim(residual):
+                worst_point = points[k % len(points)]
         if solution is not None:
-            fields.update(case=solution.tag, params=solution.env)
-        return make_report(check_id, worst, tolerance, wall_time=wall_time, **fields)
+            case, params = solution.tag, solution.env
+        return CheckReport(
+            check_id=check_id,
+            max_residual=worst,
+            tolerance=float(tolerance),
+            passed=False,
+            case=case,
+            params=dict(params or {}),
+            grid=grid or "",
+            worst_point=None if worst_point is None else [float(v) for v in worst_point],
+            worst_value=worst if worst_value is None else float(worst_value),
+            wall_time=wall_time,
+            details=dict(details or {}),
+        ).hold_to(tolerance)
 
 
-def report_order(reports) -> list[CheckReport]:
-    """The output order of every format: by check id, then case; reports
-    sharing both keep their run order."""
-    return sorted(reports, key=lambda r: (r.check_id, r.case or ""))
-
-
-def reports_to_json(reports, config: Optional[dict] = None, stable: bool = False) -> str:
+def render(reports, fmt: str, config: Optional[dict] = None, stable: bool = False) -> str:
+    """The newline-terminated body of a report list: ``json`` (schema, count
+    of failed checks, the reports, without wall time when ``stable``, and
+    the run config without its ``out`` path, which would make the body
+    depend on where it is written), ``text`` (one verdict line per report)
+    or ``csv`` (one verdict row per report).  Every format orders the
+    reports by check id, then case; reports sharing both keep their order."""
+    ordered = sorted(reports, key=lambda r: (r.check_id, r.case or ""))
+    if fmt == "text":
+        return "\n".join(r.line() for r in ordered) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["check_id", "case", "max_residual", "tolerance", "passed"])
+        w.writerows([r.check_id, r.case or "", repr(r.max_residual), repr(r.tolerance), r.passed] for r in ordered)
+        return buf.getvalue()
+    if fmt != "json":
+        raise ValueError(f"unknown report format {fmt!r}")
     payload = {
         "schema": SCHEMA,
         "failed": sum(0 if r.passed else 1 for r in reports),
-        "checks": [r.to_dict(stable=stable) for r in report_order(reports)],
+        "checks": [r.to_dict(stable=stable) for r in ordered],
     }
     if config is not None:
-        payload["config"] = config
-    return json.dumps(payload, indent=2, sort_keys=True)
+        payload["config"] = {k: v for k, v in config.items() if k != "out"}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def report_from_dict(d: dict) -> CheckReport:
-    return CheckReport(
-        check_id=d["check_id"],
-        max_residual=d["max_residual"],
-        tolerance=d["tolerance"],
-        passed=d["passed"],
-        case=d.get("case"),
-        params=d.get("params", {}),
-        grid=d.get("grid", ""),
-        worst_point=d.get("worst_point"),
-        worst_value=d.get("worst_value"),
-        wall_time=d.get("wall_time", 0.0),
-        details=d.get("details", {}),
-    )
+    """The report a ``to_dict`` gave; an unknown key raises TypeError."""
+    return CheckReport(**d)

@@ -20,7 +20,9 @@ for bit.
 The jets-fd references are the random-expression generator as text that
 ``parse_expr`` reads, and ``suite.check_jets_fd`` as one ``_eval`` walk per
 expression on each side; the tree-building generator and the check's
-batched tapes are tested against them.
+batched tapes are tested against them.  ``telescope_jet`` is that one walk
+on the ``oracles.telescope_seeds`` columns, and ``fd_partial_telescoped``
+the telescoped partials of one expression.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import math
 import numpy as np
 
 from cottonkit import reduction
-from cottonkit.exprlang import _eval, coordinate_seeds, eval_array, parse_expr, to_text
+from cottonkit.exprlang import _eval, _expr_jet, coordinate_seeds, eval_array, parse_expr, to_text
 from cottonkit.geometry import MetricSpec, _eps3
 from cottonkit.jets import Jet, JetSpace
-from cottonkit.oracles import fd_partial, telescope_jet, telescope_partials
+from cottonkit.oracles import fd_partial, telescope_partials, telescope_seeds
 from cottonkit.report import _argworst
 from cottonkit.reduction import _METRIC_COMPONENTS, ACTION_COUPLING
 
@@ -348,6 +350,17 @@ def _bounded_text(rng, coords, depth):
 def random_safe_expr_text(rng, coords, depth=3):
     """``oracles.random_safe_expr`` as formatted text parsed back."""
     return parse_expr(_bounded_text(rng, list(coords), depth))
+
+
+def telescope_jet(expr, coords, point, order: int, step: float = 1e-3) -> Jet:
+    """One jet of ``expr`` on the 1 + 4·nv ``telescope_seeds`` columns."""
+    return _expr_jet(expr, telescope_seeds(coords, point, order, step))
+
+
+def fd_partial_telescoped(expr, coords, point, alphas, step: float = 1e-3) -> np.ndarray:
+    """``telescope_partials`` of one ``telescope_jet`` of order max|alpha| - 1."""
+    order = max(sum(alpha) for alpha in alphas) - 1
+    return telescope_partials(telescope_jet(expr, coords, point, order, step), alphas, step)
 
 
 def check_jets_fd_per_expression(n=1000, seed=11):

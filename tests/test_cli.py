@@ -481,19 +481,21 @@ def test_console_entry_point_runs():
 
 
 def test_check_report_roundtrips_losslessly():
-    from cottonkit.report import make_report, report_from_dict
+    from cottonkit.report import CheckReport, report_from_dict
 
-    rep = make_report(
+    rep = CheckReport(
         check_id="demo",
         max_residual=1.2345678901234e-11,
         tolerance=1e-9,
+        passed=False,
         case="c+",
         params={"C": 1.0},
         grid="3 points",
         worst_point=[0.1, 2.0, -0.3],
+        worst_value=1.2345678901234e-11,
         wall_time=0.25,
         details={"note": 7},
-    )
+    ).hold_to(1e-9)
     assert report_from_dict(rep.to_dict()) == rep
 
 

@@ -351,6 +351,24 @@ def test_coordinate_seeds_need_one_value_per_coordinate():
             eval_jet(parse_expr("2+x"), coords, point, {}, 2)
 
 
+@pytest.mark.parametrize(
+    "point",
+    [
+        [0.3, np.array([0.5, 0.6, 0.7]), -0.2],
+        [np.array([0.5, 0.6, 0.7]), 0.3, np.array([[0.1], [0.2]])],
+    ],
+)
+def test_coordinate_seeds_broadcast_a_mixed_point(point):
+    # floats and arrays of a point lift to one grid, as the value route binds them
+    e = parse_expr("t*x + sin(y)*x^2 - t/(2+y)")
+    coords = ["t", "x", "y"]
+    uniform = np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in point])
+    mixed = eval_jet(e, coords, point, {}, 2)
+    assert mixed.coeffs.shape == (10,) + uniform[0].shape
+    np.testing.assert_array_equal(mixed.coeffs, eval_jet(e, coords, [u.copy() for u in uniform], {}, 2).coeffs)
+    np.testing.assert_array_equal(mixed.value, eval_array(e, dict(zip(coords, point))))
+
+
 def test_value_route_builds_no_jet(monkeypatch):
     """eval_array, eval_tensor and a Tape on arrays build no Jet on float or array
     bindings, so the jets-fd check's reference side is independent of the

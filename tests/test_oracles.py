@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from cottonkit import jets, suite
 from cottonkit.exprlang import eval_array, eval_jet
 from cottonkit.jets import jet_extract
-from cottonkit.oracles import fd_partial, fd_partial_telescoped, random_safe_expr
-from fd_oracles import check_jets_fd_per_expression, random_safe_expr_text
+from cottonkit.oracles import fd_partial, random_safe_expr
+from fd_oracles import check_jets_fd_per_expression, fd_partial_telescoped, random_safe_expr_text
 
 COORDS = ["t", "x", "y"]
 ALPHAS = [a for a in product(range(5), repeat=3) if sum(a) <= 4]

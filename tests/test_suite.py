@@ -10,7 +10,7 @@ from cottonkit import kink, reduction, suite, symmetry
 from cottonkit.catalog import SolutionCase, killing_fields
 from cottonkit.exprlang import parse_expr
 from cottonkit.geometry import MetricSpec, flat_metric
-from cottonkit.report import make_report
+from cottonkit.report import Span
 
 
 def _cotton_grid_stub(fill):
@@ -154,7 +154,7 @@ def test_thorough_mode_runs_scale_free_checks_once(monkeypatch):
 
     def counting_stub():
         calls.append(1)
-        return [make_report(check_id="kink-solver", max_residual=0.0, tolerance=1.0)]
+        return [Span().report("kink-solver", 0.0, 1.0)]
 
     monkeypatch.setattr(suite, "check_kink_solver", counting_stub)
     reports = suite.run_checks(checks=["calibration", "kink-solver", "lift"], thorough=True)
@@ -178,7 +178,7 @@ def _record_schedule(monkeypatch) -> list:
             else:
                 tag = bound.arguments.get("case_tag", bound.arguments.get("kind"))
                 calls.append((name, tag, bound.arguments.get("C")))
-            marker = make_report(check_id=name, max_residual=0.0, tolerance=0.0)
+            marker = Span().report(name, 0.0, 0.0)
             return [marker] if fn.__annotations__["return"].startswith("list") else marker
 
         return record
