@@ -4,8 +4,9 @@ Commands: verify, report, solve, lift, cotton, killing, killing-dim,
 catalog.  Exit codes: 0 when every check passes, 1 when any check fails,
 2 for configuration or parse errors.  Report bodies come from
 ``report.render``, so JSON output is deterministic; with --stable-output
-the wall-time field is dropped so identical runs are byte-identical.  The
-numeric CSVs (solve, lift and report's kink profile) write each value as
+the wall-time field is dropped so identical runs are byte-identical;
+``report`` writes its files into the --out directory and the body to stdout.
+The numeric CSVs (solve, lift and report's kink profile) write each value as
 its repr.
 """
 
@@ -173,15 +174,12 @@ def cmd_report(args) -> int:
     cfg = _config_from_args(args)
     outdir = Path(cfg.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = run_checks(C=cfg.C, thorough=cfg.thorough, grid_n=cfg.grid_n)
-    reports = _apply_tol_override(reports, cfg.tol)
+    reports = _apply_tol_override(run_checks(C=cfg.C, thorough=cfg.thorough, grid_n=cfg.grid_n), cfg.tol)
     (outdir / "report.json").write_text(render(reports, "json", cfg.to_dict(), cfg.stable_output), encoding="utf-8")
     _write_kink_profile_csv(outdir / "kink_profile.csv", cfg.C)
-    if cfg.format == "text":
-        sys.stdout.write(render(reports, "text"))
     failed = sum(0 if r.passed else 1 for r in reports)
-    print(f"report.json + kink_profile.csv written to {outdir} ({failed} failed checks)")
-    return 0 if failed == 0 else 1
+    print(f"report.json + kink_profile.csv written to {outdir} ({failed} failed checks)", file=sys.stderr)
+    return _emit_reports(reports, replace(cfg, out=None))  # the body in --format, to stdout
 
 
 def _write_kink_profile_csv(path: Path, C: float) -> None:
@@ -227,8 +225,8 @@ def cmd_lift(args) -> int:
     flat = flat_kink_solve(p, xmax=args.xmax, n=args.n)
     lifted = lift_flat_kink(p, flat)
     out = args.out or "lift.csv"
-    k = [flat(x / math.sqrt(2.0)) for x in lifted.x]
-    _write_columns(out, {"x": lifted.x, "k": k, "f": lifted.f, "g_tt": lifted.g_tt})
+    # the k column, k(x / sqrt 2), is the lift's f
+    _write_columns(out, {"x": lifted.x, "k": lifted.f, "f": lifted.f, "g_tt": lifted.g_tt})
     print(f"{out}: {len(lifted.x)} rows; k(0) = {flat.center_value!r}")
     return 0
 
@@ -283,6 +281,14 @@ def cmd_killing(args) -> int:
     unknown = set(payload) - {"coordinates", "parameters", "fields"}
     if unknown:
         raise _CliError(f"unknown fields-file keys: {sorted(unknown)}")
+    if payload.get("coordinates", list(m.coords)) != list(m.coords):
+        raise _CliError(f"fields-file coordinates {payload['coordinates']!r} do not match the metric's {list(m.coords)!r}")
+    params = payload.get("parameters", {})
+    if not isinstance(params, dict):
+        raise _CliError(f"fields-file parameters must be an object, got {params!r}")
+    for name, value in params.items():
+        if name not in m.env or m.env[name] != value:
+            raise _CliError(f"fields-file parameter {name}={value!r} is not in the metric's parameters {dict(m.env)!r}")
     grid = _parse_grid_spec(args.grid, m.coords)
     reports = []
     for k, comps in enumerate(payload["fields"]):
@@ -319,21 +325,21 @@ def cmd_catalog(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, out_help: str = "output path (stdout by default)") -> None:
     """The options of every command that writes check reports."""
     p.add_argument("--tol", type=float, default=None, help="tolerance override for all checks")
     p.add_argument("--format", choices=_FORMATS, default=None)
-    p.add_argument("--out", default=None, help="output path (stdout by default)")
+    p.add_argument("--out", default=None, help=out_help)
     p.add_argument("--stable-output", action="store_true", dest="stable_output",
                    help="omit wall-time so identical runs are byte-identical")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, **output) -> None:
     p.add_argument("--C", type=float, default=None, help="coupling constant (default 1.0)")
     p.add_argument("--grid", type=int, default=None, help="points per grid axis")
     p.add_argument("--thorough", action="store_true", help="repeat case checks at C = 0.25 and 9")
     p.add_argument("--config", default=None, help="JSON config file (strict keys)")
-    _add_output(p)
+    _add_output(p, **output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", default=None, help=f"checks to run, comma separated ({', '.join(CHECK_NAMES)})")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("report", help="full default suite + report.json + profile CSVs")
-    _add_common(p)
+    p = sub.add_parser("report", help="full default suite: report.json + profile CSVs, the report to stdout")
+    _add_common(p, out_help="directory for report.json and kink_profile.csv (default .)")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("solve", help="shooting solution of the static-gauge kink system")

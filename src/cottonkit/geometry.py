@@ -1,10 +1,11 @@
 """Curvature engine: Christoffel, Riemann, Ricci, Cotton, pullbacks.
 
-Every quantity is computed in jet arithmetic over jet-valued coordinates,
-so derivatives of curvature (needed for the Cotton tensor, its conservation
-law, and Killing prolongation) come out exact: differentiating a jet is an
-index shift, not a finite difference.  The jet order of the metric seeds
-sets how many derivatives of the output are trustworthy; each public
+Every quantity is a tensor jet over jet-valued coordinates, so derivatives
+of curvature (needed for the Cotton tensor, its conservation law, and
+Killing prolongation) come out exact: differentiating a jet is an index
+shift, not a finite difference.  This module writes the index algebra as
+einsum specs that the ``jets`` kernels run.  The jet order of the metric
+seeds sets how many derivatives of the output are trustworthy; each public
 operation picks the minimal order it needs.
 
 Sign conventions.  Riemann is
@@ -18,7 +19,6 @@ test: the catalog's homogeneous 2D cosmology must come out with r = +C.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -37,7 +37,7 @@ from .exprlang import (
     to_text,
     validate_symbols,
 )
-from .jets import MAX_ORDER, MAX_VARS, Jet, JetSpace, jet_apply
+from .jets import MAX_ORDER, Jet, JetSpace, column_products, jet_apply, partials, tensor_mul
 from .report import CheckReport, Span
 
 __all__ = [
@@ -210,72 +210,6 @@ def _check_det(det_value, g_values, point, dim) -> None:
         raise DegenerateMetricError(pt, float(np.atleast_1d(det_value)[k]))
 
 
-# -- tensor jets ----------------------------------------------------------------
-#
-# A tensor jet is one float array of shape (ncoeff, *index_axes, *grid): axis 0
-# holds the Taylor coefficients in the JetSpace layout, so truncating to a lower
-# order is a prefix slice of axis 0 (Neidinger, SIAM Review 52(3), 2010).
-
-
-# (ncoeff, nv) -> (nv, order): ncoeff = comb(nv + order, order) is unique per nv
-_LAYOUTS = {
-    (math.comb(nv + o, o), nv): (nv, o) for nv in range(1, MAX_VARS + 1) for o in range(MAX_ORDER + 1)
-}
-
-
-def _space(ncoeff: int, nv: int) -> JetSpace:
-    """The coefficient layout with ``ncoeff`` coefficients in ``nv`` variables."""
-    return JetSpace.get(*_LAYOUTS[ncoeff, nv])
-
-
-# Products on grids of at most this many points gather every coefficient pair
-# into one call; larger grids loop over the pairs (or columns), which holds no
-# pairs x tensor x grid temporary.  Gather time as a share of loop time for
-# _tmul over orders 2-4 and four pipeline specs, on a 2-vCPU Xeon with numpy
-# 2.4: 0.03-0.25 at 1 point, 0.08-0.59 at 8, 0.14-1.2 at 27 (the Riemann
-# product rml,lns->rsmn loses) and 1.6-4.4 at 343 points.
-_GATHER_MAX_POINTS = 8
-
-
-def _tmul(A: np.ndarray, B: np.ndarray, spec: str, nv: int) -> np.ndarray:
-    """Truncated Cauchy product of two tensor jets at the lower of their
-    orders: coefficient k sums ``np.einsum(spec, A[i], B[j])`` over the pairs
-    (i, j) of the JetSpace pair table.  Small grids run one einsum over all
-    pairs and one reduceat; larger ones accumulate the pairs one at a time."""
-    sp = _space(min(len(A), len(B)), nv)
-    operands, result = spec.split("->")
-    sa, sb = operands.split(",")
-    # grid points: the axes after the coefficient axis and the named index axes
-    npts = max(math.prod(T.shape[1 + len(sub.replace("...", "")) :]) for T, sub in ((A, sa), (B, sb)))
-    if npts <= _GATHER_MAX_POINTS:
-        terms = np.einsum(f"z{sa},z{sb}->z{result}", A[sp._mul_i], B[sp._mul_j])
-        return np.add.reduceat(terms, sp._mul_starts, axis=0)
-    ends = np.append(sp._mul_starts[1:], len(sp._mul_i))
-    out = None
-    for k, (lo, hi) in enumerate(zip(sp._mul_starts, ends)):
-        for i, j in zip(sp._mul_i[lo:hi], sp._mul_j[lo:hi]):
-            term = np.einsum(spec, A[i], B[j])
-            if out is None:
-                out = np.zeros((sp.ncoeff,) + term.shape)
-            out[k] += term
-    return out
-
-
-def _column_products(A: np.ndarray, ia: tuple, B: np.ndarray, ib: tuple, nv: int) -> np.ndarray:
-    """Truncated products of the scalar-jet columns A[:, ia[0][n], ...] and
-    B[:, ib[0][n], ...] (one index array per index axis), stacked on axis 1.
-    Small grids gather all columns into one ``JetSpace.mul_coeffs`` call;
-    larger ones write each product into place and hold no gathered copy."""
-    sp = _space(len(A), nv)
-    grid = A.shape[1 + len(ia) :]
-    if math.prod(grid) <= _GATHER_MAX_POINTS:
-        return sp.mul_coeffs(A[(slice(None),) + ia], B[(slice(None),) + ib])
-    out = np.empty((sp.ncoeff, len(ia[0])) + grid)
-    for n, (a, b) in enumerate(zip(zip(*ia), zip(*ib))):
-        out[:, n] = sp.mul_coeffs(A[(slice(None),) + a], B[(slice(None),) + b])
-    return out
-
-
 def _cofactor_layout(dim: int) -> tuple:
     """The upper triangle (i, j) of a symmetric dim x dim matrix, row by row,
     its cofactor signs and the (rows, columns) factors of its minors: g[r0, c0]
@@ -293,16 +227,6 @@ def _cofactor_layout(dim: int) -> tuple:
 _COFACTORS = {dim: _cofactor_layout(dim) for dim in (2, 3)}
 
 
-def _tgrad(A: np.ndarray, nv: int) -> np.ndarray:
-    """Partial derivatives of a tensor jet, one order lower, with the
-    derivative index first: ``out[c, l, ...]`` is coefficient c of d_l A."""
-    sp = _space(len(A), nv)
-    # mode "clip" (every index is in range) writes into out unbuffered
-    out = np.take(A, sp._deriv_src, axis=0, out=np.empty(sp._deriv_src.shape + A.shape[1:]), mode="clip")
-    out *= sp._deriv_fac.reshape(sp._deriv_fac.shape + (1,) * (A.ndim - 1))
-    return out
-
-
 class _Pipeline:
     """The jet curvature engine on a metric's tensor jet g, (ncoeff, dim,
     dim, *grid), at the jet order of g.  Every quantity from g on is a tensor
@@ -316,7 +240,7 @@ class _Pipeline:
         self.dim = g.shape[1]
         self.orientation = orientation
         self.point = point
-        order = _space(len(g), self.dim).order
+        order = JetSpace.for_length(len(g), self.dim).order
         self._g_low = g[: JetSpace.get(self.dim, max(order - 1, 0)).ncoeff]
         self._sqrt_abs_det: dict[int, Jet] = {}
 
@@ -327,7 +251,7 @@ class _Pipeline:
         factors = _COFACTORS[self.dim][3]
         if self.dim == 2:
             return self._g_low[(slice(None),) + factors[0]]
-        prod = _column_products(self._g_low, factors[0], self._g_low, factors[1], 3)  # both products of each minor
+        prod = column_products(self._g_low, factors[0], self._g_low, factors[1], 3)  # both products of each minor
         half = prod.shape[1] // 2
         return prod[:, :half] - prod[:, half:]
 
@@ -335,12 +259,12 @@ class _Pipeline:
     def det(self) -> Jet:
         """Expansion along the first row: g_00 M_00 - g_01 M_01 (+ g_02 M_02)."""
         first = np.arange(self.dim)
-        terms = _column_products(self._g_low, (np.zeros_like(first), first), self._minors, (first,), self.dim)
+        terms = column_products(self._g_low, (np.zeros_like(first), first), self._minors, (first,), self.dim)
         det = terms[:, 0] - terms[:, 1]
         if self.dim == 3:
             det = det + terms[:, 2]
         _check_det(det[0], self.g[0], self.point, self.dim)
-        return Jet(_space(len(det), self.dim), det)
+        return Jet(JetSpace.for_length(len(det), self.dim), det)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -348,7 +272,7 @@ class _Pipeline:
         i, j, sign, _ = _COFACTORS[self.dim]
         n = np.arange(len(i))
         signed = self._minors * sign.reshape((-1,) + (1,) * (self.g.ndim - 3))
-        cof = _column_products(signed, (n,), (1.0 / self.det).coeffs[:, None], (np.zeros_like(n),), self.dim)
+        cof = column_products(signed, (n,), (1.0 / self.det).coeffs[:, None], (np.zeros_like(n),), self.dim)
         del self._minors
         out = np.empty(cof.shape[:1] + self.g.shape[1:])
         out[:, i, j] = out[:, j, i] = cof
@@ -357,12 +281,12 @@ class _Pipeline:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Gamma^k_{ij}, indexed [c, k, i, j]."""
-        dg = _tgrad(self.g, self.dim)  # [c, l, i, j] = d_l g_ij
+        dg = partials(self.g, self.dim)  # [c, l, i, j] = d_l g_ij
         lower = np.einsum("cjli...->clij...", dg) + np.einsum("cilj...->clij...", dg)
         lower -= dg
         lower *= 0.5
         del dg  # not held through the product: on grids it is the largest temporary
-        return _tmul(self.ginv, lower, "kl...,lij...->kij...", self.dim)
+        return tensor_mul(self.ginv, lower, "kl...,lij...->kij...", self.dim)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -370,8 +294,8 @@ class _Pipeline:
         of d_m Gamma^r_{ns} + Gamma^r_{ml} Gamma^l_{ns}."""
         gam = self.gamma
         # [c, r, s, m, n] = d_m Gamma^r_{ns}, a view of the partials in place
-        half = np.einsum("cmrns...->crsmn...", _tgrad(gam, self.dim))
-        half += _tmul(gam[: len(half)], gam, "rml...,lns...->rsmn...", self.dim)
+        half = np.einsum("cmrns...->crsmn...", partials(gam, self.dim))
+        half += tensor_mul(gam[: len(half)], gam, "rml...,lns...->rsmn...", self.dim)
         return half - np.swapaxes(half, 3, 4)
 
     @cached_property
@@ -382,17 +306,16 @@ class _Pipeline:
         gam = self.gamma
         # d_m Gamma^l_{ls} - d_l Gamma^l_{ms} from partials of a trace and of
         # slices: on grids the full gradient of Gamma sets the peak memory
-        ric = np.einsum("cms...->csm...", _tgrad(np.einsum("clls...->cs...", gam), self.dim))
-        sp, ones = _space(len(gam), self.dim), (1,) * (gam.ndim - 2)
+        ric = np.einsum("cms...->csm...", partials(np.einsum("clls...->cs...", gam), self.dim))
         for l in range(self.dim):  # only the partial d_l of slice l
-            ric -= np.take(gam[:, l], sp._deriv_src[:, l], axis=0) * sp._deriv_fac[:, l].reshape((-1,) + ones)
-        ric += _tmul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.dim)
-        ric -= _tmul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.dim)
+            ric -= partials(gam[:, l], self.dim, l)
+        ric += tensor_mul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.dim)
+        ric -= tensor_mul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.dim)
         return ric
 
     @cached_property
     def ricci_mixed(self) -> np.ndarray:
-        return _tmul(self.ginv, self.ricci_lower, "is...,sj...->ij...", self.dim)
+        return tensor_mul(self.ginv, self.ricci_lower, "is...,sj...->ij...", self.dim)
 
     @cached_property
     def ricci_mixed_deriv(self) -> np.ndarray:
@@ -400,8 +323,8 @@ class _Pipeline:
         return self.cov_deriv(self.ricci_mixed, 1, 1)
 
     def scalar(self) -> Jet:
-        r = _tmul(self.ginv, self.ricci_lower, "sm...,sm...->...", self.dim)
-        return Jet(_space(len(r), self.dim), r)
+        r = tensor_mul(self.ginv, self.ricci_lower, "sm...,sm...->...", self.dim)
+        return Jet(JetSpace.for_length(len(r), self.dim), r)
 
     def sqrt_abs_det(self, order: Optional[int] = None) -> Jet:
         """sqrt|det g| as a jet of the given order (default: det's own, one
@@ -418,20 +341,20 @@ class _Pipeline:
         ``downs`` trailing lower indices, with the derivative index last; the
         jet order drops by one."""
         idx = "ijkmnopq"[: ups + downs]
-        out = np.moveaxis(_tgrad(T, self.dim), 1, len(idx) + 1)
+        out = np.moveaxis(partials(T, self.dim), 1, len(idx) + 1)
         gam = self.gamma[: len(out)]
         for pos, i in enumerate(idx):
             rep = idx.replace(i, "l")
             if pos < ups:
-                out += _tmul(gam, T, f"{i}al...,{rep}...->{idx}a...", self.dim)
+                out += tensor_mul(gam, T, f"{i}al...,{rep}...->{idx}a...", self.dim)
             else:
-                out -= _tmul(gam, T, f"la{i}...,{rep}...->{idx}a...", self.dim)
+                out -= tensor_mul(gam, T, f"la{i}...,{rep}...->{idx}a...", self.dim)
         return out
 
     def hessian(self, s: Jet) -> tuple[np.ndarray, np.ndarray]:
         """Values of (D_a D_b s, g^{ab} D_a D_b s) for a scalar jet s."""
-        ds = _tgrad(s.coeffs, self.dim)
-        hess = _tgrad(ds, self.dim)[0] - np.einsum("lab...,l...->ab...", self.gamma[0], ds[0])
+        ds = partials(s.coeffs, self.dim)
+        hess = partials(ds, self.dim)[0] - np.einsum("lab...,l...->ab...", self.gamma[0], ds[0])
         return hess, np.einsum("ab...,ab...->...", self.ginv[0], hess)
 
     def cotton(self) -> np.ndarray:
@@ -445,8 +368,8 @@ class _Pipeline:
         # delta g_{mn}; the lattice variation check pins it.  That is the
         # opposite Ricci sign from the scalar-curvature calibration, which
         # no magnitude-based Cotton property is sensitive to.
-        half_inv_sqrt = -0.5 / self.sqrt_abs_det(_space(len(curl), 3).order)
-        return _tmul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", 3)
+        half_inv_sqrt = -0.5 / self.sqrt_abs_det(JetSpace.for_length(len(curl), 3).order)
+        return tensor_mul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", 3)
 
 
 def _metric_pipeline(m: MetricSpec, point, order: int) -> tuple[_Pipeline, dict]:
@@ -643,7 +566,7 @@ def pullback_metric_grid(
     seeds = coordinate_seeds(source_coords, tuple(pts[:, a] for a in range(nsrc)), dict(env or {}), order=1)
     images = eval_tensor(map_components, seeds)
     # jac[mu, a, k] = d_a phi^mu at point k
-    jac = np.swapaxes(_tgrad(images, nsrc)[0], 0, 1)
+    jac = np.swapaxes(partials(images, nsrc)[0], 0, 1)
     # a non-finite Jacobian is rejected before det, which would only warn
     bad = ~np.all(np.isfinite(jac), axis=(0, 1))
     if nsrc == target.dim:

@@ -125,7 +125,7 @@ def telescope_partials(j: Jet, alphas: Sequence[Sequence[int]], step: float = 1e
     this amplifies it by 1/h."""
     rows, cols = _telescope_table(tuple(map(tuple, alphas)))
     vals = np.moveaxis(j.coeffs, -1, 1)[rows, cols]  # (alphas, 4, expressions...)
-    vals = vals * j.space._factorials[rows].reshape(rows.shape + (1,) * (vals.ndim - 2))
+    vals = vals * j.space.factorials[rows].reshape(rows.shape + (1,) * (vals.ndim - 2))
     coarse = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
     fine = (vals[:, 2] - vals[:, 3]) / step
     return (4.0 * fine - coarse) / 3.0

@@ -48,14 +48,12 @@ from .geometry import (
     GeometryError,
     MetricSpec,
     _metric_pipeline,
-    _space,
-    _tgrad,
     cotton_grid,
     curvature_grid,
     metric_from_dict,
     metric_to_dict,
 )
-from .jets import Jet
+from .jets import Jet, JetSpace, partials
 from .report import CheckReport, Span
 
 __all__ = [
@@ -228,8 +226,8 @@ class _ReducedJets:
 
     def __init__(self, rd: ReducedData, point, order: int = 4):
         self.pipe, seeds = _metric_pipeline(rd.g2, point, order)
-        da = _tgrad(eval_tensor(rd.a, seeds), 2)  # [c, l, mu] = d_l a_mu
-        curl = Jet(_space(len(da), 2), da[:, 0, 1] - da[:, 1, 0])
+        da = partials(eval_tensor(rd.a, seeds), 2)  # [c, l, mu] = d_l a_mu
+        curl = Jet(JetSpace.for_length(len(da), 2), da[:, 0, 1] - da[:, 1, 0])
         self.f = curl / self.pipe.sqrt_abs_det(curl.order) * rd.g2.orientation
 
 

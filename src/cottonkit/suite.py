@@ -30,7 +30,6 @@ from .exprlang import Tape, eval_array, eval_tensor, parse_expr, to_text
 from .geometry import (
     MetricSpec,
     _metric_pipeline,
-    _tgrad,
     cotton_grid,
     cotton_identities_check,
     cotton_vanishing_check,
@@ -39,7 +38,7 @@ from .geometry import (
     metric_values_grid,
     pullback_metric_grid,
 )
-from .jets import JetSpace
+from .jets import JetSpace, partials
 from .kink import (
     _MULTISECTION,
     _RESOLUTION,
@@ -621,7 +620,7 @@ def check_jets_fd(n: int = 1000, seed: int = 11) -> CheckReport:
         rows = np.array([space.index[alpha] for alpha in alphas])
         size = _TAPE_BYTES // (_TAPE_ROWS * space.ncoeff * (1 + 4 * nv) * 8)
         lows, highs = [*compress(alphas, low)], [*compress(alphas, ~low)]
-        layout[nv] = alphas, low, rows, space._factorials[rows][:, None], lows, highs, size
+        layout[nv] = alphas, low, rows, space.factorials[rows][:, None], lows, highs, size
     # in draw order a running worst keeps the first NaN, else the first of the
     # largest values: the largest (is NaN, value, -draw) over all draws
     worst = {"key": (False, 0.0, 1), "value": 0.0, "case": {}}
@@ -700,7 +699,7 @@ def check_geometry_identities(
             pts = rng.uniform(-1.0, 1.0, (points_per_metric, 3))
             pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(3)), 2)[0]
             gv = pipe.g[0]
-            dgv = _tgrad(pipe.g, 3)[0]  # [l, i, j] = d_l g_ij
+            dgv = partials(pipe.g, 3)[0]  # [l, i, j] = d_l g_ij
             gamv = pipe.gamma[0]
             # D_l g_ij = d_l g_ij - Gamma^r_{li} g_rj - Gamma^r_{lj} g_ir
             comp = dgv - np.einsum("rli...,rj...->lij...", gamv, gv)

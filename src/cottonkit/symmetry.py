@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exprlang import ExprAst, coordinate_seeds, eval_tensor, free_symbols, parse_expr, to_text
-from .geometry import GeometryError, MetricSpec, _metric_pipeline, _tgrad
+from .geometry import GeometryError, MetricSpec, _metric_pipeline
+from .jets import partials
 from .report import CheckReport, Span, _argworst
 
 __all__ = [
@@ -70,9 +71,9 @@ def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     pipe, seeds = _metric_pipeline(m, tuple(grid[:, i] for i in range(m.dim)), 1)
     g = pipe.g[0]
-    dg = _tgrad(pipe.g, m.dim)[0]  # [l, a, b] = d_l g_ab
+    dg = partials(pipe.g, m.dim)[0]  # [l, a, b] = d_l g_ab
     xij = eval_tensor(xi.components, seeds)  # [c, mu, ...]
-    dxi = _tgrad(xij, m.dim)[0]  # [a, l] = d_a xi^l
+    dxi = partials(xij, m.dim)[0]  # [a, l] = d_a xi^l
     # L_xi g_ab = d_a xi^l g_lb + d_b xi^l g_al + xi^l d_l g_ab
     flow = np.einsum("al...,lb...->ab...", dxi, g)
     lie = flow + np.swapaxes(flow, 0, 1) + np.einsum("l...,lab...->ab...", xij[0], dg)
@@ -97,8 +98,8 @@ def lie_bracket_at(
 def _bracket_values(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Values [mu, ...] of the bracket of two field jets."""
     nv = X.shape[1]
-    xdy = np.einsum("l...,lm...->m...", X[0], _tgrad(Y, nv)[0])
-    return xdy - np.einsum("l...,lm...->m...", Y[0], _tgrad(X, nv)[0])
+    xdy = np.einsum("l...,lm...->m...", X[0], partials(Y, nv)[0])
+    return xdy - np.einsum("l...,lm...->m...", Y[0], partials(X, nv)[0])
 
 
 _DEFAULT_COORDS = ("t", "x", "y")
@@ -119,7 +120,7 @@ def independence_rank(m: MetricSpec, fields: Sequence[VectorFieldSpec], p: Seque
     seeds = coordinate_seeds(m.coords, tuple(float(v) for v in p), m.env, 1)
     jets = [eval_tensor(xi.components, seeds) for xi in fields]
     # one row per field: its values xi^mu, then its partials d_l xi^mu, mu-major
-    return _rank(np.array([np.concatenate([X[0], _tgrad(X, m.dim)[0].T.ravel()]) for X in jets]))
+    return _rank(np.array([np.concatenate([X[0], partials(X, m.dim)[0].T.ravel()]) for X in jets]))
 
 
 def closure_residual(

@@ -12,6 +12,11 @@ with slicing central differences on a padded block, and their gradient by
 +-eps sweeps of each site's radius-4 patch; they are the reference that
 the exact reverse-mode lattice gradient is tested against.
 
+The tensor-jet product reference is the pair loop: one einsum per
+coefficient pair, the terms added into zeros in increasing first factor (the
+order of ``jets.tensor_mul``'s shift path) or summed by ``np.add.reduceat``
+(its gather path); each path is pinned to its sum bit for bit.
+
 The metric-jet reference is the per-component loop: one ``_eval`` walk per
 upper-triangle component of a ``MetricSpec``, to which the tensor jet that
 ``geometry._metric_pipeline`` builds through ``eval_tensor`` is pinned bit
@@ -52,6 +57,23 @@ def metric_fn(m: MetricSpec):
         )
 
     return g
+
+
+def tensor_mul_pairs(A: np.ndarray, B: np.ndarray, spec: str, nv: int, reduceat: bool = False) -> np.ndarray:
+    """The truncated product of two tensor jets at the lower of their orders,
+    one einsum per coefficient pair (i, j): coefficient k adds the terms of
+    its pairs into zeros in increasing i, or with ``reduceat`` sums them as
+    ``np.add.reduceat`` does (its first term plus numpy's pairwise sum of the
+    others)."""
+    sp = JetSpace.for_length(min(len(A), len(B)), nv)
+    terms = np.stack([np.einsum(spec, A[i], B[j]) for i, j in zip(sp._mul_i, sp._mul_j)])
+    if reduceat:
+        return np.add.reduceat(terms, sp._mul_starts, axis=0)
+    out = np.zeros((sp.ncoeff,) + terms.shape[1:])
+    for k, lo, hi in zip(range(sp.ncoeff), sp._mul_starts, np.append(sp._mul_starts[1:], len(terms))):
+        for term in terms[lo:hi]:
+            out[k] += term
+    return out
 
 
 def metric_jet_per_component(m: MetricSpec, point, order: int) -> np.ndarray:
@@ -378,7 +400,7 @@ def check_jets_fd_per_expression(n=1000, seed=11):
         low = np.array([sum(alpha) <= 2 for alpha in alphas])
         rows = np.array([space.index[alpha] for alpha in alphas])
         j = telescope_jet(expr, coords, point, 4, step=1e-3)
-        got = j.coeffs[rows, 0] * space._factorials[rows]
+        got = j.coeffs[rows, 0] * space.factorials[rows]
         want = np.empty(len(alphas))
         lows = [a for a, keep in zip(alphas, low) if keep]
         highs = [a for a, keep in zip(alphas, low) if not keep]

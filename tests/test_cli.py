@@ -524,3 +524,77 @@ def test_killing_non_string_field_component_exit_two(tmp_path):
     code, out, err = run_cli("killing", "--metric", str(_flat_metric(tmp_path)), "--fields", str(fields))
     assert (code, out) == (2, "")
     assert err == "error: syntax error at position 1: expected expression text, got int 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_report_writes_the_chosen_format_to_stdout(tmp_path, monkeypatch, fmt):
+    # --format csv and json wrote no body; the summary line goes to stderr
+    import csv
+    import io
+
+    import cottonkit.cli as cli
+
+    real = cli.run_checks
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: real(checks=["calibration", "kink-solver"], **kw))
+    code, out, err = run_cli("report", "--stable-output", "--format", fmt, "--out", str(tmp_path))
+    assert code == 0
+    assert err == f"report.json + kink_profile.csv written to {tmp_path} (0 failed checks)\n"
+    body = (tmp_path / "report.json").read_text(encoding="utf-8")
+    keys = [(c["check_id"], c["case"] or "") for c in json.loads(body)["checks"]]
+    assert len(keys) >= 2
+    if fmt == "json":
+        assert out == body
+    elif fmt == "text":
+        lines = out.splitlines()
+        assert len(lines) == len(keys)
+        assert all(line.startswith(f"PASS  {check_id}") for line, (check_id, _) in zip(lines, keys))
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["check_id", "case", "max_residual", "tolerance", "passed"]
+        assert [tuple(row[:2]) for row in rows[1:]] == keys
+
+
+def test_report_help_calls_out_a_directory():
+    code, out, _ = run_cli("report", "--help")
+    assert code == 0
+    assert "--out OUT directory for report.json and kink_profile.csv (default .)" in " ".join(out.split())
+    code, out, _ = run_cli("verify", "--help")
+    assert code == 0
+    assert "--out OUT output path (stdout by default)" in " ".join(out.split())
+
+
+@pytest.mark.parametrize("case, C", [("a", 4.0), ("c-", 0.25)])
+def test_killing_fields_export_round_trips_with_its_metric(tmp_path, case, C):
+    m3, fields = tmp_path / "m.json", tmp_path / "fields.json"
+    for what, path in (("metric3d", m3), ("killing", fields)):
+        code, _, _ = run_cli("catalog", "export", "--case", case, "--C", str(C), "--what", what, "--out", str(path))
+        assert code == 0
+    assert json.loads(fields.read_text())["parameters"] == {"C": C}
+    code, out, err = run_cli("killing", "--metric", str(m3), "--fields", str(fields), "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.count("PASS") == len(json.loads(fields.read_text())["fields"]) >= 4
+    # the same fields against the metric at another coupling
+    code, _, _ = run_cli("catalog", "export", "--case", case, "--C", "1", "--what", "metric3d", "--out", str(m3))
+    code, out, err = run_cli("killing", "--metric", str(m3), "--fields", str(fields))
+    assert (code, out) == (2, "")
+    assert err == f"error: fields-file parameter C={C!r} is not in the metric's parameters {{'C': 1.0}}\n"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"coordinates": ["a", "b", "c"]}, "fields-file coordinates ['a', 'b', 'c'] do not match the metric's ['t', 'x', 'y']"),
+        ({"coordinates": ["t", "x"]}, "fields-file coordinates ['t', 'x'] do not match the metric's ['t', 'x', 'y']"),
+        ({"parameters": {"k": 2.0}}, "fields-file parameter k=2.0 is not in the metric's parameters {}"),
+        ({"parameters": {"k": None}}, "fields-file parameter k=None is not in the metric's parameters {}"),
+        ({"parameters": [1.0]}, "fields-file parameters must be an object, got [1.0]"),
+    ],
+)
+def test_killing_fields_file_that_disagrees_with_the_metric_exit_two(tmp_path, payload, message):
+    # both keys were read and ignored: a field in k gave "unresolved symbol 'k'",
+    # and other coordinates passed
+    fields = tmp_path / "fields.json"
+    fields.write_text(json.dumps({**payload, "fields": [["k" if "parameters" in payload else "1", "0", "0"]]}))
+    code, out, err = run_cli("killing", "--metric", str(_flat_metric(tmp_path)), "--fields", str(fields))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

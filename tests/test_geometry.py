@@ -312,7 +312,8 @@ def test_cotton_einstein_form_equivalence():
 
 @pytest.mark.parametrize("ups, downs", [(0, 2), (2, 0)])
 def test_metric_and_inverse_are_covariantly_constant(ups, downs):
-    from cottonkit.geometry import _metric_pipeline, _tgrad
+    from cottonkit.geometry import _metric_pipeline
+    from cottonkit.jets import partials
 
     m = random_smooth_metric(np.random.default_rng(8))
     pts = np.random.default_rng(9).uniform(-1.0, 1.0, (20, 3))
@@ -321,7 +322,7 @@ def test_metric_and_inverse_are_covariantly_constant(ups, downs):
     d = pipe.cov_deriv(T, ups, downs)[0]
     assert d.shape == (3, 3, 3, 20)
     # the covariant derivative is a cancellation of partials and Gamma terms
-    scale = 1.0 + np.max(np.abs(_tgrad(T, 3)[0]))
+    scale = 1.0 + np.max(np.abs(partials(T, 3)[0]))
     assert np.max(np.abs(d)) < 1e-14 * scale
 
 
@@ -345,8 +346,7 @@ def test_second_bianchi_identity_on_random_metrics():
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("nv", [2, 3])
 def test_tmul_matches_scalar_jet_products(nv, order, grid):
-    from cottonkit.geometry import _tmul
-    from cottonkit.jets import Jet, JetSpace
+    from cottonkit.jets import Jet, JetSpace, tensor_mul
 
     sp = JetSpace.get(nv, order)
     rng = np.random.default_rng(100 * nv + 10 * order + len(grid))
@@ -356,8 +356,8 @@ def test_tmul_matches_scalar_jet_products(nv, order, grid):
     def jet(c):
         return Jet(sp, c)
 
-    contracted = _tmul(A, B, "ij...,jk...->ik...", nv)
-    outer = _tmul(A, B, "ij...,kl...->ijkl...", nv)
+    contracted = tensor_mul(A, B, "ij...,jk...->ik...", nv)
+    outer = tensor_mul(A, B, "ij...,kl...->ijkl...", nv)
     assert contracted.shape == (sp.ncoeff, 3, 4) + grid
     assert outer.shape == (sp.ncoeff, 3, 2, 2, 4) + grid
     for i, k in np.ndindex(3, 4):
@@ -382,21 +382,21 @@ def _operand(rng, ncoeff, sub, grid):
 @pytest.mark.parametrize("order", range(2, 5))
 @pytest.mark.parametrize("spec", _TMUL_SPECS)
 def test_tmul_gather_and_loop_branches_agree(monkeypatch, spec, order, grid):
-    # the same inputs through both branches of _tmul, picked by the bound
-    from cottonkit import geometry
+    # the same inputs through both branches of tensor_mul, picked by the bound
+    from cottonkit import jets
     from cottonkit.jets import JetSpace
 
     sp = JetSpace.get(3, order)
     rng = np.random.default_rng(order + len(grid))
     sa, sb = spec.split("->")[0].split(",")
     A, B = _operand(rng, sp.ncoeff, sa, grid), _operand(rng, sp.ncoeff, sb, grid)
-    default = geometry._tmul(A, B, spec, 3)
-    monkeypatch.setattr(geometry, "_GATHER_MAX_POINTS", 10**9)
-    gathered = geometry._tmul(A, B, spec, 3)
-    monkeypatch.setattr(geometry, "_GATHER_MAX_POINTS", 0)
-    looped = geometry._tmul(A, B, spec, 3)
+    default = jets.tensor_mul(A, B, spec, 3)
+    monkeypatch.setattr(jets, "_GATHER_MAX_POINTS", 10**9)
+    gathered = jets.tensor_mul(A, B, spec, 3)
+    monkeypatch.setattr(jets, "_GATHER_MAX_POINTS", 0)
+    looped = jets.tensor_mul(A, B, spec, 3)
     # rounding is relative to the same sums over |a| |b|
-    bound = geometry._tmul(np.abs(A), np.abs(B), spec, 3)
+    bound = jets.tensor_mul(np.abs(A), np.abs(B), spec, 3)
     assert gathered.shape == looped.shape == default.shape
     assert np.all(np.abs(gathered - looped) <= 1e-15 * bound)
     # one point gathers by default, twenty points loop
@@ -455,7 +455,7 @@ def test_det_and_inverse_bit_equal_scalar_jet_cofactors(dim, order, npts):
 @pytest.mark.parametrize("kind", ["nan component", "zero determinant"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_degenerate_metric_named_alike_on_both_paths(monkeypatch, dim, kind):
-    from cottonkit import geometry
+    from cottonkit import geometry, jets
 
     coords = ("t", "x", "y")[:dim]
     pts = np.random.default_rng(dim).uniform(0.5, 1.0, (20, dim))
@@ -467,7 +467,7 @@ def test_degenerate_metric_named_alike_on_both_paths(monkeypatch, dim, kind):
         pts[13, 1] = 0.0
     errors = []
     for bound in (10**9, 0):  # gather, then loop
-        monkeypatch.setattr(geometry, "_GATHER_MAX_POINTS", bound)
+        monkeypatch.setattr(jets, "_GATHER_MAX_POINTS", bound)
         for grid in (pts, pts[13:14]):
             with pytest.raises(DegenerateMetricError) as info:
                 geometry.curvature_grid(m, grid)

@@ -18,8 +18,11 @@ from cottonkit.jets import (
     jet_extract,
     jet_pow,
     jet_var,
+    partials,
+    tensor_mul,
 )
 from cottonkit.oracles import fd_partial, random_safe_expr
+from fd_oracles import tensor_mul_pairs
 
 LAYOUTS = [(nv, order) for nv in (1, 2, 3) for order in range(5)]
 # the crossover of JetSpace.mul_coeffs sits between (8,) and (343,)
@@ -469,3 +472,50 @@ def test_power_with_a_grid_of_constant_jet_exponents(text, order):
     for k in range(len(t)):
         own = eval_jet(e, ["t", "x"], [float(t[k]), float(x[k])], {}, order)
         np.testing.assert_allclose(j.coeffs[:, k], own.coeffs, rtol=1e-14, atol=1e-15)
+
+
+_TENSOR_SPECS = [
+    "kl...,lij...->kij...",
+    "rml...,lns...->rsmn...",
+    "lmk...,kls...->sm...",
+    "is...,sj...->ij...",
+    "sm...,sm...->...",
+    "...,ij...->ij...",
+    "ij...,kl...->ijkl...",
+]
+
+
+@pytest.mark.parametrize("grid", [(), (1,), (8,), (9,), (27,), (343,)], ids=lambda g: f"{math.prod(g)}pts")
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("nv", [2, 3])
+def test_tensor_mul_equals_pair_loop_bit_for_bit(nv, order, grid):
+    """Both paths of the tensor product, on operands of equal and unequal
+    order, form the terms of one einsum per pair bit for bit; the shift path
+    adds them in increasing first factor, the gather path sums them by
+    reduceat, which associates three or more terms differently."""
+    rng = np.random.default_rng(100 * nv + 10 * order + len(grid))
+    gather = math.prod(grid) <= 8
+    assert gather == (math.prod(grid) <= jets._GATHER_MAX_POINTS)
+    for spec in _TENSOR_SPECS:
+        sa, sb = spec.split("->")[0].split(",")
+        for oa, ob in {(order, order), (order, min(order + 1, 4)), (min(order + 1, 4), order)}:
+            A = rng.standard_normal((JetSpace.get(nv, oa).ncoeff,) + (nv,) * len(sa.replace("...", "")) + grid)
+            B = rng.standard_normal((JetSpace.get(nv, ob).ncoeff,) + (nv,) * len(sb.replace("...", "")) + grid)
+            A[-1] = 0.0  # zero terms, whose products with negative values are -0.0
+            got, want = tensor_mul(A, B, spec, nv), tensor_mul_pairs(A, B, spec, nv, reduceat=gather)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (spec, oa, ob)
+
+
+@pytest.mark.parametrize("grid", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("nv, order", [(nv, order) for nv, order in LAYOUTS if order >= 1])
+def test_derivative_is_a_column_of_the_partials(nv, order, grid):
+    sp = JetSpace.get(nv, order)
+    coeffs = np.random.default_rng(10 * nv + order).standard_normal((sp.ncoeff,) + grid)
+    every = partials(coeffs, nv)
+    assert every.shape == (JetSpace.get(nv, order - 1).ncoeff, nv) + grid
+    for v in range(nv):
+        d = Jet(sp, coeffs).derivative(v)
+        assert d.space is JetSpace.get(nv, order - 1)
+        assert d.coeffs.tobytes() == every[:, v].tobytes()
+        assert partials(coeffs, nv, v).tobytes() == every[:, v].tobytes()
