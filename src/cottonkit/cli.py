@@ -278,9 +278,14 @@ def cmd_killing(args) -> int:
     m = load_metric(args.metric)
     with open(args.fields, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise _CliError(f"fields file must be a JSON object, got {type(payload).__name__}")
     unknown = set(payload) - {"coordinates", "parameters", "fields"}
     if unknown:
         raise _CliError(f"unknown fields-file keys: {sorted(unknown)}")
+    fields = payload.get("fields")
+    if not isinstance(fields, list) or not fields:
+        raise _CliError(f"fields file needs a non-empty \"fields\" list, got {fields!r}")
     if payload.get("coordinates", list(m.coords)) != list(m.coords):
         raise _CliError(f"fields-file coordinates {payload['coordinates']!r} do not match the metric's {list(m.coords)!r}")
     params = payload.get("parameters", {})
@@ -291,7 +296,7 @@ def cmd_killing(args) -> int:
             raise _CliError(f"fields-file parameter {name}={value!r} is not in the metric's parameters {dict(m.env)!r}")
     grid = _parse_grid_spec(args.grid, m.coords)
     reports = []
-    for k, comps in enumerate(payload["fields"]):
+    for k, comps in enumerate(fields):
         xi = VectorFieldSpec.parse(comps)
         reports.append(killing_residual(m, xi, grid, tolerance=TOL["killing"], check_id=f"killing:field{k}"))
     return _emit_reports(reports, cfg)

@@ -3,10 +3,13 @@
 Every quantity is a tensor jet over jet-valued coordinates, so derivatives
 of curvature (needed for the Cotton tensor, its conservation law, and
 Killing prolongation) come out exact: differentiating a jet is an index
-shift, not a finite difference.  This module writes the index algebra as
-einsum specs that the ``jets`` kernels run.  The jet order of the metric
-seeds sets how many derivatives of the output are trustworthy; each public
-operation picks the minimal order it needs.
+shift, not a finite difference.  The jets run over only the coordinates
+that the metric and the caller's expressions read, while tensor indices
+span all coordinates; a derivative by another coordinate is an exact zero.
+This module writes the index algebra as einsum specs that the ``jets``
+kernels run.  The jet order of the metric seeds sets how many derivatives
+of the output are trustworthy; each public operation picks the minimal
+order it needs.
 
 Sign conventions.  Riemann is
 ``R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
@@ -33,6 +36,7 @@ from .exprlang import (
     _expr_jet,
     coordinate_seeds,
     eval_tensor,
+    free_symbols,
     parse_expr,
     to_text,
     validate_symbols,
@@ -109,6 +113,12 @@ class MetricSpec:
                     validate_symbols(self.components[i][j], allowed)
                 except ExprEvalError as err:
                     raise GeometryError(f"component ({i},{j}): {err}") from err
+
+    @cached_property
+    def reads(self) -> frozenset[str]:
+        """The coordinates that the components read."""
+        used = set().union(*(free_symbols(e) for row in self.components for e in row))
+        return frozenset(self.coords) & used
 
     @staticmethod
     def from_components(
@@ -229,20 +239,47 @@ _COFACTORS = {dim: _cofactor_layout(dim) for dim in (2, 3)}
 
 class _Pipeline:
     """The jet curvature engine on a metric's tensor jet g, (ncoeff, dim,
-    dim, *grid), at the jet order of g.  Every quantity from g on is a tensor
-    jet, its determinant a scalar jet over the same layout, det and g^-1 one
-    order below g (the order of dg, the most any consumer reads).  Each is
-    built on first use and kept.  ``orientation`` signs the Cotton tensor's
-    permutation symbol; a degenerate metric error names ``point``."""
+    dim, *grid), at the jet order of g.  The jets run over the coordinates
+    ``axes`` (all of them by default), in a len(axes)-variable layout, while
+    every tensor index spans all dim coordinates; ``grad`` and ``partial``
+    give a derivative by an unseeded coordinate as an exact zero.  Every
+    quantity from g on is a tensor jet, its determinant a scalar jet over the
+    same layout, det and g^-1 one order below g (the order of dg, the most
+    any consumer reads).  Each is built on first use and kept.
+    ``orientation`` signs the Cotton tensor's permutation symbol; a
+    degenerate metric error names ``point``."""
 
-    def __init__(self, g: np.ndarray, orientation: int, point):
+    def __init__(self, g: np.ndarray, orientation: int, point, axes: Optional[Sequence[int]] = None):
         self.g = g
         self.dim = g.shape[1]
+        self.axes = tuple(range(self.dim) if axes is None else axes)
+        self.nv = len(self.axes)
         self.orientation = orientation
         self.point = point
-        order = JetSpace.for_length(len(g), self.dim).order
-        self._g_low = g[: JetSpace.get(self.dim, max(order - 1, 0)).ncoeff]
+        order = JetSpace.for_length(len(g), self.nv).order
+        self._g_low = g[: JetSpace.get(self.nv, max(order - 1, 0)).ncoeff]
         self._sqrt_abs_det: dict[int, Jet] = {}
+
+    def jet(self, coeffs: np.ndarray) -> Jet:
+        """A scalar jet in the pipeline's layout."""
+        return Jet(JetSpace.for_length(len(coeffs), self.nv), coeffs)
+
+    def grad(self, T: np.ndarray) -> np.ndarray:
+        """Partials of a tensor (or scalar) jet, one order lower:
+        ``out[c, l, ...]`` is coefficient c of d_l T for every coordinate l."""
+        d = partials(T, self.nv)
+        if self.nv == self.dim:
+            return d
+        out = np.zeros(d.shape[:1] + (self.dim,) + d.shape[2:])
+        out[:, self.axes] = d
+        return out
+
+    def partial(self, T: np.ndarray, l: int) -> np.ndarray:
+        """Coefficients of d_l T, one order lower."""
+        if l in self.axes:
+            return partials(T, self.nv, self.axes.index(l))
+        order = JetSpace.for_length(len(T), self.nv).order
+        return np.zeros((JetSpace.get(self.nv, order - 1).ncoeff,) + T.shape[1:])
 
     @cached_property
     def _minors(self) -> np.ndarray:
@@ -251,7 +288,7 @@ class _Pipeline:
         factors = _COFACTORS[self.dim][3]
         if self.dim == 2:
             return self._g_low[(slice(None),) + factors[0]]
-        prod = column_products(self._g_low, factors[0], self._g_low, factors[1], 3)  # both products of each minor
+        prod = column_products(self._g_low, factors[0], self._g_low, factors[1], self.nv)  # both products of each minor
         half = prod.shape[1] // 2
         return prod[:, :half] - prod[:, half:]
 
@@ -259,12 +296,12 @@ class _Pipeline:
     def det(self) -> Jet:
         """Expansion along the first row: g_00 M_00 - g_01 M_01 (+ g_02 M_02)."""
         first = np.arange(self.dim)
-        terms = column_products(self._g_low, (np.zeros_like(first), first), self._minors, (first,), self.dim)
+        terms = column_products(self._g_low, (np.zeros_like(first), first), self._minors, (first,), self.nv)
         det = terms[:, 0] - terms[:, 1]
         if self.dim == 3:
             det = det + terms[:, 2]
         _check_det(det[0], self.g[0], self.point, self.dim)
-        return Jet(JetSpace.for_length(len(det), self.dim), det)
+        return self.jet(det)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -272,7 +309,7 @@ class _Pipeline:
         i, j, sign, _ = _COFACTORS[self.dim]
         n = np.arange(len(i))
         signed = self._minors * sign.reshape((-1,) + (1,) * (self.g.ndim - 3))
-        cof = column_products(signed, (n,), (1.0 / self.det).coeffs[:, None], (np.zeros_like(n),), self.dim)
+        cof = column_products(signed, (n,), (1.0 / self.det).coeffs[:, None], (np.zeros_like(n),), self.nv)
         del self._minors
         out = np.empty(cof.shape[:1] + self.g.shape[1:])
         out[:, i, j] = out[:, j, i] = cof
@@ -281,12 +318,12 @@ class _Pipeline:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Gamma^k_{ij}, indexed [c, k, i, j]."""
-        dg = partials(self.g, self.dim)  # [c, l, i, j] = d_l g_ij
+        dg = self.grad(self.g)  # [c, l, i, j] = d_l g_ij
         lower = np.einsum("cjli...->clij...", dg) + np.einsum("cilj...->clij...", dg)
         lower -= dg
         lower *= 0.5
         del dg  # not held through the product: on grids it is the largest temporary
-        return tensor_mul(self.ginv, lower, "kl...,lij...->kij...", self.dim)
+        return tensor_mul(self.ginv, lower, "kl...,lij...->kij...", self.nv)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -294,8 +331,8 @@ class _Pipeline:
         of d_m Gamma^r_{ns} + Gamma^r_{ml} Gamma^l_{ns}."""
         gam = self.gamma
         # [c, r, s, m, n] = d_m Gamma^r_{ns}, a view of the partials in place
-        half = np.einsum("cmrns...->crsmn...", partials(gam, self.dim))
-        half += tensor_mul(gam[: len(half)], gam, "rml...,lns...->rsmn...", self.dim)
+        half = np.einsum("cmrns...->crsmn...", self.grad(gam))
+        half += tensor_mul(gam[: len(half)], gam, "rml...,lns...->rsmn...", self.nv)
         return half - np.swapaxes(half, 3, 4)
 
     @cached_property
@@ -306,16 +343,16 @@ class _Pipeline:
         gam = self.gamma
         # d_m Gamma^l_{ls} - d_l Gamma^l_{ms} from partials of a trace and of
         # slices: on grids the full gradient of Gamma sets the peak memory
-        ric = np.einsum("cms...->csm...", partials(np.einsum("clls...->cs...", gam), self.dim))
+        ric = np.einsum("cms...->csm...", self.grad(np.einsum("clls...->cs...", gam)))
         for l in range(self.dim):  # only the partial d_l of slice l
-            ric -= partials(gam[:, l], self.dim, l)
-        ric += tensor_mul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.dim)
-        ric -= tensor_mul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.dim)
+            ric -= self.partial(gam[:, l], l)
+        ric += tensor_mul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.nv)
+        ric -= tensor_mul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.nv)
         return ric
 
     @cached_property
     def ricci_mixed(self) -> np.ndarray:
-        return tensor_mul(self.ginv, self.ricci_lower, "is...,sj...->ij...", self.dim)
+        return tensor_mul(self.ginv, self.ricci_lower, "is...,sj...->ij...", self.nv)
 
     @cached_property
     def ricci_mixed_deriv(self) -> np.ndarray:
@@ -323,8 +360,7 @@ class _Pipeline:
         return self.cov_deriv(self.ricci_mixed, 1, 1)
 
     def scalar(self) -> Jet:
-        r = tensor_mul(self.ginv, self.ricci_lower, "sm...,sm...->...", self.dim)
-        return Jet(JetSpace.for_length(len(r), self.dim), r)
+        return self.jet(tensor_mul(self.ginv, self.ricci_lower, "sm...,sm...->...", self.nv))
 
     def sqrt_abs_det(self, order: Optional[int] = None) -> Jet:
         """sqrt|det g| as a jet of the given order (default: det's own, one
@@ -341,20 +377,20 @@ class _Pipeline:
         ``downs`` trailing lower indices, with the derivative index last; the
         jet order drops by one."""
         idx = "ijkmnopq"[: ups + downs]
-        out = np.moveaxis(partials(T, self.dim), 1, len(idx) + 1)
+        out = np.moveaxis(self.grad(T), 1, len(idx) + 1)
         gam = self.gamma[: len(out)]
         for pos, i in enumerate(idx):
             rep = idx.replace(i, "l")
             if pos < ups:
-                out += tensor_mul(gam, T, f"{i}al...,{rep}...->{idx}a...", self.dim)
+                out += tensor_mul(gam, T, f"{i}al...,{rep}...->{idx}a...", self.nv)
             else:
-                out -= tensor_mul(gam, T, f"la{i}...,{rep}...->{idx}a...", self.dim)
+                out -= tensor_mul(gam, T, f"la{i}...,{rep}...->{idx}a...", self.nv)
         return out
 
     def hessian(self, s: Jet) -> tuple[np.ndarray, np.ndarray]:
         """Values of (D_a D_b s, g^{ab} D_a D_b s) for a scalar jet s."""
-        ds = partials(s.coeffs, self.dim)
-        hess = partials(ds, self.dim)[0] - np.einsum("lab...,l...->ab...", self.gamma[0], ds[0])
+        ds = self.grad(s.coeffs)
+        hess = self.grad(ds)[0] - np.einsum("lab...,l...->ab...", self.gamma[0], ds[0])
         return hess, np.einsum("ab...,ab...->...", self.ginv[0], hess)
 
     def cotton(self) -> np.ndarray:
@@ -368,16 +404,23 @@ class _Pipeline:
         # delta g_{mn}; the lattice variation check pins it.  That is the
         # opposite Ricci sign from the scalar-curvature calibration, which
         # no magnitude-based Cotton property is sensitive to.
-        half_inv_sqrt = -0.5 / self.sqrt_abs_det(JetSpace.for_length(len(curl), 3).order)
-        return tensor_mul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", 3)
+        half_inv_sqrt = -0.5 / self.sqrt_abs_det(JetSpace.for_length(len(curl), self.nv).order)
+        return tensor_mul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", self.nv)
 
 
-def _metric_pipeline(m: MetricSpec, point, order: int) -> tuple[_Pipeline, dict]:
+def _metric_pipeline(m: MetricSpec, point, order: int, exprs: Sequence[ExprAst] = ()) -> tuple[_Pipeline, dict]:
     """The pipeline of a MetricSpec at a point (a float or a grid array per
-    coordinate) and jet order, and the coordinate seeds its tensor jet was
-    walked on."""
-    seeds = coordinate_seeds(m.coords, point, m.env, order)
-    return _Pipeline(eval_tensor(m.components, seeds), m.orientation, point), seeds
+    coordinate) and jet order, and the bindings its tensor jet was walked on.
+    Only the coordinates that the components or ``exprs`` read are seeded
+    as jet variables, the first coordinate for a constant metric; the others
+    are bound as plain values."""
+    if len(point) != m.dim:
+        raise GeometryError(f"need one point value per coordinate, got {len(point)} for {list(m.coords)}")
+    read = m.reads.union(*map(free_symbols, exprs))
+    axes = [a for a, c in enumerate(m.coords) if c in read] or [0]
+    seeds = coordinate_seeds([m.coords[a] for a in axes], [point[a] for a in axes], m.env, order)
+    pipe = _Pipeline(eval_tensor(m.components, seeds), m.orientation, point, axes)
+    return pipe, {**dict(zip(m.coords, point)), **seeds}
 
 
 def _eps3(orientation: int) -> np.ndarray:
@@ -531,7 +574,7 @@ def covariant_hessian_at(
     m: MetricSpec, s: ExprAst, p: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """(D_a D_b s, g^{ab} D_a D_b s) for a scalar field expression."""
-    pipe, seeds = _metric_pipeline(m, tuple(float(v) for v in p), 2)
+    pipe, seeds = _metric_pipeline(m, tuple(float(v) for v in p), 2, (s,))
     hess, box = pipe.hessian(_expr_jet(s, seeds))
     return hess, float(box)
 

@@ -710,7 +710,7 @@ def lift_flat_kink(
 
 
 def _lift_field_data(lift: LiftedKink, xs: np.ndarray):
-    pipe, seeds = _metric_pipeline(lift.metric, (np.zeros_like(xs), xs), 2)
+    pipe, seeds = _metric_pipeline(lift.metric, (np.zeros_like(xs), xs), 2, (lift.f,))
     fj = _expr_jet(lift.f, seeds)
     hess, box = pipe.hessian(fj)
     return np.asarray(fj.value), pipe.g[0], hess, box

@@ -53,7 +53,6 @@ from .geometry import (
     metric_from_dict,
     metric_to_dict,
 )
-from .jets import Jet, JetSpace, partials
 from .report import CheckReport, Span
 
 __all__ = [
@@ -225,9 +224,9 @@ class _ReducedJets:
     strength f at a (possibly batched) point."""
 
     def __init__(self, rd: ReducedData, point, order: int = 4):
-        self.pipe, seeds = _metric_pipeline(rd.g2, point, order)
-        da = partials(eval_tensor(rd.a, seeds), 2)  # [c, l, mu] = d_l a_mu
-        curl = Jet(JetSpace.for_length(len(da), 2), da[:, 0, 1] - da[:, 1, 0])
+        self.pipe, seeds = _metric_pipeline(rd.g2, point, order, rd.a)
+        da = self.pipe.grad(eval_tensor(rd.a, seeds))  # [c, l, mu] = d_l a_mu
+        curl = self.pipe.jet(da[:, 0, 1] - da[:, 1, 0])
         self.f = curl / self.pipe.sqrt_abs_det(curl.order) * rd.g2.orientation
 
 
@@ -270,7 +269,7 @@ def eom_grid(rd: ReducedData, pts: np.ndarray) -> dict:
     pipe, f = jets.pipe, jets.f
     r = pipe.scalar()
     phi_j = r + 3.0 * (f * f)
-    dphi = np.array([phi_j.derivative(0).value, phi_j.derivative(1).value])
+    dphi = pipe.grad(phi_j.coeffs)[0]
     eq11 = np.max(np.abs(dphi), axis=0)
 
     hessv, boxv = pipe.hessian(f)

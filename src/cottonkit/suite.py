@@ -38,7 +38,7 @@ from .geometry import (
     metric_values_grid,
     pullback_metric_grid,
 )
-from .jets import JetSpace, partials
+from .jets import JetSpace
 from .kink import (
     _MULTISECTION,
     _RESOLUTION,
@@ -699,7 +699,7 @@ def check_geometry_identities(
             pts = rng.uniform(-1.0, 1.0, (points_per_metric, 3))
             pipe = _metric_pipeline(m, tuple(pts[:, i] for i in range(3)), 2)[0]
             gv = pipe.g[0]
-            dgv = partials(pipe.g, 3)[0]  # [l, i, j] = d_l g_ij
+            dgv = pipe.grad(pipe.g)[0]  # [l, i, j] = d_l g_ij
             gamv = pipe.gamma[0]
             # D_l g_ij = d_l g_ij - Gamma^r_{li} g_rj - Gamma^r_{lj} g_ir
             comp = dgv - np.einsum("rli...,rj...->lij...", gamv, gv)

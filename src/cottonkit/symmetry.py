@@ -69,11 +69,11 @@ def killing_residual_values(m: MetricSpec, xi: VectorFieldSpec, grid: np.ndarray
     if len(xi.components) != m.dim:
         raise GeometryError("vector field dimension does not match the metric")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    pipe, seeds = _metric_pipeline(m, tuple(grid[:, i] for i in range(m.dim)), 1)
+    pipe, seeds = _metric_pipeline(m, tuple(grid[:, i] for i in range(m.dim)), 1, xi.components)
     g = pipe.g[0]
-    dg = partials(pipe.g, m.dim)[0]  # [l, a, b] = d_l g_ab
+    dg = pipe.grad(pipe.g)[0]  # [l, a, b] = d_l g_ab
     xij = eval_tensor(xi.components, seeds)  # [c, mu, ...]
-    dxi = partials(xij, m.dim)[0]  # [a, l] = d_a xi^l
+    dxi = pipe.grad(xij)[0]  # [a, l] = d_a xi^l
     # L_xi g_ab = d_a xi^l g_lb + d_b xi^l g_al + xi^l d_l g_ab
     flow = np.einsum("al...,lb...->ab...", dxi, g)
     lie = flow + np.swapaxes(flow, 0, 1) + np.einsum("l...,lab...->ab...", xij[0], dg)

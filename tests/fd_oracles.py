@@ -18,9 +18,12 @@ order of ``jets.tensor_mul``'s shift path) or summed by ``np.add.reduceat``
 (its gather path); each path is pinned to its sum bit for bit.
 
 The metric-jet reference is the per-component loop: one ``_eval`` walk per
-upper-triangle component of a ``MetricSpec``, to which the tensor jet that
-``geometry._metric_pipeline`` builds through ``eval_tensor`` is pinned bit
-for bit.
+upper-triangle component of a ``MetricSpec`` on seeds of every coordinate,
+to which the tensor jet that ``geometry._metric_pipeline`` builds through
+``eval_tensor`` is pinned bit for bit at the coefficients of the coordinates
+it seeds.  The curvature reference is ``all_coordinate_pipeline``, the same
+engine with every coordinate seeded, to which the pipeline's outputs are
+pinned bit for bit.
 
 The jets-fd references are the random-expression generator as text that
 ``parse_expr`` reads, and ``suite.check_jets_fd`` as one ``_eval`` walk per
@@ -38,8 +41,8 @@ import math
 import numpy as np
 
 from cottonkit import reduction
-from cottonkit.exprlang import _eval, _expr_jet, coordinate_seeds, eval_array, parse_expr, to_text
-from cottonkit.geometry import MetricSpec, _eps3
+from cottonkit.exprlang import _eval, _expr_jet, coordinate_seeds, eval_array, eval_tensor, parse_expr, to_text
+from cottonkit.geometry import MetricSpec, _eps3, _Pipeline
 from cottonkit.jets import Jet, JetSpace
 from cottonkit.oracles import fd_partial, telescope_partials, telescope_seeds
 from cottonkit.report import _argworst
@@ -57,6 +60,20 @@ def metric_fn(m: MetricSpec):
         )
 
     return g
+
+
+def all_coordinate_pipeline(m: MetricSpec, point, order: int, exprs=()) -> tuple[_Pipeline, dict]:
+    """``geometry._metric_pipeline`` with every coordinate seeded, whatever
+    the metric and ``exprs`` read."""
+    seeds = coordinate_seeds(m.coords, point, m.env, order)
+    return _Pipeline(eval_tensor(m.components, seeds), m.orientation, point), seeds
+
+
+def seeded_coefficients(nv: int, order: int, axes) -> np.ndarray:
+    """Which coefficients of the nv-variable layout differentiate only by
+    the variables ``axes``: in order, the len(axes)-variable layout's."""
+    off = [v for v in range(nv) if v not in axes]
+    return np.array([not any(alpha[v] for v in off) for alpha in JetSpace.get(nv, order).alphas])
 
 
 def tensor_mul_pairs(A: np.ndarray, B: np.ndarray, spec: str, nv: int, reduceat: bool = False) -> np.ndarray:

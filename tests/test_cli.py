@@ -526,6 +526,24 @@ def test_killing_non_string_field_component_exit_two(tmp_path):
     assert err == "error: syntax error at position 1: expected expression text, got int 1\n"
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"fields": []}, 'fields file needs a non-empty "fields" list, got []'),
+        ({}, 'fields file needs a non-empty "fields" list, got None'),
+        ([["1", "0", "0"]], "fields file must be a JSON object, got list"),
+    ],
+)
+def test_killing_fields_file_without_fields_exit_two(tmp_path, payload, message):
+    # an empty list passed with an empty report, a missing key and a
+    # top-level list ended in a KeyError or TypeError traceback
+    fields = tmp_path / "fields.json"
+    fields.write_text(json.dumps(payload))
+    code, out, err = run_cli("killing", "--metric", str(_flat_metric(tmp_path)), "--fields", str(fields))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_report_writes_the_chosen_format_to_stdout(tmp_path, monkeypatch, fmt):
     # --format csv and json wrote no body; the summary line goes to stderr

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fd_oracles import christoffel_fd, cotton_fd, metric_jet_per_component
+from fd_oracles import christoffel_fd, cotton_fd, metric_jet_per_component, seeded_coefficients
 from cottonkit.exprlang import ExprEvalError, parse_expr
 from cottonkit.geometry import (
     DegenerateMetricError,
@@ -25,6 +25,7 @@ from cottonkit.geometry import (
     pullback_metric_grid,
 )
 from cottonkit.oracles import random_smooth_metric
+from cottonkit.symmetry import killing_dimension_estimate
 
 
 def case_a_2d(C):
@@ -105,16 +106,20 @@ def _metric_jet_cases():
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_pipeline_metric_jet_equals_the_component_loop(order):
-    # the builder's one eval_tensor call gives the per-component loop's g bit for bit
+    # the builder's one eval_tensor call gives the per-component loop's g bit
+    # for bit at the coefficients of the coordinates it seeds; the loop's
+    # other coefficients are zero
     from cottonkit.geometry import _metric_pipeline
 
     for m, pts in _metric_jet_cases():
         assert len(pts) == 343
         for point in (tuple(pts[100]), tuple(pts[:, i] for i in range(m.dim))):
-            got = _metric_pipeline(m, point, order)[0].g
+            pipe = _metric_pipeline(m, point, order)[0]
             want = metric_jet_per_component(m, point, order)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (m.coords, m.components[0][0], order)
+            kept = seeded_coefficients(m.dim, order, pipe.axes)
+            assert pipe.g.shape == want[kept].shape
+            assert pipe.g.tobytes() == want[kept].tobytes(), (m.coords, m.components[0][0], order)
+            assert not np.any(want[~kept])
 
 
 def test_degeneracy_floor_is_relative_to_metric_scale():
@@ -630,3 +635,157 @@ def test_orientation_flag_flips_cotton_sign():
     minus = MetricSpec.from_components(("t", "x", "y"), comps, orientation=-1)
     p = (1.1, 0.7, -0.4)
     np.testing.assert_allclose(cotton_at(plus, p).c, -cotton_at(minus, p).c, atol=1e-15)
+
+
+# -- seeded coordinates ------------------------------------------------------------
+#
+# The pipeline seeds only the coordinates that the metric and the caller's
+# expressions read.  Every output equals the all-coordinate route, the same
+# engine on seeds of every coordinate, bit for bit (as int64 views).
+
+
+def _all_coordinate_route(mp):
+    from fd_oracles import all_coordinate_pipeline
+
+    from cottonkit import geometry, kink, reduction, suite, symmetry
+
+    for module in (geometry, kink, reduction, suite, symmetry):
+        mp.setattr(module, "_metric_pipeline", all_coordinate_pipeline)
+
+
+def _bits(value) -> tuple:
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    return value.shape, value.view(np.int64).tobytes()
+
+
+def _seeding_metric(name: str):
+    """A metric and 343 points: a catalog branch as "tag@C", flat, one that
+    reads t and y, or a random smooth one (all three)."""
+    from cottonkit.catalog import SolutionCase, solution_3d, standard_grid
+
+    rng = np.random.default_rng(31)
+    if "@" in name:
+        tag, C = name.split("@")
+        case = SolutionCase.at(tag, float(C))
+        return solution_3d(case).metric, standard_grid(case, 3, 7)
+    if name == "flat":
+        m = flat_metric()
+    elif name == "t-and-y":
+        m = MetricSpec.from_components(
+            ("t", "x", "y"),
+            {"t,t": "1+0.1*sin(t+0.3*y)", "x,x": "-1-0.05*cos(y)", "t,y": "0.02*t*y", "y,y": "-1"},
+        )
+    else:
+        m = random_smooth_metric(rng, amplitude=0.3)
+    return m, rng.uniform(-1.0, 1.0, (343, 3))
+
+
+def _seeded_outputs(m, pts) -> list:
+    out = []
+    for n in (1, 8, 9, 343):
+        for order in (3, 4):
+            out += [(f"cotton{order}/{n}/{k}", _bits(v)) for k, v in cotton_grid(m, pts[:n], order).items()]
+        for order in (2, 3, 4):
+            out += [(f"curvature{order}/{n}/{k}", _bits(v)) for k, v in curvature_grid(m, pts[:n], order).items()]
+    ch = christoffel_at(m, pts[100])
+    out += [(f"christoffel/{k}", _bits(getattr(ch, k))) for k in ("g", "g_inv", "gamma")]
+    return out + [(f"killing-dim{d}", killing_dimension_estimate(m, pts[100], d)) for d in (1, 2)]
+
+
+_CATALOG_SEEDING = [f"{tag}@{C}" for tag in ("a", "b", "c+", "c-", "kink+", "kink-") for C in ("0.25", "1", "9")]
+
+
+@pytest.mark.parametrize("name", _CATALOG_SEEDING + ["flat", "t-and-y", "random"])
+def test_seeded_coordinates_equal_the_all_coordinate_route_bit_for_bit(monkeypatch, name):
+    m, pts = _seeding_metric(name)
+    got = _seeded_outputs(m, pts)
+    with monkeypatch.context() as mp:
+        _all_coordinate_route(mp)
+        want = _seeded_outputs(m, pts)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert [k for (k, a), (_, b) in zip(got, want) if a != b] == []
+
+
+@pytest.mark.parametrize(
+    "name, axes, ncoeff",
+    [("kink+@1", (1,), 4), ("a@1", (0,), 4), ("flat", (0,), 4), ("t-and-y", (0, 2), 10), ("random", (0, 1, 2), 20)],
+)
+def test_pipeline_seeds_only_the_coordinates_the_metric_reads(name, axes, ncoeff):
+    # dense seeding gives every metric the 20-coefficient jet of order 3
+    from cottonkit.geometry import _metric_pipeline
+
+    m, pts = _seeding_metric(name)
+    for point in (tuple(pts[0]), tuple(pts[:, i] for i in range(3))):
+        pipe = _metric_pipeline(m, point, 3)[0]
+        assert (pipe.axes, len(pipe.g), pipe.gamma.shape[1:4]) == (axes, ncoeff, (3, 3, 3))
+
+
+def test_killing_residual_of_a_field_that_reads_an_unread_coordinate(monkeypatch):
+    from cottonkit.geometry import _metric_pipeline
+    from cottonkit.symmetry import VectorFieldSpec, killing_residual_values
+
+    m, pts = _seeding_metric("kink+@1")  # reads x only
+    xi = VectorFieldSpec.parse(("0.3*y", "0", "1+0.2*y^2"))
+    assert _metric_pipeline(m, tuple(pts[0]), 1, xi.components)[0].axes == (1, 2)
+    got = killing_residual_values(m, xi, pts)
+    with monkeypatch.context() as mp:
+        _all_coordinate_route(mp)
+        want = killing_residual_values(m, xi, pts)
+    assert np.max(want) > 0.1  # d_y xi breaks the symmetry that d_y g = 0 keeps
+    assert _bits(got) == _bits(want)
+
+
+def test_covariant_hessian_of_a_scalar_that_reads_an_unread_coordinate(monkeypatch):
+    from cottonkit.geometry import _metric_pipeline
+
+    m, pts = _seeding_metric("kink+@1")
+    s = parse_expr("t^2*x + sin(t)")
+    assert _metric_pipeline(m, tuple(pts[7]), 2, (s,))[0].axes == (0, 1)
+    got = covariant_hessian_at(m, s, pts[7])
+    with monkeypatch.context() as mp:
+        _all_coordinate_route(mp)
+        want = covariant_hessian_at(m, s, pts[7])
+    assert abs(want[0][0, 0]) > 0.1  # d_t d_t s
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+def test_reduced_jets_with_a_gauge_field_that_reads_time(monkeypatch):
+    import dataclasses
+
+    from cottonkit.catalog import SolutionCase, solution_2d, standard_grid
+    from cottonkit.reduction import _ReducedJets, eom_grid
+
+    case = SolutionCase.at("kink+", 1.0)
+    rd = solution_2d(case).rd  # its metric reads x only
+    rd = dataclasses.replace(rd, a=(parse_expr("0.1*x"), parse_expr("0.3*t^2 + x")))
+    pts = standard_grid(case, 2, 9)
+    point = tuple(pts[:, i] for i in range(2))
+    got = _ReducedJets(rd, point, 4)
+    got_eom = eom_grid(rd, pts)
+    with monkeypatch.context() as mp:
+        _all_coordinate_route(mp)
+        want = _ReducedJets(rd, point, 4)
+        want_eom = eom_grid(rd, pts)
+    assert got.pipe.axes == want.pipe.axes == (0, 1)
+    assert _bits(got.f.coeffs) == _bits(want.f.coeffs)
+    assert {k: _bits(v) for k, v in got_eom.items()} == {k: _bits(v) for k, v in want_eom.items()}
+
+
+def test_lift_residuals_equal_the_all_coordinate_route(monkeypatch):
+    from cottonkit.kink import _lift_field_data, lift_flat_kink, lift_residuals, phi4_potential
+
+    p, k = phi4_potential(1.0)
+    lift = lift_flat_kink(p, k)
+    xs = np.linspace(-6.0, 6.0, 49)
+    got = lift_residuals(p, lift, xs).to_dict(stable=True), [_bits(v) for v in _lift_field_data(lift, xs)]
+    with monkeypatch.context() as mp:
+        _all_coordinate_route(mp)
+        want = lift_residuals(p, lift, xs).to_dict(stable=True), [_bits(v) for v in _lift_field_data(lift, xs)]
+    assert got == want
+
+
+@pytest.mark.parametrize("point", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+def test_pipeline_needs_one_point_value_per_coordinate(point):
+    # a point of another length is refused, never truncated to the coordinates
+    with pytest.raises(ValueError, match=r"need one point value per coordinate, got \d for \['t', 'x', 'y'\]"):
+        curvature_at(flat_metric(), point)
