@@ -241,8 +241,8 @@ class _Pipeline:
     """The jet curvature engine on a metric's tensor jet g, (ncoeff, dim,
     dim, *grid), at the jet order of g.  The jets run over the coordinates
     ``axes`` (all of them by default), in a len(axes)-variable layout, while
-    every tensor index spans all dim coordinates; ``grad`` and ``partial``
-    give a derivative by an unseeded coordinate as an exact zero.  Every
+    every tensor index spans all dim coordinates; ``grad`` gives a
+    derivative by an unseeded coordinate as an exact zero.  Every
     quantity from g on is a tensor jet, its determinant a scalar jet over the
     same layout, det and g^-1 one order below g (the order of dg, the most
     any consumer reads).  Each is built on first use and kept.
@@ -273,13 +273,6 @@ class _Pipeline:
         out = np.zeros(d.shape[:1] + (self.dim,) + d.shape[2:])
         out[:, self.axes] = d
         return out
-
-    def partial(self, T: np.ndarray, l: int) -> np.ndarray:
-        """Coefficients of d_l T, one order lower."""
-        if l in self.axes:
-            return partials(T, self.nv, self.axes.index(l))
-        order = JetSpace.for_length(len(T), self.nv).order
-        return np.zeros((JetSpace.get(self.nv, order - 1).ncoeff,) + T.shape[1:])
 
     @cached_property
     def _minors(self) -> np.ndarray:
@@ -344,8 +337,8 @@ class _Pipeline:
         # d_m Gamma^l_{ls} - d_l Gamma^l_{ms} from partials of a trace and of
         # slices: on grids the full gradient of Gamma sets the peak memory
         ric = np.einsum("cms...->csm...", self.grad(np.einsum("clls...->cs...", gam)))
-        for l in range(self.dim):  # only the partial d_l of slice l
-            ric -= self.partial(gam[:, l], l)
+        for v, l in enumerate(self.axes):  # only the partial d_l of slice l, zero unless l is seeded
+            ric -= partials(gam[:, l], self.nv, v)
         ric += tensor_mul(gam[: len(ric)], gam, "lmk...,kls...->sm...", self.nv)
         ric -= tensor_mul(gam[: len(ric)], gam, "llk...,kms...->sm...", self.nv)
         return ric
