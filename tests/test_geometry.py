@@ -789,3 +789,127 @@ def test_pipeline_needs_one_point_value_per_coordinate(point):
     # a point of another length is refused, never truncated to the coordinates
     with pytest.raises(ValueError, match=r"need one point value per coordinate, got \d for \['t', 'x', 'y'\]"):
         curvature_at(flat_metric(), point)
+
+
+# -- grid tiles --------------------------------------------------------------------
+#
+# Grid calls run one pipeline per tile of points.  A tiled grid equals the
+# one-tile pass bit for bit (as int64 views), and its memory does not grow
+# with the grid.
+
+
+def _tiles_of(monkeypatch, m, npts: int, order: int, per_tile: int) -> int:
+    """Set the tile budget to per_tile points of m's layout at the order and
+    return the number of tiles of an npts grid."""
+    from cottonkit import geometry
+    from cottonkit.jets import JetSpace
+
+    nv = max(1, len(m.reads))
+    monkeypatch.setattr(geometry, "_TILE_BYTES", per_tile * JetSpace.get(nv, order).ncoeff * m.dim**3 * 8)
+    return len(geometry._tile_edges(npts, nv, order, m.dim)) - 1
+
+
+def _tiling_metric(name: str):
+    """A catalog branch as "tag@C" on its 1331-point standard grid, or a
+    random smooth metric on 1200 points."""
+    from cottonkit.catalog import SolutionCase, solution_3d, standard_grid
+
+    if "@" in name:
+        tag, C = name.split("@")
+        case = SolutionCase.at(tag, float(C))
+        return solution_3d(case).metric, standard_grid(case, 3, 11)
+    rng = np.random.default_rng(41)
+    return random_smooth_metric(rng, amplitude=0.3), rng.uniform(-1.0, 1.0, (1200, 3))
+
+
+@pytest.mark.parametrize("name", _CATALOG_SEEDING + ["random"])
+def test_tiled_grids_equal_one_tile_bit_for_bit(monkeypatch, name):
+    m, pts = _tiling_metric(name)
+    calls = [(curvature_grid, order) for order in (2, 3, 4)] + [(cotton_grid, order) for order in (3, 4)]
+    for (fn, order), per_tile in zip(calls, (700, 450, 300, 500, 350)):
+        ntiles = _tiles_of(monkeypatch, m, len(pts), order, per_tile)
+        assert 2 <= ntiles <= 5
+        tiled = {k: _bits(v) for k, v in fn(m, pts, order).items()}
+        assert _tiles_of(monkeypatch, m, len(pts), order, 10**6) == 1
+        whole = {k: _bits(v) for k, v in fn(m, pts, order).items()}
+        assert tiled == whole, (fn.__name__, order, ntiles)
+    assert "divergence" in tiled
+
+
+@pytest.mark.parametrize("fn", [curvature_grid, cotton_grid])
+def test_degenerate_point_in_a_later_tile_is_named_as_in_one_tile(monkeypatch, fn):
+    m = MetricSpec.from_components(("t", "x", "y"), {(0, 0): "x", (1, 1): "-1", (2, 2): "-1"})  # det = x
+    pts = np.random.default_rng(3).uniform(0.5, 1.0, (1200, 3))
+    pts[[1000, 1100], 1] = 0.0
+    errors = []
+    for per_tile in (300, 10**6):
+        assert _tiles_of(monkeypatch, m, len(pts), 3, per_tile) == (4 if per_tile == 300 else 1)
+        with pytest.raises(DegenerateMetricError) as info:
+            fn(m, pts)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"metric degenerate at ({float(pts[1000, 0])!r}, 0.0, {float(pts[1000, 2])!r})")
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16, 1 << 20, None])
+def test_every_tile_holds_more_points_than_the_gather_bound(monkeypatch, budget):
+    # A tile at or under jets._GATHER_MAX_ELEMENTS points would send its
+    # products down the gather path and move last bits; no budget may do that.
+    from cottonkit import geometry
+    from cottonkit.jets import _GATHER_MAX_ELEMENTS
+
+    if budget is not None:
+        monkeypatch.setattr(geometry, "_TILE_BYTES", budget)
+    tiled = 0
+    for nv in (1, 2, 3):
+        for order in (2, 3, 4):
+            for dim in (2, 3):
+                for npts in [*range(0, 3000, 7), 4096, 8192, 27000, 10**5]:
+                    edges = geometry._tile_edges(npts, nv, order, dim)
+                    assert edges[0] == 0 and edges[-1] == npts
+                    sizes = np.diff(edges)
+                    if len(sizes) > 1:
+                        tiled += 1
+                        assert sizes.min() > _GATHER_MAX_ELEMENTS, (nv, order, dim, npts)
+                        assert sizes.max() - sizes.min() <= 1
+    assert tiled > 0
+
+
+def test_identities_check_memory_does_not_grow_with_the_grid():
+    import tracemalloc
+
+    m = random_smooth_metric(np.random.default_rng(12))
+    pts = np.random.default_rng(13).uniform(-1.0, 1.0, (8192, 3))
+    cotton_identities_check(m, pts[:400])  # fill the layout and expression caches first
+    peaks = []
+    for n in (4096, 8192):
+        tracemalloc.start()
+        try:
+            cotton_identities_check(m, pts[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    for key, v in cotton_grid(m, pts[:4096], order=4).items():
+        assert v.base is None or v.base.nbytes <= v.nbytes, key  # no view pins a tile's jets
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2), (4, 4), (2, 3, 1)])
+@pytest.mark.parametrize("fn", [curvature_grid, cotton_grid, cotton_identities_check])
+def test_grid_calls_name_the_expected_point_shape(fn, shape):
+    with pytest.raises(GeometryError, match=re.escape(f"shape (npts, 3), got shape {shape}")):
+        fn(flat_metric(), np.zeros(shape))
+
+
+def test_empty_grid_gives_empty_values_and_no_check_verdict():
+    from cottonkit.geometry import cotton_vanishing_check
+
+    m, empty = random_smooth_metric(np.random.default_rng(7)), np.zeros((0, 3))
+    assert curvature_grid(m, empty)["riemann"].shape == (3, 3, 3, 3, 0)
+    assert {k: v.shape[-1] for k, v in cotton_grid(m, empty, order=4).items()} == dict.fromkeys(
+        ("cotton", "g", "det", "ricci", "scale", "divergence"), 0
+    )
+    with pytest.raises(GeometryError, match="cotton-identities: the grid has no points"):
+        cotton_identities_check(m, empty)
+    with pytest.raises(GeometryError, match="cotton: the grid has no points"):
+        cotton_vanishing_check(m, empty, 1e-8)
