@@ -11,11 +11,18 @@ kernels run.  The jet order of the metric seeds sets how many derivatives
 of the output are trustworthy; each public operation picks the minimal
 order it needs.
 
-Grids run in tiles.  ``curvature_grid`` and ``cotton_grid``, and so every
-grid check, build one pipeline per tile of near-equal size whose tensor
-jets fit ``_TILE_BYTES``; several tiles write their order-0 values into
-arrays allocated once and keep no jets, so memory stops growing with the
-grid (loop tiling: Lam, Rothberg and Wolf, "The cache performance and
+Grids run once per distinct point, in tiles.  ``curvature_grid`` and
+``cotton_grid``, and so every grid check, build the pipeline only on the
+distinct rows of the coordinates it seeds (compared as bit patterns, so
+-0.0 and 0.0 stay apart), in first-occurrence order, and gather each
+order-0 value back to the grid: a catalog metric reads one coordinate, so
+its 4096-point standard grid holds 16 distinct points.  The distinct rows
+are repeated cyclically up to ``jets._GATHER_MAX_ELEMENTS`` + 1 = 193
+points, and grids of 193 points or fewer are not deduplicated at all.
+The rows then run in tiles: one pipeline per tile of near-equal size whose
+tensor jets fit ``_TILE_BYTES``; several tiles write their order-0 values
+into arrays allocated once and keep no jets, so memory stops growing with
+the grid (loop tiling: Lam, Rothberg and Wolf, "The cache performance and
 optimizations of blocked algorithms", ASPLOS 1991).  A tile holds more
 than ``jets._GATHER_MAX_ELEMENTS`` points, so each product takes the path
 it takes on the whole grid and every value equals one pass bit for bit.
@@ -419,6 +426,13 @@ class _Pipeline:
         return tensor_mul(half_inv_sqrt.coeffs, curl + np.swapaxes(curl, 1, 2), "...,ij...->ij...", self.nv)
 
 
+def _seeded_axes(m: MetricSpec, exprs: Sequence[ExprAst] = ()) -> list[int]:
+    """The coordinates seeded as jet variables: those that the components or
+    ``exprs`` read, the first coordinate when none is read."""
+    read = m.reads.union(*map(free_symbols, exprs))
+    return [a for a, c in enumerate(m.coords) if c in read] or [0]
+
+
 def _metric_pipeline(m: MetricSpec, point, order: int, exprs: Sequence[ExprAst] = ()) -> tuple[_Pipeline, dict]:
     """The pipeline of a MetricSpec at a point (a float or a grid array per
     coordinate) and jet order, and the bindings its tensor jet was walked on.
@@ -427,8 +441,7 @@ def _metric_pipeline(m: MetricSpec, point, order: int, exprs: Sequence[ExprAst] 
     are bound as plain values."""
     if len(point) != m.dim:
         raise GeometryError(f"need one point value per coordinate, got {len(point)} for {list(m.coords)}")
-    read = m.reads.union(*map(free_symbols, exprs))
-    axes = [a for a, c in enumerate(m.coords) if c in read] or [0]
+    axes = _seeded_axes(m, exprs)
     seeds = coordinate_seeds([m.coords[a] for a in axes], [point[a] for a in axes], m.env, order)
     pipe = _Pipeline(eval_tensor(m.components, seeds), m.orientation, point, axes)
     return pipe, {**dict(zip(m.coords, point)), **seeds}
@@ -455,14 +468,50 @@ def _tile_edges(npts: int, nv: int, order: int, dim: int) -> list[int]:
     return [npts * k // ntiles for k in range(ntiles + 1)]
 
 
+def _distinct_rows(pts: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the rows of pts[:, axes], compared as int64 bit
+    patterns: ``first`` indexes the first occurrence of each distinct row,
+    in order of occurrence, and ``pts[first][inverse]`` equals pts at axes."""
+    keys = np.ascontiguousarray(pts[:, axes]).view(np.int64)
+    order = np.lexsort(keys.T)  # equal rows sort into runs; np.unique(axis=0) is several times slower
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.repeat(rank, np.diff(np.r_[starts, len(keys)]))
+    return first[by_first], inverse
+
+
 def _grid_values(m: MetricSpec, pts, order: int, values: Callable[[_Pipeline], dict]) -> dict:
     """``values`` of the pipeline over pts of shape (npts, dim), each array
-    with the grid axis last, one pipeline per tile (see ``_tile_edges``).
-    One tile's values are returned as they are; several tiles' are written
-    into arrays allocated once, so no tile's jets outlive it."""
+    with the grid axis last.
+
+    A grid of more than ``_GATHER_MAX_ELEMENTS`` + 1 = 193 points with
+    repeated rows of the seeded coordinates (``_seeded_axes``, compared as
+    bit patterns) runs on its distinct rows alone, in first-occurrence order
+    so a degenerate point is named as on the whole grid, repeated cyclically
+    up to 193 points so each product takes the shift path it takes on the
+    whole grid; each value is gathered back to the grid.  The rows run one
+    pipeline per tile (see ``_tile_edges``).  One tile's values are returned
+    as they are; several tiles' are written into arrays allocated once, so
+    no tile's jets outlive it."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != m.dim:
         raise GeometryError(f"grid points must be an array of shape (npts, {m.dim}), got shape {pts.shape}")
+    floor = _GATHER_MAX_ELEMENTS + 1
+    if len(pts) > floor:
+        first, inverse = _distinct_rows(pts, _seeded_axes(m))
+        if len(first) < len(pts):
+            rows = first[np.arange(max(len(first), floor)) % len(first)]
+            return {k: v[..., inverse] for k, v in _tiled_values(m, pts[rows], order, values).items()}
+    return _tiled_values(m, pts, order, values)
+
+
+def _tiled_values(m: MetricSpec, pts: np.ndarray, order: int, values: Callable[[_Pipeline], dict]) -> dict:
+    """``values`` over pts, one pipeline per tile (see ``_grid_values``)."""
     npts = len(pts)
     edges = _tile_edges(npts, max(1, len(m.reads)), order, m.dim)
     out: dict = {}
@@ -586,7 +635,8 @@ def _cotton_values(pipe: _Pipeline, divergence: bool) -> dict:
     return out
 
 
-def _require_points(grid: np.ndarray, check_id: str) -> None:
+def _require_points(grid: Sequence, check_id: str) -> None:
+    """Fail closed on an empty grid: a check with no points has no residual."""
     if not len(grid):
         raise GeometryError(f"{check_id}: the grid has no points, so there is no residual to report")
 

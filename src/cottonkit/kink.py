@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .exprlang import ExprAst, _expr_jet, coordinate_seeds, eval_array, parse_expr, substitute
-from .geometry import MetricSpec, _metric_pipeline, curvature_grid
+from .geometry import MetricSpec, _metric_pipeline, _require_points, curvature_grid
 from .jets import jet_extract
 from .report import CheckReport, Span
 
@@ -759,6 +759,7 @@ def lift_curvature_check(
     """Residual of r(metric) - (-V''(f)) over the grid."""
     span = Span()
     xs = np.asarray(grid, dtype=float).reshape(-1)
+    _require_points(xs, check_id)
     pts = np.column_stack([np.zeros_like(xs), xs])
     r = curvature_grid(lift.metric, pts)["scalar"]
     fv = _lift_field_data(lift, xs)[0]

@@ -48,6 +48,7 @@ from .geometry import (
     GeometryError,
     MetricSpec,
     _metric_pipeline,
+    _require_points,
     cotton_grid,
     curvature_grid,
     metric_from_dict,
@@ -315,6 +316,7 @@ def kk_curvature_relation_check(
     if abs(float(phi_val) - 1.0) > 1e-12 or free_symbols(rd.phi):
         raise GeometryError("the curvature relation check requires phi = 1")
     grid = np.asarray(grid, dtype=float)
+    _require_points(grid, check_id)
     if grid.shape[1] == 2:
         pts3 = np.column_stack([grid, np.zeros(len(grid))])
     else:
@@ -723,6 +725,7 @@ def lattice_cotton_variation_check_3d(
         stride = max(1, lattice.n // 4)
         rng = range(0, lattice.n, stride)
         sites = [(a, b, c) for a in rng for b in rng for c in rng][:27]
+    _require_points(sites, check_id)
     pts = np.array([[axes[0][a], axes[1][b], axes[2][c]] for a, b, c in sites])
     data = cotton_grid(m, pts, order=3)
     sqrtg = np.sqrt(np.abs(data["det"]))

@@ -23,7 +23,9 @@ to which the tensor jet that ``geometry._metric_pipeline`` builds through
 ``eval_tensor`` is pinned bit for bit at the coefficients of the coordinates
 it seeds.  The curvature reference is ``all_coordinate_pipeline``, the same
 engine with every coordinate seeded, to which the pipeline's outputs are
-pinned bit for bit.
+pinned bit for bit.  The grid reference is ``one_pipeline_grid``, one
+pipeline over every point of a grid, to which the deduplicated and tiled
+grids are pinned bit for bit.
 
 The jets-fd references are the random-expression generator as text that
 ``parse_expr`` reads, and ``suite.check_jets_fd`` as one ``_eval`` walk per
@@ -42,7 +44,8 @@ import numpy as np
 
 from cottonkit import reduction
 from cottonkit.exprlang import _eval, _expr_jet, coordinate_seeds, eval_array, eval_tensor, parse_expr, to_text
-from cottonkit.geometry import MetricSpec, _eps3, _Pipeline
+from cottonkit import geometry
+from cottonkit.geometry import MetricSpec, _eps3, _metric_pipeline, _Pipeline
 from cottonkit.jets import Jet, JetSpace
 from cottonkit.oracles import fd_partial, telescope_partials, telescope_seeds
 from cottonkit.report import _argworst
@@ -67,6 +70,15 @@ def all_coordinate_pipeline(m: MetricSpec, point, order: int, exprs=()) -> tuple
     the metric and ``exprs`` read."""
     seeds = coordinate_seeds(m.coords, point, m.env, order)
     return _Pipeline(eval_tensor(m.components, seeds), m.orientation, point), seeds
+
+
+def one_pipeline_grid(fn, m: MetricSpec, pts, order: int) -> dict:
+    """``geometry.curvature_grid`` or ``geometry.cotton_grid`` (``fn``) as one
+    pipeline over all of pts: no distinct rows and no tiles."""
+    pipe = _metric_pipeline(m, tuple(np.asarray(pts, dtype=float).T), order)[0]
+    if fn is geometry.curvature_grid:
+        return geometry._curvature_values(pipe)
+    return geometry._cotton_values(pipe, divergence=order >= 4)
 
 
 def seeded_coefficients(nv: int, order: int, axes) -> np.ndarray:

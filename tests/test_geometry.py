@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -913,3 +914,138 @@ def test_empty_grid_gives_empty_values_and_no_check_verdict():
         cotton_identities_check(m, empty)
     with pytest.raises(GeometryError, match="cotton: the grid has no points"):
         cotton_vanishing_check(m, empty, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "check_id",
+    ["kk-relation", "lift-curvature", "lattice-cotton-3d"],
+)
+def test_grid_checks_fail_closed_on_an_empty_grid(check_id):
+    from cottonkit.catalog import SolutionCase, solution_2d, solution_3d
+    from cottonkit.kink import lift_curvature_check, lift_flat_kink, phi4_potential
+    from cottonkit.reduction import Lattice3D, kk_curvature_relation_check, lattice_cotton_variation_check_3d
+
+    case = SolutionCase.at("kink+", 1.0)
+    if check_id == "kk-relation":
+        calls = [lambda g=g: kk_curvature_relation_check(solution_2d(case).rd, g) for g in (np.zeros((0, 2)), [])]
+    elif check_id == "lift-curvature":
+        p, k = phi4_potential(1.0)
+        calls = [lambda g=g: lift_curvature_check(p, lift_flat_kink(p, k), g) for g in (np.zeros(0), [])]
+    else:
+        m = solution_3d(case).metric
+        calls = [
+            lambda: lattice_cotton_variation_check_3d(m, Lattice3D(8, (0.5, 1.0, 0.0)), 0.1, sites=[]),
+            lambda: lattice_cotton_variation_check_3d(m, Lattice3D(0), 0.1),
+        ]
+    for call in calls:
+        with pytest.raises(GeometryError, match=f"^{check_id}: the grid has no points"):
+            call()
+
+
+# -- distinct points -------------------------------------------------------------
+#
+# A grid of more than 193 points runs the pipeline on the distinct rows of the
+# coordinates it seeds and gathers each value back.  Every value equals one
+# pipeline over all points (``fd_oracles.one_pipeline_grid``) bit for bit.
+
+_GRID_CALLS = [(curvature_grid, 2), (curvature_grid, 4), (cotton_grid, 3), (cotton_grid, 4)]
+
+
+def _pipeline_sizes(monkeypatch) -> list:
+    """Wrap ``geometry._metric_pipeline`` and return the list of the point
+    counts of the pipelines it builds."""
+    from cottonkit import geometry
+
+    sizes, build = [], geometry._metric_pipeline
+
+    def counted(m, point, order, exprs=()):
+        sizes.append(np.size(point[0]))
+        return build(m, point, order, exprs)
+
+    monkeypatch.setattr(geometry, "_metric_pipeline", counted)
+    return sizes
+
+
+def _repeating_metric(name: str, npts: int):
+    """A metric of ``_seeding_metric`` or g_xy = x^3, and npts points whose
+    seeded coordinates repeat (30 rows of the metric's points; x = -0.0,
+    0.0, 0.25 and -0.5 for x^3) while the other coordinates vary."""
+    rng = np.random.default_rng(npts)
+    if name == "x-cubed":
+        m = MetricSpec.from_components(("t", "x", "y"), {"t,t": "1", "x,x": "-1", "y,y": "-1", "x,y": "x^3"})
+        pts = rng.uniform(-1.0, 1.0, (npts, 3))
+        pts[:, 1] = np.array([-0.0, 0.0, 0.25, -0.5])[np.arange(npts) % 4]
+        return m, pts
+    m, base = _seeding_metric(name)
+    pts = base[rng.integers(0, 30, npts)]
+    unseeded = [a for a, c in enumerate(m.coords) if c not in m.reads]
+    pts[:, unseeded] += rng.uniform(-0.5, 0.5, (npts, len(unseeded)))
+    return m, pts
+
+
+@pytest.mark.parametrize("npts", [150, 192, 193, 194, 400])
+@pytest.mark.parametrize("name", ["kink+@1", "c-@9", "t-and-y", "random", "x-cubed"])
+def test_distinct_point_grids_equal_one_pipeline_bit_for_bit(monkeypatch, name, npts):
+    from fd_oracles import one_pipeline_grid
+
+    m, pts = _repeating_metric(name, npts)
+    for fn, order in _GRID_CALLS:
+        want = {k: _bits(v) for k, v in one_pipeline_grid(fn, m, pts, order).items()}
+        sizes = _pipeline_sizes(monkeypatch)
+        got = {k: _bits(v) for k, v in fn(m, pts, order).items()}
+        monkeypatch.undo()
+        assert got == want, (fn.__name__, order)
+        # grids of 193 points or fewer run whole, larger ones on 193 rows
+        assert sizes == [npts if npts <= 193 else 193], sizes
+    if name == "x-cubed":  # g_xy = -0.0 at x = -0.0 and 0.0 at x = 0.0
+        g = curvature_grid(m, pts)["g"][1, 2]
+        assert list(np.signbit(g[:2])) == [True, False]
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+@pytest.mark.parametrize("fn", [curvature_grid, cotton_grid])
+def test_degenerate_point_after_repeated_rows_is_named_as_by_one_pipeline(fn, bad):
+    from fd_oracles import one_pipeline_grid
+
+    m = MetricSpec.from_components(("t", "x", "y"), {(0, 0): "x", (1, 1): "-1", (2, 2): "-1"})  # det = x
+    pts = np.random.default_rng(5).uniform(0.5, 1.0, (400, 3))
+    pts[:, 1] = 0.5 + 0.125 * (np.arange(400) % 3)  # three rows of x, repeated from the fourth point on
+    # the first bad point, then a repeat of it and one whose bit pattern sorts before it
+    pts[[250, 300, 350], 1] = bad, bad, -1e-13
+    errors = []
+    for call in (fn, partial(one_pipeline_grid, fn)):
+        with pytest.raises(DegenerateMetricError) as info:
+            call(m, pts, 3)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"metric degenerate at ({float(pts[250, 0])!r}, {bad!r}, {float(pts[250, 2])!r})")
+
+
+def test_a_catalog_grid_builds_one_pipeline_over_its_distinct_points(monkeypatch):
+    from cottonkit.catalog import SolutionCase, solution_3d, standard_grid
+
+    case = SolutionCase.at("kink+", 1.0)
+    sizes = _pipeline_sizes(monkeypatch)
+    cotton_grid(solution_3d(case).metric, standard_grid(case, 3, 16))  # 4096 points, 16 values of x
+    assert sizes == [193]
+    sizes.clear()
+    rng = np.random.default_rng(20)
+    cotton_grid(random_smooth_metric(rng), rng.uniform(-1.0, 1.0, (4096, 3)), order=4)
+    assert sizes == [1024] * 4
+
+
+@pytest.mark.parametrize("name", ["kink+@1", "a@9"])
+def test_tiled_one_coordinate_grids_equal_one_tile_bit_for_bit(monkeypatch, name):
+    # distinct points, so the rows run whole and tile in the 1-variable layout
+    m, box = _tiling_metric(name)
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    pts = lo + (hi - lo) * np.random.default_rng(17).uniform(0.0, 1.0, (1200, 3))
+    for (fn, order), per_tile in zip(_GRID_CALLS, (700, 300, 500, 350)):
+        assert 2 <= _tiles_of(monkeypatch, m, len(pts), order, per_tile) <= 4
+        sizes = _pipeline_sizes(monkeypatch)
+        tiled = {k: _bits(v) for k, v in fn(m, pts, order).items()}
+        assert len(sizes) >= 2 and sum(sizes) == len(pts)
+        monkeypatch.undo()
+        assert _tiles_of(monkeypatch, m, len(pts), order, 10**6) == 1
+        whole = {k: _bits(v) for k, v in fn(m, pts, order).items()}
+        assert tiled == whole, (fn.__name__, order)
